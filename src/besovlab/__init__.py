@@ -26,7 +26,6 @@ from .dynamics import (
     q_operator,
     remainder_bound,
     rhs,
-    taylor_coefficient,
 )
 from .errors import (
     BesovLabError,
@@ -40,7 +39,6 @@ from .spectral import (
     Field,
     Grid,
     SpectralField,
-    apply_multiplier,
     dealias_product,
     dealias_triple,
     derivative,

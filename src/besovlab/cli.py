@@ -68,8 +68,8 @@ def main(argv=None) -> int:
     p_val.add_argument("--config", default=None)
 
     p_lem = sub.add_parser("lemma31", help="wave-packet scaling reports")
-    p_lem.add_argument("--n-min", type=int, required=True)
-    p_lem.add_argument("--n-max", type=int, required=True)
+    p_lem.add_argument("--n-min", type=int, default=None)
+    p_lem.add_argument("--n-max", type=int, default=None)
     p_lem.add_argument("--grid-n", type=int, default=None)
     p_lem.add_argument("--grid-l", type=float, default=None)
     p_lem.add_argument("--out", required=True)
@@ -111,6 +111,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         n_lo = _merged(cfg, "n_min", args.n_min, None)
         n_hi = _merged(cfg, "n_max", args.n_max, None)
+        if n_lo is None or n_hi is None:
+            parser.error("lemma31 needs both n_min and n_max (--n-min/--n-max or --config)")
         report = run_scaling_batch(
             range(n_lo, n_hi + 1),
             grid_points=_merged(cfg, "grid_points", args.grid_n, None),
@@ -123,7 +125,9 @@ def main(argv=None) -> int:
     if args.command == "nonuniform":
         cfg = _load_config(args.config)
         model = Model(_merged(cfg, "model", args.model, "ch"))
-        if args.n_min is not None and args.n_max is not None:
+        if (args.n_min is None) != (args.n_max is None):
+            parser.error("nonuniform needs --n-min and --n-max together")
+        if args.n_min is not None:
             n_values = tuple(range(args.n_min, args.n_max + 1))
         else:
             n_values = tuple(cfg.get("n_values", range(5, 9)))

@@ -28,14 +28,3 @@ def random_field(
     coeffs[grid.nyquist_index] = coeffs[grid.nyquist_index].real
     return inverse_transform(SpectralField(grid, coeffs))
 
-
-def random_spectrum(grid: Grid, rng: np.random.Generator, decay: float = 1.0) -> SpectralField:
-    """Hermitian random coefficients over the full band (incl. real Nyquist)."""
-    n = grid.num_points
-    coeffs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
-        1.0 + np.abs(grid.xi)
-    ) ** (-decay)
-    mirrored = np.conj(np.roll(coeffs[::-1], 1))
-    coeffs = 0.5 * (coeffs + mirrored)
-    coeffs[grid.nyquist_index] = coeffs[grid.nyquist_index].real
-    return SpectralField(grid, coeffs)

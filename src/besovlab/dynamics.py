@@ -13,6 +13,11 @@ both models conserve the H^1 energy dx * sum(u^2 + u_x^2) exactly in the
 continuum; the integrator monitors the discrete version.  Evolution uses
 classical RK4 with an advective CFL step size, aborting with BlowUp when the
 slope passes the wave-breaking threshold.
+
+One spectral right-hand side per model, _rhs_hat, returns the transport and
+nonlocal parts separately; evolve integrates their sum, and the Field-level
+operators (rhs, ch_rhs, novikov_rhs, p_operator, q_operator) wrap the same
+function, so the tested operators are the ones the solver runs.
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from .spectral import (
     Field,
     Grid,
     _coeffs,
+    _derivative_multiplier,
+    _from_padded,
+    _ifft,
     _padded_grid,
     _to_field,
-    _truncate,
-    _upsample,
-    dealias_product,
-    dealias_triple,
+    _to_padded,
     derivative,
 )
 
@@ -79,13 +84,11 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one run, with per-sample diagnostics."""
+    """Sampled solution of one run, with the H^1 energy of each sample."""
 
     model: Model
     samples: list  # [(time, Field)]
     h1_energy: list
-    lipschitz: list
-    besov: dict  # BesovIndex -> list of norms
     steps_taken: int = 0
 
     def times(self):
@@ -107,48 +110,52 @@ def h1_energy(u: Field) -> float:
     return float(u.grid.dx * np.sum(u.samples**2 + ux.samples**2))
 
 
+def _rhs_hat(grid: Grid, F: np.ndarray, model: Model) -> tuple:
+    """(transport, nonlocal) parts of the model's right-hand side at the
+    coefficients F, as coefficients on the same grid."""
+    ixi = _derivative_multiplier(grid, 1)
+    fine = _padded_grid(grid, 2 if model is Model.CH else 3)
+    Fx = ixi * F
+    a = _to_padded(grid, F, fine)
+    b = _to_padded(grid, Fx, fine)
+    if model is Model.CH:
+        p_mult = grid.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
+        u2 = _from_padded(grid, fine, a, a)
+        ux2 = _from_padded(grid, fine, b, b)
+        # transport -u u_x written as -(u^2)'/2
+        return -0.5 * ixi * u2, p_mult * (u2 + 0.5 * ux2)
+    helm = grid.multiplier("helmholtz", lambda xi: 1.0 / (1.0 + xi**2))
+    u3 = _from_padded(grid, fine, a, a, a)
+    uux2 = _from_padded(grid, fine, a, b, b)
+    ux3 = _from_padded(grid, fine, b, b, b)
+    # transport -u^2 u_x written as -(u^3)'/3
+    return -(1.0 / 3.0) * ixi * u3, -helm * (0.5 * ux3 + ixi * (1.5 * uux2 + u3))
+
+
 def p_operator(u: Field) -> Field:
-    """Nonlocal term of the quadratic model applied to u."""
-    g = u.grid
-    ux = derivative(u, 1)
-    source = dealias_product(u, u, 2) + 0.5 * dealias_product(ux, ux, 2)
-    m = g.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
-    mm = m.copy()
-    mm[g.nyquist_index] = 0.0
-    return _to_field(g, mm * _coeffs(source))
-
-
-def ch_rhs(u: Field) -> Field:
-    """-u u_x + P(u); the transport term is written as -(u^2)'/2."""
-    half_dsq = 0.5 * derivative(dealias_product(u, u, 2), 1)
-    return p_operator(u) - half_dsq
+    """Nonlocal term P(u) of the quadratic model."""
+    return _to_field(u.grid, _rhs_hat(u.grid, _coeffs(u), Model.CH)[1])
 
 
 def q_operator(u: Field) -> Field:
-    """Nonlocal term of the cubic model applied to u."""
-    g = u.grid
-    ux = derivative(u, 1)
-    u3 = dealias_triple(u, u, u)
-    uux2 = dealias_triple(u, ux, ux)
-    ux3 = dealias_triple(ux, ux, ux)
-    source = 0.5 * ux3 + derivative(1.5 * uux2 + u3, 1)
-    m = g.multiplier("helmholtz", lambda xi: 1.0 / (1.0 + xi**2))
-    return _to_field(g, -m * _coeffs(source))
-
-
-def novikov_rhs(u: Field) -> Field:
-    """-u^2 u_x + Q(u); the transport term is written as -(u^3)'/3."""
-    third_dcube = derivative(dealias_triple(u, u, u), 1) * (1.0 / 3.0)
-    return q_operator(u) - third_dcube
+    """Nonlocal term Q(u) of the cubic model."""
+    return _to_field(u.grid, _rhs_hat(u.grid, _coeffs(u), Model.NOVIKOV)[1])
 
 
 def rhs(u: Field, model: Model) -> Field:
-    return ch_rhs(u) if model is Model.CH else novikov_rhs(u)
+    """Full right-hand side: transport part plus nonlocal part."""
+    transport, nonlocal_part = _rhs_hat(u.grid, _coeffs(u), model)
+    return _to_field(u.grid, transport + nonlocal_part)
 
 
-def taylor_coefficient(u0: Field, model: Model) -> Field:
-    """First-order coefficient of t -> S_t(u0): the right-hand side at u0."""
-    return rhs(u0, model)
+def ch_rhs(u: Field) -> Field:
+    """-u u_x + P(u)."""
+    return rhs(u, Model.CH)
+
+
+def novikov_rhs(u: Field) -> Field:
+    """-u^2 u_x + Q(u)."""
+    return rhs(u, Model.NOVIKOV)
 
 
 def remainder_bound(u0: Field, model: Model, cutoffs: CutoffPair) -> float:
@@ -187,62 +194,29 @@ def check_decay(u0: Field, tol: float | None = DECAY_TOL):
         )
 
 
-# --- spectral-space right-hand sides used inside the integrator ------------
-
-
-def _ch_rhs_hat(grid: Grid, F: np.ndarray, mults) -> np.ndarray:
-    ixi, p_mult, _helm, fine2, _fine3 = mults
-    Fx = ixi * F
-    a = np.real(np.fft.ifft(fine2.alt_phase * _upsample(grid, F, fine2)) / fine2.dx)
-    b = np.real(np.fft.ifft(fine2.alt_phase * _upsample(grid, Fx, fine2)) / fine2.dx)
-    u2 = _truncate(grid, fine2.dx * fine2.alt_phase * np.fft.fft(a * a), fine2)
-    ux2 = _truncate(grid, fine2.dx * fine2.alt_phase * np.fft.fft(b * b), fine2)
-    return -0.5 * ixi * u2 + p_mult * (u2 + 0.5 * ux2)
-
-
-def _novikov_rhs_hat(grid: Grid, F: np.ndarray, mults) -> np.ndarray:
-    ixi, _p, helm, _fine2, fine3 = mults
-    Fx = ixi * F
-    a = np.real(np.fft.ifft(fine3.alt_phase * _upsample(grid, F, fine3)) / fine3.dx)
-    b = np.real(np.fft.ifft(fine3.alt_phase * _upsample(grid, Fx, fine3)) / fine3.dx)
-    tr = lambda w: _truncate(grid, fine3.dx * fine3.alt_phase * np.fft.fft(w), fine3)
-    u3 = tr(a * a * a)
-    uux2 = tr(a * b * b)
-    ux3 = tr(b * b * b)
-    return -(1.0 / 3.0) * ixi * u3 - helm * (0.5 * ux3 + ixi * (1.5 * uux2 + u3))
-
-
-def _step_multipliers(grid: Grid):
-    ixi = (1j * grid.xi).copy()
-    ixi[grid.nyquist_index] = 0.0
-    p_mult = (-1j * grid.xi / (1.0 + grid.xi**2)).copy()
-    p_mult[grid.nyquist_index] = 0.0
-    helm = 1.0 / (1.0 + grid.xi**2)
-    return ixi, p_mult, helm, _padded_grid(grid, 2), _padded_grid(grid, 3)
-
-
 def evolve(
     u0: Field,
     model: Model,
     config: SolverConfig,
-    cutoffs: CutoffPair | None = None,
-    besov_indices: tuple = (),
     decay_tol: float | None = DECAY_TOL,
 ) -> Trajectory:
     """Integrate one initial datum with classical RK4.
 
     Samples are recorded at t = 0, at every requested sample time (landed on
-    exactly) and at final_time.  Per-sample diagnostics hold the H^1 energy,
-    the C^{0,1} norm and any requested Besov norms (cutoffs must be supplied
-    when besov_indices is nonempty).  Raises BlowUp when ||u_x||_inf exceeds
-    the configured threshold and InvalidField if the state goes non-finite.
+    exactly) and at final_time, each with its H^1 energy.  Raises BlowUp when
+    ||u_x||_inf exceeds the configured threshold and InvalidField if the
+    state goes non-finite.
     """
-    if besov_indices and cutoffs is None:
-        raise ValueError("besov_indices requested but no cutoffs supplied")
     check_decay(u0, decay_tol)
     grid = u0.grid
-    mults = _step_multipliers(grid)
-    rhs_hat = _ch_rhs_hat if model is Model.CH else _novikov_rhs_hat
+    ixi = _derivative_multiplier(grid, 1)
+
+    def step_rhs(F):
+        transport, nonlocal_part = _rhs_hat(grid, F, model)
+        # summed in place: a fresh array here, just after _rhs_hat freed its
+        # padded arrays, makes glibc trim and re-fault the heap every stage
+        transport += nonlocal_part
+        return transport
 
     targets = [t for t in config.sample_times if t > 0.0]
     if config.final_time > 0.0 and (
@@ -250,26 +224,21 @@ def evolve(
     ):
         targets.append(config.final_time)
 
-    traj = Trajectory(model=model, samples=[], h1_energy=[], lipschitz=[], besov={
-        idx: [] for idx in besov_indices
-    })
+    traj = Trajectory(model=model, samples=[], h1_energy=[])
 
     def record(t: float, u: Field):
         traj.samples.append((t, u))
         traj.h1_energy.append(h1_energy(u))
-        traj.lipschitz.append(lipschitz_norm(u))
-        for idx in besov_indices:
-            traj.besov[idx].append(besov_norm(u, idx, cutoffs))
 
     record(0.0, u0)
     F = _coeffs(u0)
     t = 0.0
     for target in targets:
         while t < target - 1e-13:
-            u = np.real(np.fft.ifft(grid.alt_phase * F) / grid.dx)
+            u = _ifft(grid, F)
             if not np.all(np.isfinite(u)):
                 raise InvalidField(f"solution became non-finite at t={t:.6f}")
-            slope = float(np.abs(np.fft.ifft(grid.alt_phase * (mults[0] * F)).real).max() / grid.dx)
+            slope = float(np.abs(_ifft(grid, ixi * F)).max())
             if slope > config.blowup_threshold:
                 raise BlowUp(t, slope)
             dt = min(
@@ -277,10 +246,10 @@ def evolve(
                 config.cfl * grid.dx / (1.0 + float(np.abs(u).max())),
                 target - t,
             )
-            k1 = rhs_hat(grid, F, mults)
-            k2 = rhs_hat(grid, F + 0.5 * dt * k1, mults)
-            k3 = rhs_hat(grid, F + 0.5 * dt * k2, mults)
-            k4 = rhs_hat(grid, F + dt * k3, mults)
+            k1 = step_rhs(F)
+            k2 = step_rhs(F + 0.5 * dt * k1)
+            k3 = step_rhs(F + 0.5 * dt * k2)
+            k4 = step_rhs(F + dt * k3)
             F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
             traj.steps_taken += 1

@@ -36,7 +36,7 @@ from .dynamics import (
     remainder_bound,
     rhs,
 )
-from .errors import BlowUp, ResolutionExceeded
+from .errors import BesovLabError, ResolutionExceeded
 from .spectral import (
     Field,
     Grid,
@@ -185,8 +185,8 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
     measure the solution-map gap D_n(t) = ||S_t(packet+pert) - S_t(packet)||
     in B^{3/2}_{2,1}, together with the decomposition pieces that explain it.
 
-    Per-n failures (blow-up, resolution) are recorded without aborting the
-    remaining members.
+    Per-n failures (any BesovLabError: blow-up, resolution, non-finite state,
+    decay violation) are recorded without aborting the remaining members.
     """
     grid = config.make_grid()
     cutoffs = build_cutoffs(grid)
@@ -267,7 +267,7 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
                     cell_ok = abs(gap - pert_norm) <= 1e-12 * pert_norm
                 row["verdict"] = "pass" if cell_ok else "fail"
                 report.rows.append(row)
-        except (BlowUp, ResolutionExceeded) as err:
+        except BesovLabError as err:
             report.per_n[str(n)] = {"error": f"{type(err).__name__}: {err}"}
             report.add_check(f"completed_n{n}", False, str(err), "run completes")
 
@@ -431,27 +431,6 @@ def _first_order_size(model: Model, u0: Field, cutoffs: CutoffPair) -> float:
     if model is Model.CH:
         return b32**2 + (sup + lip**2) * b52
     return b32**3 + lip**2 * b52
-
-
-def discover_time_horizon(
-    u0: Field,
-    model: Model,
-    initial: float = 1.0,
-    max_halvings: int = 8,
-    cfl: float = 0.3,
-) -> float:
-    """Shrink a trial horizon until the run completes with small energy drift,
-    then return 0.8 times the surviving value."""
-    horizon = initial
-    for _ in range(max_halvings):
-        try:
-            traj = evolve(u0, model, SolverConfig(final_time=horizon, cfl=cfl))
-            if traj.h1_drift() < H1_DRIFT_TOL:
-                return 0.8 * horizon
-        except BlowUp:
-            pass
-        horizon /= 2.0
-    return 0.8 * horizon
 
 
 # --- validation suite -------------------------------------------------------

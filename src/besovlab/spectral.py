@@ -1,4 +1,4 @@
-"""Periodic grid, Fourier transforms and multiplier operators.
+"""Periodic grid, Fourier transforms, derivatives and dealiased products.
 
 The domain is the torus [-L, L) sampled at N equispaced points, used as a
 numerical stand-in for the real line (all admissible data decay well inside
@@ -18,6 +18,8 @@ over verbatim to the arrays.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +103,14 @@ class Grid:
         return self._cache[key]
 
     def multiplier(self, key, builder) -> np.ndarray:
-        """Memoised read-only multiplier array for this grid."""
+        """Memoised read-only multiplier array builder(xi) for this grid.
+
+        The Nyquist entry keeps only its real part, so real fields stay real;
+        odd symbols such as i*xi vanish there.
+        """
         if key not in self._cache:
-            arr = np.asarray(builder(self.xi))
+            arr = np.array(builder(self.xi))
+            arr[self.nyquist_index] = arr[self.nyquist_index].real
             arr.flags.writeable = False
             self._cache[key] = arr
         return self._cache[key]
@@ -206,11 +213,37 @@ class SpectralField:
         return float(resid.max() / scale)
 
 
+# Scaling is done in place wherever the array is our own: every large
+# temporary freed in the solver's inner loop lets glibc trim the heap and
+# fault the pages in again on the next allocation, which costs more than the
+# arithmetic.
+
+
+def _fft(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Coefficients at grid.xi of samples taken on grid."""
+    coeffs = np.fft.fft(samples)
+    coeffs *= grid.dx * grid.alt_phase
+    return coeffs
+
+
+def _ifft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples on grid of the coefficients at grid.xi."""
+    samples = np.fft.ifft(grid.alt_phase * coeffs)
+    samples /= grid.dx
+    return samples.real
+
+
+def _coeffs(f: Field) -> np.ndarray:
+    return _fft(f.grid, f.samples)
+
+
+def _to_field(grid: Grid, coeffs: np.ndarray) -> Field:
+    return Field(grid, _ifft(grid, coeffs))
+
+
 def forward_transform(f: Field) -> SpectralField:
     """Forward transform under the e^{-i x xi} convention with dx weighting."""
-    g = f.grid
-    coeffs = g.dx * g.alt_phase * np.fft.fft(f.samples)
-    return SpectralField(g, coeffs)
+    return SpectralField(f.grid, _coeffs(f))
 
 
 def inverse_transform(F: SpectralField, check: bool = True) -> Field:
@@ -220,45 +253,11 @@ def inverse_transform(F: SpectralField, check: bool = True) -> Field:
         resid = F.hermitian_residual()
         if resid > HERMITIAN_RTOL:
             raise NonRealSpectrum(f"hermitian symmetry violated: residual {resid:.3e}")
-    g = F.grid
-    samples = np.real(np.fft.ifft(g.alt_phase * F.coeffs) / g.dx)
-    return Field(g, samples)
+    return _to_field(F.grid, F.coeffs)
 
 
-def _coeffs(f: Field) -> np.ndarray:
-    g = f.grid
-    return g.dx * g.alt_phase * np.fft.fft(f.samples)
-
-
-def _to_field(grid: Grid, coeffs: np.ndarray) -> Field:
-    return Field(grid, np.real(np.fft.ifft(grid.alt_phase * coeffs) / grid.dx))
-
-
-def _multiplier_array(grid: Grid, m) -> np.ndarray:
-    """Evaluate/validate a Fourier multiplier on the grid frequencies.
-
-    Requires m(-xi) = conj(m(xi)); the Nyquist entry is replaced by its real
-    part so real fields stay real (odd multipliers are zeroed there).
-    """
-    values = np.asarray(m(grid.xi) if callable(m) else m, dtype=complex)
-    if values.shape != grid.xi.shape:
-        raise ValueError("multiplier array does not match grid frequencies")
-    scale = float(np.abs(values).max())
-    if scale > 0.0:
-        mirrored = np.conj(np.roll(values[::-1], 1))
-        resid = np.abs(values - mirrored)
-        resid[grid.nyquist_index] = 0.0
-        if float(resid.max()) > HERMITIAN_RTOL * scale:
-            raise NonRealSpectrum("multiplier is not Hermitian-compatible")
-    values = values.copy()
-    values[grid.nyquist_index] = values[grid.nyquist_index].real
-    return values
-
-
-def apply_multiplier(f: Field, m) -> Field:
-    """Apply the Fourier multiplier operator m(D): F^{-1}(m(xi) F f)."""
-    values = _multiplier_array(f.grid, m)
-    return _to_field(f.grid, values * _coeffs(f))
+def _derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
+    return grid.multiplier(("deriv", order), lambda xi: (1j * xi) ** order)
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -269,15 +268,7 @@ def derivative(f: Field, order: int = 1) -> Field:
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    g = f.grid
-
-    def build(xi, order=order):
-        m = (1j * xi) ** order
-        m[g.nyquist_index] = m[g.nyquist_index].real
-        return m
-
-    m = g.multiplier(("deriv", order), build)
-    return _to_field(g, m * _coeffs(f))
+    return _to_field(f.grid, _derivative_multiplier(f.grid, order) * _coeffs(f))
 
 
 def helmholtz_inverse(f: Field) -> Field:
@@ -291,6 +282,9 @@ def helmholtz_inverse(f: Field) -> Field:
     return _to_field(g, m * _coeffs(f))
 
 
+# --- dealiasing core: every padded product goes through these helpers -------
+
+
 def _padded_grid(grid: Grid, total_degree: int) -> Grid:
     # 3/2-rule padding for quadratic terms, factor 2 for cubic terms; both
     # keep the retained band |xi| < xi_max alias-free even at full bandwidth.
@@ -299,21 +293,38 @@ def _padded_grid(grid: Grid, total_degree: int) -> Grid:
     return grid.padded(2, 1)
 
 
-def _upsample(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
-    out = np.zeros(fine.num_points, dtype=complex)
+def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
+    """Samples on the finer grid of the trigonometric polynomial with these
+    coefficients (zero-padded spectrum)."""
+    padded = np.zeros(fine.num_points, dtype=complex)
     h = grid.num_points // 2
-    out[:h] = coeffs[:h]
-    out[fine.num_points - h :] = coeffs[grid.num_points - h :]
-    return out
+    padded[:h] = coeffs[:h]
+    padded[fine.num_points - h :] = coeffs[grid.num_points - h :]
+    # _ifft's formula, applied in place to the array built here
+    padded *= fine.alt_phase
+    samples = np.fft.ifft(padded)
+    samples /= fine.dx
+    return samples.real
 
 
-def _truncate(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
+def _from_padded(grid: Grid, fine: Grid, *factors: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of finer-grid samples, truncated to the
+    band of grid; the coarse Nyquist mode is zeroed."""
+    coeffs = _fft(fine, functools.reduce(operator.mul, factors))
     out = np.zeros(grid.num_points, dtype=complex)
     h = grid.num_points // 2
     out[:h] = coeffs[:h]
-    # skip index h (the coarse Nyquist): it is zeroed on truncation
     out[h + 1 :] = coeffs[fine.num_points - h + 1 :]
     return out
+
+
+def _dealias(total_degree: int, *factors: Field) -> Field:
+    grid = factors[0].grid
+    for other in factors[1:]:
+        factors[0]._check_same_grid(other)
+    fine = _padded_grid(grid, total_degree)
+    padded = [_to_padded(grid, _coeffs(f), fine) for f in factors]
+    return _to_field(grid, _from_padded(grid, fine, *padded))
 
 
 def dealias_product(f: Field, g: Field, total_degree: int = 2) -> Field:
@@ -326,28 +337,12 @@ def dealias_product(f: Field, g: Field, total_degree: int = 2) -> Field:
     """
     if total_degree not in (2, 3):
         raise ValueError(f"total_degree must be 2 or 3, got {total_degree}")
-    f._check_same_grid(g)
-    grid = f.grid
-    fine = _padded_grid(grid, total_degree)
-    a = np.real(np.fft.ifft(fine.alt_phase * _upsample(grid, _coeffs(f), fine)) / fine.dx)
-    b = np.real(np.fft.ifft(fine.alt_phase * _upsample(grid, _coeffs(g), fine)) / fine.dx)
-    prod = fine.dx * fine.alt_phase * np.fft.fft(a * b)
-    return _to_field(grid, _truncate(grid, prod, fine))
+    return _dealias(total_degree, f, g)
 
 
 def dealias_triple(f: Field, g: Field, h: Field) -> Field:
     """Dealiased triple product on the cubic (factor-2) padded grid."""
-    f._check_same_grid(g)
-    f._check_same_grid(h)
-    grid = f.grid
-    fine = _padded_grid(grid, 3)
-    fields = []
-    for u in (f, g, h):
-        fields.append(
-            np.real(np.fft.ifft(fine.alt_phase * _upsample(grid, _coeffs(u), fine)) / fine.dx)
-        )
-    prod = fine.dx * fine.alt_phase * np.fft.fft(fields[0] * fields[1] * fields[2])
-    return _to_field(grid, _truncate(grid, prod, fine))
+    return _dealias(3, f, g, h)
 
 
 def parseval_residual(f: Field) -> float:

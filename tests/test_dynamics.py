@@ -13,7 +13,6 @@ from besovlab import (
     SolverConfig,
     besov_norm,
     build_bump,
-    build_cutoffs,
     ch_rhs,
     derivative,
     evolve,
@@ -23,11 +22,11 @@ from besovlab import (
     p_operator,
     q_operator,
     remainder_bound,
-    taylor_coefficient,
+    rhs,
 )
 from besovlab.harness import SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import lipschitz_norm
-from besovlab.spectral import _coeffs, _to_field, _truncate, _upsample
+from besovlab.spectral import _coeffs, _from_padded, _to_field, _to_padded
 
 
 def kernel_quadrature(xs, w_fn, signed, refine_grid):
@@ -97,9 +96,9 @@ class TestModelRhs:
         coarse = ch_rhs(u)
 
         fine = Grid(4 * g.num_points, g.half_length)
-        uf = _to_field(fine, _upsample(g, _coeffs(u), fine))
+        uf = Field(fine, _to_padded(g, _coeffs(u), fine))
         rhs_fine = ch_rhs(uf)
-        ref = _to_field(g, _truncate(g, _coeffs(rhs_fine), fine))
+        ref = _to_field(g, _from_padded(g, fine, rhs_fine.samples))
         scale = ref.max_abs()
         assert np.abs(coarse.samples - ref.samples).max() <= 1e-9 * scale
 
@@ -129,14 +128,10 @@ class TestModelRhs:
         )
         assert np.abs(out[idx] - oracle).max() <= 1e-8
 
-    def test_taylor_coefficient_is_rhs(self, trig_grid):
+    def test_rhs_dispatches_to_model(self, trig_grid):
         u = Field(trig_grid, np.sin(trig_grid.x))
-        assert np.array_equal(
-            taylor_coefficient(u, Model.CH).samples, ch_rhs(u).samples
-        )
-        assert np.array_equal(
-            taylor_coefficient(u, Model.NOVIKOV).samples, novikov_rhs(u).samples
-        )
+        assert np.array_equal(rhs(u, Model.CH).samples, ch_rhs(u).samples)
+        assert np.array_equal(rhs(u, Model.NOVIKOV).samples, novikov_rhs(u).samples)
 
 
 class TestRemainderBound:
@@ -249,19 +244,6 @@ class TestEvolve:
                 continue
             gap = np.abs(u.samples - u0.samples).max()
             assert gap <= SMALL_TIME_CONSTANT * t * lip**2
-
-    def test_besov_diagnostics_recorded(self, coarse_grid):
-        cutoffs = build_cutoffs(coarse_grid)
-        idx = BesovIndex(1.5, 2, 1)
-        traj = evolve(
-            smooth_profile(coarse_grid),
-            Model.CH,
-            SolverConfig(final_time=0.05, sample_times=(0.05,)),
-            cutoffs=cutoffs,
-            besov_indices=(idx,),
-        )
-        assert len(traj.besov[idx]) == len(traj.samples)
-        assert all(v > 0 for v in traj.besov[idx])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

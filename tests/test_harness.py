@@ -11,13 +11,11 @@ from besovlab.harness import (
     CSV_HEADER,
     ExperimentConfig,
     ExperimentReport,
-    discover_time_horizon,
     emit_outputs,
     run_nonuniform,
     run_scaling_batch,
     run_taylor_check,
     run_validation_suite,
-    smooth_profile,
 )
 
 # small but honest experiment: n = 4, 5 on the 2^13 grid finish in seconds
@@ -59,6 +57,26 @@ class TestRunNonuniform:
         assert "error" in report.per_n["11"]
         assert {r["n"] for r in report.rows} == {4}
         assert not report.passed
+
+    def test_invalid_field_isolated_per_member(self, monkeypatch):
+        from besovlab import InvalidField, harness
+
+        real_evolve = harness.evolve
+        calls = []
+
+        def evolve_failing_second_member(u0, model, config):
+            calls.append(model)
+            if len(calls) == 3:  # first run of the n=5 member
+                raise InvalidField("injected")
+            return real_evolve(u0, model, config)
+
+        monkeypatch.setattr(harness, "evolve", evolve_failing_second_member)
+        cfg = ExperimentConfig(model=Model.CH, n_values=(4, 5), t_values=(0.05,),
+                               grid_points=2**13)
+        report = run_nonuniform(cfg)
+        assert report.per_n["5"] == {"error": "InvalidField: injected"}
+        assert not report.checks["completed_n5"]["passed"]
+        assert {r["n"] for r in report.rows} == {4}
 
     def test_identical_solver_settings_give_zero_gap_without_perturbation(self):
         # determinism corollary: evolving the same datum twice gives bitwise
@@ -166,16 +184,6 @@ class TestEmitOutputs:
         assert set(data["per_n"]) == {"4", "5"}
 
 
-class TestDiscoverHorizon:
-    def test_returns_safe_fraction(self):
-        from besovlab.spectral import Grid
-
-        grid = Grid(2**12, 32 * math.pi)
-        u0 = smooth_profile(grid)
-        horizon = discover_time_horizon(u0, Model.CH, initial=0.5, max_halvings=3)
-        assert horizon == pytest.approx(0.4)
-
-
 class TestCli:
     def test_validate_subcommand_green(self, capsys):
         code = cli_main(["validate", "--seed", "0"])
@@ -195,6 +203,29 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "report.json").exists()
+
+    def test_lemma31_range_from_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_min": 4, "n_max": 5, "grid_points": 2**13}))
+        out_dir = tmp_path / "out"
+        code = cli_main(["lemma31", "--config", str(cfg_file), "--out", str(out_dir)])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["n_values"] == [4, 5]
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma31", "--n-min", "4"],
+        ["lemma31"],
+        ["nonuniform", "--n-min", "4"],
+        ["nonuniform", "--n-max", "5"],
+    ])
+    def test_missing_or_half_given_range_rejected(self, tmp_path, capsys, argv):
+        if argv[0] == "lemma31":
+            argv = [*argv, "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        assert err.value.code == 2
+        assert "--n-max" in capsys.readouterr().err
 
     def test_nonuniform_subcommand_with_config_file(self, tmp_path, capsys):
         # at n=4 the gap stays inside the dominance band only for t large
