@@ -6,21 +6,22 @@ Subcommands:
   nonuniform  solution-map gap experiment for one model
   taylor      time-power fit of the second-order Taylor remainder
 
-Exit status is 0 iff every verdict in the produced report passes.  A JSON
-config file mirroring the experiment settings may be supplied with --config;
-explicit flags override file values.
+Settings may also come from a JSON file given with --config whose keys are
+the flags' destinations (grid_points, half_length, output_dir, t_values, ...;
+nonuniform also reads n_values); explicit flags override file values, and an
+unknown key is rejected.
+
+Exit status: 0 if every verdict in the produced report passes, 1 if a
+verdict failed, 2 on bad usage or settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .dynamics import Model
 from .harness import (
-    DEFAULT_HALF_LENGTH,
     ExperimentConfig,
     emit_outputs,
     run_nonuniform,
@@ -30,19 +31,88 @@ from .harness import (
 )
 
 
-def _load_config(path: str | None) -> dict:
+def _float_list(text: str) -> tuple:
+    return tuple(float(s) for s in text.split(","))
+
+
+# Flags per subcommand.  Each flag's dest is its config-file key; a setting
+# neither flag nor file gives is left to the runner's default.
+_GRID = [
+    ("--grid-n", dict(dest="grid_points", type=int)),
+    ("--grid-l", dict(dest="half_length", type=float)),
+]
+_N_RANGE = [("--n-min", dict(type=int)), ("--n-max", dict(type=int))]
+_MODEL = ("--model", dict(choices=["ch", "novikov"]))
+_OUT = ("--out", dict(dest="output_dir"))
+
+SUBCOMMANDS = {
+    "validate": ("run the invariant suite", [
+        ("--seed", dict(type=int)),
+        *_GRID,
+        ("--cutoff-scale", dict(type=float, help="fault injection: scale the ring cutoff")),
+    ]),
+    "lemma31": ("wave-packet scaling reports", [*_N_RANGE, *_GRID, _OUT]),
+    "nonuniform": ("solution-map gap experiment", [
+        _MODEL,
+        *_N_RANGE,
+        ("--t", dict(dest="t_values", type=_float_list, help="comma-separated sample times")),
+        ("--cfl", dict(type=float)),
+        *_GRID,
+        _OUT,
+    ]),
+    "taylor": ("Taylor remainder slope fit", [
+        _MODEL,
+        ("--t-min", dict(type=float)),
+        ("--t-max", dict(type=float)),
+        ("--points", dict(type=int)),
+        *_GRID,
+        _OUT,
+    ]),
+}
+EXTRA_KEYS = {"nonuniform": {"n_values"}}  # config-file keys without a flag
+REQUIRED = {"validate": ("seed",), "lemma31": ("n_min", "n_max", "output_dir")}
+
+
+def _load_config(parser, path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as err:
+        parser.error(f"--config {path}: {err}")
+    if not isinstance(cfg, dict):
+        parser.error(f"--config {path}: expected a JSON object")
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
-def _merged(file_cfg: dict, key: str, flag_value, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg and file_cfg[key] is not None:
-        return file_cfg[key]
-    return default
+def _settings(parser, command: str, flags: dict, given: dict, path: str | None) -> dict:
+    """The config file's settings overlaid by the flags given, checked once;
+    n_min/n_max become n_values.  Settings nobody gave are absent."""
+    file_cfg = _load_config(parser, path)
+    unknown = sorted(set(file_cfg) - set(flags) - EXTRA_KEYS.get(command, set()))
+    if unknown:
+        parser.error(f"unknown config key(s): {', '.join(unknown)}")
+    settings = {**file_cfg, **given}
+    if ("n_min" in settings) != ("n_max" in settings):
+        parser.error("--n-min and --n-max must be given together")
+    missing = [key for key in REQUIRED.get(command, ()) if key not in settings]
+    if missing:
+        needs = ", ".join(f"{flags[key]} (config key {key})" for key in missing)
+        parser.error(f"missing {needs}")
+    if "n_min" in settings:
+        n_min, n_max = settings.pop("n_min"), settings.pop("n_max")
+        if n_min > n_max:
+            parser.error(f"n_min={n_min} exceeds n_max={n_max}")
+        settings["n_values"] = tuple(range(n_min, n_max + 1))
+    return settings
+
+
+def _experiment(parser, settings: dict) -> ExperimentConfig:
+    try:
+        return ExperimentConfig(**settings)
+    except (TypeError, ValueError) as err:
+        parser.error(str(err))
 
 
 def _print_checks(report) -> None:
@@ -58,120 +128,33 @@ def _print_checks(report) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="besovlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        actions = [p.add_argument(flag, **kwargs) for flag, kwargs in flags]
+        p.add_argument("--config", default=None, help="JSON settings file; flags override it")
+        subparsers[name] = p, {a.dest: a.option_strings[0] for a in actions}
 
-    p_val = sub.add_parser("validate", help="run the invariant suite")
-    p_val.add_argument("--seed", type=int, required=True)
-    p_val.add_argument("--grid-n", type=int, default=None)
-    p_val.add_argument("--grid-l", type=float, default=None)
-    p_val.add_argument("--cutoff-scale", type=float, default=1.0,
-                       help="fault injection: scale the ring cutoff")
-    p_val.add_argument("--config", default=None)
+    given = vars(parser.parse_args(argv))
+    command, path = given.pop("command"), given.pop("config")
+    parser, flags = subparsers[command]
+    settings = _settings(parser, command, flags, given, path)
+    output_dir = settings.pop("output_dir", None)
 
-    p_lem = sub.add_parser("lemma31", help="wave-packet scaling reports")
-    p_lem.add_argument("--n-min", type=int, default=None)
-    p_lem.add_argument("--n-max", type=int, default=None)
-    p_lem.add_argument("--grid-n", type=int, default=None)
-    p_lem.add_argument("--grid-l", type=float, default=None)
-    p_lem.add_argument("--out", required=True)
-    p_lem.add_argument("--config", default=None)
+    if command == "validate":
+        report = run_validation_suite(**settings)
+    elif command == "lemma31":
+        report = run_scaling_batch(**settings)
+    elif command == "nonuniform":
+        report = run_nonuniform(_experiment(parser, settings))
+    else:
+        ladder = {key: settings.pop(key) for key in ("t_min", "t_max", "points") if key in settings}
+        report = run_taylor_check(_experiment(parser, settings), **ladder)
 
-    p_non = sub.add_parser("nonuniform", help="solution-map gap experiment")
-    p_non.add_argument("--model", choices=["ch", "novikov"], default=None)
-    p_non.add_argument("--n-min", type=int, default=None)
-    p_non.add_argument("--n-max", type=int, default=None)
-    p_non.add_argument("--t", default=None, help="comma-separated sample times")
-    p_non.add_argument("--cfl", type=float, default=None)
-    p_non.add_argument("--grid-n", type=int, default=None)
-    p_non.add_argument("--grid-l", type=float, default=None)
-    p_non.add_argument("--out", default=None)
-    p_non.add_argument("--config", default=None)
-
-    p_tay = sub.add_parser("taylor", help="Taylor remainder slope fit")
-    p_tay.add_argument("--model", choices=["ch", "novikov"], default=None)
-    p_tay.add_argument("--t-min", type=float, default=None)
-    p_tay.add_argument("--t-max", type=float, default=None)
-    p_tay.add_argument("--points", type=int, default=None)
-    p_tay.add_argument("--out", default=None)
-    p_tay.add_argument("--config", default=None)
-
-    args = parser.parse_args(argv)
-
-    if args.command == "validate":
-        cfg = _load_config(args.config)
-        report = run_validation_suite(
-            seed=args.seed,
-            grid_points=_merged(cfg, "grid_points", args.grid_n, 2**10),
-            half_length=_merged(cfg, "half_length", args.grid_l, 16.0 * math.pi),
-            cutoff_scale=args.cutoff_scale,
-        )
-        _print_checks(report)
-        return 0 if report.passed else 1
-
-    if args.command == "lemma31":
-        cfg = _load_config(args.config)
-        n_lo = _merged(cfg, "n_min", args.n_min, None)
-        n_hi = _merged(cfg, "n_max", args.n_max, None)
-        if n_lo is None or n_hi is None:
-            parser.error("lemma31 needs both n_min and n_max (--n-min/--n-max or --config)")
-        report = run_scaling_batch(
-            range(n_lo, n_hi + 1),
-            grid_points=_merged(cfg, "grid_points", args.grid_n, None),
-            half_length=_merged(cfg, "half_length", args.grid_l, DEFAULT_HALF_LENGTH),
-        )
-        emit_outputs(report, args.out)
-        _print_checks(report)
-        return 0 if report.passed else 1
-
-    if args.command == "nonuniform":
-        cfg = _load_config(args.config)
-        model = Model(_merged(cfg, "model", args.model, "ch"))
-        if (args.n_min is None) != (args.n_max is None):
-            parser.error("nonuniform needs --n-min and --n-max together")
-        if args.n_min is not None:
-            n_values = tuple(range(args.n_min, args.n_max + 1))
-        else:
-            n_values = tuple(cfg.get("n_values", range(5, 9)))
-        if args.t is not None:
-            t_values = tuple(float(s) for s in args.t.split(","))
-        else:
-            t_values = tuple(cfg.get("t_values", (0.02, 0.05, 0.1)))
-        config = ExperimentConfig(
-            model=model,
-            n_values=n_values,
-            t_values=t_values,
-            grid_points=_merged(cfg, "grid_points", args.grid_n, None),
-            half_length=_merged(cfg, "half_length", args.grid_l, DEFAULT_HALF_LENGTH),
-            cfl=_merged(cfg, "cfl", args.cfl, 0.3),
-            output_dir=_merged(cfg, "output_dir", args.out, None),
-        )
-        report = run_nonuniform(config)
-        if config.output_dir:
-            emit_outputs(report, config.output_dir)
-        _print_checks(report)
-        return 0 if report.passed else 1
-
-    if args.command == "taylor":
-        cfg = _load_config(args.config)
-        model = Model(_merged(cfg, "model", args.model, "ch"))
-        config = ExperimentConfig(
-            model=model,
-            n_values=(6,),
-            t_values=(_merged(cfg, "t_max", args.t_max, 0.1),),
-            grid_points=cfg.get("grid_points"),
-            output_dir=_merged(cfg, "output_dir", args.out, None),
-        )
-        report = run_taylor_check(
-            config,
-            t_min=_merged(cfg, "t_min", args.t_min, 1e-3),
-            t_max=_merged(cfg, "t_max", args.t_max, 1e-1),
-            points=_merged(cfg, "points", args.points, 8),
-        )
-        if config.output_dir:
-            emit_outputs(report, config.output_dir)
-        _print_checks(report)
-        return 0 if report.passed else 1
-
-    return 2
+    if output_dir:
+        emit_outputs(report, output_dir)
+    _print_checks(report)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ from .wavepackets import (
 B321 = BesovIndex(1.5, 2, 1)
 
 DEFAULT_HALF_LENGTH = 32.0 * math.pi
-DEFAULT_POINTS = 2**15
 
 # Verdict thresholds.
 LOWER_BOUND_FRACTION = 0.1
@@ -91,11 +90,9 @@ class ExperimentConfig:
     grid_points: int | None = None  # None: smallest adequate power of two
     half_length: float = DEFAULT_HALF_LENGTH
     cfl: float = 0.3
-    dt_max: float = 1e-2
-    seed: int = 0
-    output_dir: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "model", Model(self.model))
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         ts = tuple(sorted(float(t) for t in self.t_values))
@@ -105,19 +102,11 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
 
     def make_grid(self) -> Grid:
-        pts = self.grid_points
-        if pts is None:
-            pts = min_points_for(max(self.n_values), self.half_length)
-        return Grid(pts, self.half_length)
+        return _grid(self.grid_points, max(self.n_values), self.half_length)
 
     def solver(self) -> SolverConfig:
         final = max(self.t_values)
-        return SolverConfig(
-            final_time=final,
-            cfl=self.cfl,
-            dt_max=self.dt_max,
-            sample_times=self.t_values,
-        )
+        return SolverConfig(final_time=final, cfl=self.cfl, sample_times=self.t_values)
 
     def to_dict(self) -> dict:
         return {
@@ -127,10 +116,12 @@ class ExperimentConfig:
             "grid_points": self.grid_points,
             "half_length": self.half_length,
             "cfl": self.cfl,
-            "dt_max": self.dt_max,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
         }
+
+
+def _grid(grid_points: int | None, n_max: int, half_length: float) -> Grid:
+    """The requested grid, or the smallest one resolving family member n_max."""
+    return Grid(grid_points or min_points_for(n_max, half_length), half_length)
 
 
 @dataclass
@@ -353,14 +344,23 @@ def run_taylor_check(
     second-order Taylor remainder gives slope 2.  Also records the first-order
     gap ||S_t(u0) - u0|| against its expected t-linear size.
     """
-    grid = config.make_grid() if config.grid_points else Grid(DEFAULT_POINTS, config.half_length)
+    grid = _grid(config.grid_points, packet_n, config.half_length)
     cutoffs = build_cutoffs(grid)
     bump = build_bump(grid)
     fam = make_packets(bump, packet_n)
     ladder = np.geomspace(t_min, t_max, points)
     report = ExperimentReport(
         kind="taylor",
-        config={**config.to_dict(), "t_min": t_min, "t_max": t_max, "points": points},
+        config={
+            "model": config.model.value,
+            "grid_points": grid.num_points,
+            "half_length": grid.half_length,
+            "cfl": config.cfl,
+            "t_min": t_min,
+            "t_max": t_max,
+            "points": points,
+            "packet_n": packet_n,
+        },
         grid=_grid_dict(grid),
         extras={"model": config.model.value, "ladder": [float(t) for t in ladder]},
     )
@@ -372,7 +372,7 @@ def run_taylor_check(
     solver = SolverConfig(
         final_time=float(ladder[-1]),
         cfl=config.cfl,
-        dt_max=min(config.dt_max, t_min / 4.0),
+        dt_max=min(SolverConfig.dt_max, t_min / 4.0),
         sample_times=tuple(float(t) for t in ladder),
     )
     for label, u0 in data:
@@ -745,13 +745,12 @@ def run_scaling_batch(
     """Scaling reports for a range of family members plus cross-n variation
     checks (each rescaled quantity must stay within a factor 1.5 over the
     range, and the rescaled product norms must approach their limits)."""
-    pts = grid_points or min_points_for(max(n_values), half_length)
-    grid = Grid(pts, half_length)
+    grid = _grid(grid_points, max(n_values), half_length)
     cutoffs = build_cutoffs(grid)
     bump = build_bump(grid)
     report = ExperimentReport(
         kind="scalings",
-        config={"n_values": list(n_values), "grid_points": pts, "half_length": half_length},
+        config={"n_values": list(n_values), "grid_points": grid.num_points, "half_length": half_length},
         grid=_grid_dict(grid),
     )
     reps = {}

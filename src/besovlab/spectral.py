@@ -136,10 +136,6 @@ class Field:
         object.__setattr__(self, "samples", samples)
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, fn(grid.x))
-
-    @classmethod
     def zero(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.num_points))
 
@@ -246,13 +242,12 @@ def forward_transform(f: Field) -> SpectralField:
     return SpectralField(f.grid, _coeffs(f))
 
 
-def inverse_transform(F: SpectralField, check: bool = True) -> Field:
+def inverse_transform(F: SpectralField) -> Field:
     """Inverse transform; raises NonRealSpectrum if coefficients are not
     Hermitian-symmetric to HERMITIAN_RTOL (relative)."""
-    if check:
-        resid = F.hermitian_residual()
-        if resid > HERMITIAN_RTOL:
-            raise NonRealSpectrum(f"hermitian symmetry violated: residual {resid:.3e}")
+    resid = F.hermitian_residual()
+    if resid > HERMITIAN_RTOL:
+        raise NonRealSpectrum(f"hermitian symmetry violated: residual {resid:.3e}")
     return _to_field(F.grid, F.coeffs)
 
 

@@ -29,3 +29,26 @@ def test_perfbench_names_exported():
     params = list(inspect.signature(besovlab.dealias_product).parameters.values())
     assert [p.name for p in params[:3]] == ["f", "g", "total_degree"]
     assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_perfbench_runner_calls_bind():
+    # the call shapes of perfbench/workloads.py, bound without running them
+    from besovlab.harness import (
+        ExperimentConfig,
+        emit_outputs,
+        run_nonuniform,
+        run_taylor_check,
+        run_validation_suite,
+    )
+
+    config = ExperimentConfig(
+        model=besovlab.Model("ch"), n_values=(5, 6, 7), t_values=(0.0, 0.02, 0.05, 0.1)
+    )
+    inspect.signature(run_nonuniform).bind(config)
+    inspect.signature(run_taylor_check).bind(
+        ExperimentConfig(model=besovlab.Model("novikov")),
+        t_min=1e-3, t_max=1e-1, points=8, packet_n=6,
+    )
+    inspect.signature(ExperimentConfig(n_values=(5, 6, 7)).make_grid).bind()
+    inspect.signature(run_validation_suite).bind(0, cutoff_scale=1.0)
+    inspect.signature(emit_outputs).bind(None, "out")

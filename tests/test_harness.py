@@ -101,6 +101,17 @@ class TestTaylorCheck:
             assert entry["slope"] == pytest.approx(2.0, abs=0.1), label
         assert report.passed
 
+    def test_grid_sized_from_packet_n(self):
+        # without grid_points the grid is the smallest that resolves packet_n;
+        # n = 8 needs 2^16 at the default box
+        report = run_taylor_check(ExperimentConfig(model=Model.CH), t_min=1e-3, t_max=2e-3,
+                                  points=2, packet_n=8)
+        assert report.grid["num_points"] == 2**16
+        assert report.config == {
+            "model": "ch", "grid_points": 2**16, "half_length": report.grid["half_length"],
+            "cfl": 0.3, "t_min": 1e-3, "t_max": 2e-3, "points": 2, "packet_n": 8,
+        }
+
 
 class TestValidationSuite:
     def test_default_seed_green(self):
@@ -213,6 +224,41 @@ class TestCli:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["n_values"] == [4, 5]
 
+    def test_lemma31_output_dir_from_config_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_min": 4, "n_max": 5, "grid_points": 2**13,
+                                        "output_dir": str(out_dir)}))
+        code = cli_main(["lemma31", "--config", str(cfg_file)])
+        assert code == 0
+        assert (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("validate", "output_dir"),
+        ("lemma31", "model"),
+        ("nonuniform", "seed"),
+        ("taylor", "t_values"),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit) as err:
+            cli_main([command, "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, settings, message", [
+        ("nonuniform", {"n_values": [4], "t_values": [-0.1, 0.2]}, "t_values must be nonnegative"),
+        ("lemma31", {"n_min": 6, "n_max": 5, "output_dir": "unused"}, "n_min=6 exceeds n_max=5"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, command, settings, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(settings))
+        with pytest.raises(SystemExit) as err:
+            cli_main([command, "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["lemma31", "--n-min", "4"],
         ["lemma31"],
@@ -269,3 +315,16 @@ class TestCli:
         ])
         assert code == 0
         assert (out_dir / "remainder_vs_t_smooth.dat").exists()
+
+    def test_taylor_grid_from_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"grid_points": 2**14, "half_length": 120.0}))
+        out_dir = tmp_path / "out"
+        code = cli_main([
+            "taylor", "--t-min", "2e-3", "--t-max", "1e-2", "--points", "3",
+            "--config", str(cfg_file), "--out", str(out_dir),
+        ])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["grid"]["num_points"] == 2**14
+        assert report["grid"]["half_length"] == 120.0
