@@ -12,7 +12,9 @@ nonuniform also reads n_values); explicit flags override file values, and an
 unknown key is rejected.
 
 Exit status: 0 if every verdict in the produced report passes, 1 if a
-verdict failed, 2 on bad usage or settings.
+verdict failed, 2 on bad usage or settings, 3 if the run itself raised a
+package error (a BesovLabError such as ResolutionExceeded when the grid is
+too coarse for the box), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import sys
 
+from .errors import BesovLabError
 from .harness import (
     ExperimentConfig,
     emit_outputs,
@@ -141,15 +144,19 @@ def main(argv=None) -> int:
     settings = _settings(parser, command, flags, given, path)
     output_dir = settings.pop("output_dir", None)
 
-    if command == "validate":
-        report = run_validation_suite(**settings)
-    elif command == "lemma31":
-        report = run_scaling_batch(**settings)
-    elif command == "nonuniform":
-        report = run_nonuniform(_experiment(parser, settings))
-    else:
-        ladder = {key: settings.pop(key) for key in ("t_min", "t_max", "points") if key in settings}
-        report = run_taylor_check(_experiment(parser, settings), **ladder)
+    try:
+        if command == "validate":
+            report = run_validation_suite(**settings)
+        elif command == "lemma31":
+            report = run_scaling_batch(**settings)
+        elif command == "nonuniform":
+            report = run_nonuniform(_experiment(parser, settings))
+        else:
+            ladder = {key: settings.pop(key) for key in ("t_min", "t_max", "points") if key in settings}
+            report = run_taylor_check(_experiment(parser, settings), **ladder)
+    except BesovLabError as err:
+        print(f"besovlab: error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
     if output_dir:
         emit_outputs(report, output_dir)

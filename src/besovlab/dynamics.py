@@ -11,8 +11,9 @@ Two nonlocal transport equations are implemented on the periodic grid:
 Both right-hand sides vanish on constants, so constants are equilibria, and
 both models conserve the H^1 energy dx * sum(u^2 + u_x^2) exactly in the
 continuum; the integrator monitors the discrete version.  Evolution uses
-classical RK4 with an advective CFL step size, aborting with BlowUp when the
-slope passes the wave-breaking threshold.
+classical RK4 with its step size taken from RK4's stability bound on the
+transport term (see SolverConfig), aborting with BlowUp when the slope passes
+the wave-breaking threshold.
 
 One spectral right-hand side per model, _rhs_hat, returns the transport and
 nonlocal parts separately; evolve integrates their sum, and the Field-level
@@ -47,6 +48,11 @@ from .spectral import (
 # their peak at practical box sizes, hence the default.
 DECAY_TOL = 1e-3
 
+# Classical RK4 is stable on the imaginary axis up to |dt*lambda| = 2*sqrt(2)
+# (Hairer-Norsett-Wanner, Solving ODEs I); a transport term's spectrum lies
+# there, so cfl = 1 steps just inside that limit.
+RK4_IMAGINARY_LIMIT = 2.8
+
 
 class Model(enum.Enum):
     CH = "ch"
@@ -57,8 +63,17 @@ class Model(enum.Enum):
 class SolverConfig:
     """Time-integration parameters.
 
-    dt is recomputed every step as min(dt_max, cfl*dx/(1 + ||u||_inf)) and
-    shortened to land exactly on each requested sample time.
+    dt is recomputed every step as
+
+        min(dt_max, cfl * 2.8 / (speed * xi_max + ||u_x||_inf))
+
+    and shortened to land exactly on each requested sample time.  The
+    denominator bounds the transport term's rate: speed is ||u||_inf (CH) or
+    ||u||_inf^2 (Novikov), xi_max the grid's Nyquist frequency, and
+    ||u_x||_inf the linearisation's growth rate.  2.8 sits just inside RK4's
+    imaginary-axis stability limit 2*sqrt(2), so cfl in (0, 1] is the
+    fraction of that limit a step may use.  A zero rate (the zero datum)
+    leaves dt_max.
     """
 
     final_time: float
@@ -84,12 +99,18 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one run, with the H^1 energy of each sample."""
+    """Sampled solution of one run, with the H^1 energy of each sample and
+    the solver's step counters: steps taken, the smallest and largest step
+    (None before the first) and the largest CFL number dt * rate, where rate
+    is the transport bound of SolverConfig."""
 
     model: Model
     samples: list  # [(time, Field)]
     h1_energy: list
     steps_taken: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
+    cfl_max: float = 0.0
 
     def times(self):
         return [t for t, _ in self.samples]
@@ -102,6 +123,21 @@ class Trajectory:
         if e0 == 0.0:
             return max(abs(e) for e in self.h1_energy)
         return max(abs(e - e0) for e in self.h1_energy) / abs(e0)
+
+    def counters(self) -> dict:
+        """What the solver did, for reports."""
+        return {
+            "steps": self.steps_taken,
+            "dt_min": self.dt_min,
+            "dt_max": self.dt_max,
+            "cfl_max": self.cfl_max,
+        }
+
+    def _count_step(self, dt: float, cfl: float) -> None:
+        self.steps_taken += 1
+        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
+        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
+        self.cfl_max = max(self.cfl_max, cfl)
 
 
 def h1_energy(u: Field) -> float:
@@ -241,18 +277,20 @@ def evolve(
             slope = float(np.abs(_ifft(grid, ixi * F)).max())
             if slope > config.blowup_threshold:
                 raise BlowUp(t, slope)
-            dt = min(
-                config.dt_max,
-                config.cfl * grid.dx / (1.0 + float(np.abs(u).max())),
-                target - t,
-            )
+            speed = float(np.abs(u).max())
+            if model is Model.NOVIKOV:
+                speed *= speed
+            rate = speed * grid.xi_max + slope
+            dt = min(config.dt_max, target - t)
+            if rate > 0.0:
+                dt = min(dt, config.cfl * RK4_IMAGINARY_LIMIT / rate)
             k1 = step_rhs(F)
             k2 = step_rhs(F + 0.5 * dt * k1)
             k3 = step_rhs(F + 0.5 * dt * k2)
             k4 = step_rhs(F + dt * k3)
             F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
-            traj.steps_taken += 1
+            traj._count_step(dt, dt * rate)
             if abs(t - target) < 1e-13:
                 t = target
         record(target, _to_field(grid, F))

@@ -211,6 +211,10 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
                 "snap_error": fam.snap_error,
                 "h1_drift": drift,
                 **pieces,
+                "solver": {
+                    "perturbed": traj_pert.counters(),
+                    "base": traj_base.counters(),
+                },
             }
             correction = pieces["correction_total"]
             if n >= DOMINANCE_MIN_N:
@@ -405,6 +409,7 @@ def run_taylor_check(
             "remainder_bound": bound,
             "implied_constant": implied,
             "first_order_ratio": first_ratio,
+            "solver": traj.counters(),
         }
         report.add_check(
             f"slope_{label}",

@@ -26,6 +26,7 @@ from besovlab import (
 )
 from besovlab.harness import SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import lipschitz_norm
+from besovlab.dynamics import RK4_IMAGINARY_LIMIT
 from besovlab.spectral import _coeffs, _from_padded, _to_field, _to_padded
 
 
@@ -252,6 +253,40 @@ class TestEvolve:
             SolverConfig(final_time=1.0, sample_times=(0.5, 0.2))
         with pytest.raises(ValueError):
             SolverConfig(final_time=0.1, sample_times=(0.5,))
+
+
+class TestStepSize:
+    def test_zero_datum_steps_at_dt_max(self):
+        # the transport rate vanishes on the zero datum: dt falls back to dt_max
+        u0 = Field.zero(Grid(2**10, 32 * math.pi))
+        traj = evolve(u0, Model.CH, SolverConfig(final_time=0.1), decay_tol=None)
+        assert traj.steps_taken == 10
+        assert traj.dt_min == traj.dt_max == 0.01
+        assert not np.any(traj.final().samples)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_stability_bound_binds_and_is_stable(self, model):
+        # amplitude 2 on 2^14 points: the RK4 transport bound, not dt_max, sets dt
+        u0 = smooth_profile(Grid(2**14, 32 * math.pi), amplitude=2.0)
+        traj = evolve(u0, model, SolverConfig(final_time=0.2, cfl=1.0))
+        assert traj.steps_taken > 20  # what dt_max = 1e-2 alone gives
+        assert traj.cfl_max <= RK4_IMAGINARY_LIMIT + 1e-12  # rounding of dt * rate
+        assert traj.h1_drift() < 1e-6
+
+    def test_time_error_of_gap_below_reference_tolerance(self, box_bump, box_cutoffs):
+        # D_n(0.1) for CH n = 5 on the smallest grid resolving it: halving
+        # dt_max moves it by far less than the 1e-10 relative reference tolerance
+        fam = make_packets(box_bump, 5)
+        u0 = fam.packet + fam.perturbation(Model.CH)
+
+        def gap(config):
+            pert = evolve(u0, Model.CH, config).final()
+            base = evolve(fam.packet, Model.CH, config).final()
+            return besov_norm(pert - base, BesovIndex(1.5, 2, 1), box_cutoffs)
+
+        default = gap(SolverConfig(final_time=0.1))
+        halved = gap(SolverConfig(final_time=0.1, dt_max=SolverConfig.dt_max / 2))
+        assert abs(default - halved) <= 1e-10 * halved
 
 
 def test_h1_energy_formula(trig_grid):

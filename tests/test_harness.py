@@ -43,6 +43,14 @@ class TestRunNonuniform:
             assert entry["product_b321"] > 0
             assert entry["correction_total"] < entry["product_b321"]
 
+    def test_solver_counters_reported(self, small_ch_report):
+        for entry in small_ch_report.per_n.values():
+            for run in ("perturbed", "base"):
+                counters = entry["solver"][run]
+                assert counters["steps"] >= 10  # t = 0.1 at dt_max = 1e-2
+                assert 0 < counters["dt_min"] <= counters["dt_max"] <= 1e-2
+                assert 0 < counters["cfl_max"] <= 0.3 * 2.8
+
     def test_lower_bound_checks_pass(self, small_ch_report):
         lower = [v for k, v in small_ch_report.checks.items() if k.startswith("lower_bound")]
         assert lower and all(entry["passed"] for entry in lower)
@@ -99,6 +107,7 @@ class TestTaylorCheck:
         report = run_taylor_check(cfg, t_min=1e-3, t_max=5e-2, points=6, packet_n=4)
         for label, entry in report.per_n.items():
             assert entry["slope"] == pytest.approx(2.0, abs=0.1), label
+            assert entry["solver"]["dt_max"] == 1e-3 / 4, label  # the ladder's cap
         assert report.passed
 
     def test_grid_sized_from_packet_n(self):
@@ -328,3 +337,13 @@ class TestCli:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["grid"]["num_points"] == 2**14
         assert report["grid"]["half_length"] == 120.0
+
+    def test_run_error_exits_3(self, tmp_path, capsys):
+        # 2^13 points on a box of half-length 50 resolve too few bump frequencies
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"grid_points": 8192, "half_length": 50.0}))
+        code = cli_main(["taylor", "--config", str(cfg_file)])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("besovlab: error: ResolutionExceeded: ")
