@@ -153,7 +153,11 @@ def main(argv=None) -> int:
             report = run_nonuniform(_experiment(parser, settings))
         else:
             ladder = {key: settings.pop(key) for key in ("t_min", "t_max", "points") if key in settings}
-            report = run_taylor_check(_experiment(parser, settings), **ladder)
+            config = _experiment(parser, settings)
+            try:
+                report = run_taylor_check(config, **ladder)
+            except ValueError as err:  # a ladder that cannot be fitted
+                parser.error(str(err))
     except BesovLabError as err:
         print(f"besovlab: error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

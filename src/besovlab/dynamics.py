@@ -74,6 +74,13 @@ class SolverConfig:
     imaginary-axis stability limit 2*sqrt(2), so cfl in (0, 1] is the
     fraction of that limit a step may use.  A zero rate (the zero datum)
     leaves dt_max.
+
+    dt_fraction in (0, 1], when set, further caps every step on the sample
+    interval (t_{i-1}, t_i] at dt_fraction * t_{i-1}, and on the first
+    interval (0, t_1] at dt_fraction * t_1.  RK4's global error grows like
+    t * dt^4, so a cap proportional to the elapsed time keeps the relative
+    time error uniform along a geometric ladder of sample times (the Taylor
+    check's), where one cap at dt_fraction * t_1 would take ever more steps.
     """
 
     final_time: float
@@ -81,10 +88,13 @@ class SolverConfig:
     dt_max: float = 1e-2
     sample_times: tuple = ()
     blowup_threshold: float = 1e6
+    dt_fraction: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if self.dt_fraction is not None and not (0.0 < self.dt_fraction <= 1.0):
+            raise ValueError(f"dt_fraction must lie in (0, 1], got {self.dt_fraction}")
         if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
         if self.final_time < 0:
@@ -270,6 +280,10 @@ def evolve(
     F = _coeffs(u0)
     t = 0.0
     for target in targets:
+        cap = config.dt_max
+        if config.dt_fraction is not None:
+            # the interval's start time; its end on the first interval (0, t_1]
+            cap = min(cap, config.dt_fraction * (t if t > 0.0 else target))
         while t < target - 1e-13:
             u = _ifft(grid, F)
             if not np.all(np.isfinite(u)):
@@ -281,7 +295,7 @@ def evolve(
             if model is Model.NOVIKOV:
                 speed *= speed
             rate = speed * grid.xi_max + slope
-            dt = min(config.dt_max, target - t)
+            dt = min(cap, target - t)
             if rate > 0.0:
                 dt = min(dt, config.cfl * RK4_IMAGINARY_LIMIT / rate)
             k1 = step_rhs(F)

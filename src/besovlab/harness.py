@@ -63,6 +63,9 @@ B321 = BesovIndex(1.5, 2, 1)
 
 DEFAULT_HALF_LENGTH = 32.0 * math.pi
 
+# Taylor-ladder step cap, as a fraction of each sample interval's start time.
+TAYLOR_DT_FRACTION = 0.25
+
 # Verdict thresholds.
 LOWER_BOUND_FRACTION = 0.1
 BAND_LO, BAND_HI = 0.5, 2.0
@@ -347,7 +350,19 @@ def run_taylor_check(
     Runs a smooth Gaussian datum and the packet-plus-bump compound; a clean
     second-order Taylor remainder gives slope 2.  Also records the first-order
     gap ||S_t(u0) - u0|| against its expected t-linear size.
+
+    The ladder is points geometric times from t_min to t_max; one evolve per
+    datum samples it.  Each step is capped at a quarter of its ladder
+    interval's start time (of t_min on [0, t_min]) and at the default dt_max,
+    which keeps the relative time error of the remainders uniform along the
+    ladder.  Raises ValueError unless 0 < t_min < t_max and points >= 2.
     """
+    if not t_min > 0.0:
+        raise ValueError(f"t_min must be positive, got {t_min}")
+    if not t_max > t_min:
+        raise ValueError(f"t_max={t_max} must exceed t_min={t_min}")
+    if points < 2:
+        raise ValueError(f"points must be at least 2 to fit a slope, got {points}")
     grid = _grid(config.grid_points, packet_n, config.half_length)
     cutoffs = build_cutoffs(grid)
     bump = build_bump(grid)
@@ -375,8 +390,8 @@ def run_taylor_check(
     ]
     solver = SolverConfig(
         final_time=float(ladder[-1]),
+        dt_fraction=TAYLOR_DT_FRACTION,
         cfl=config.cfl,
-        dt_max=min(SolverConfig.dt_max, t_min / 4.0),
         sample_times=tuple(float(t) for t in ladder),
     )
     for label, u0 in data:

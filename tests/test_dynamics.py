@@ -13,6 +13,7 @@ from besovlab import (
     SolverConfig,
     besov_norm,
     build_bump,
+    build_cutoffs,
     ch_rhs,
     derivative,
     evolve,
@@ -24,7 +25,7 @@ from besovlab import (
     remainder_bound,
     rhs,
 )
-from besovlab.harness import SMALL_TIME_CONSTANT, smooth_profile
+from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import lipschitz_norm
 from besovlab.dynamics import RK4_IMAGINARY_LIMIT
 from besovlab.spectral import _coeffs, _from_padded, _to_field, _to_padded
@@ -253,6 +254,9 @@ class TestEvolve:
             SolverConfig(final_time=1.0, sample_times=(0.5, 0.2))
         with pytest.raises(ValueError):
             SolverConfig(final_time=0.1, sample_times=(0.5,))
+        for fraction in (0.0, -0.25, 1.5):
+            with pytest.raises(ValueError, match="dt_fraction"):
+                SolverConfig(final_time=1.0, dt_fraction=fraction)
 
 
 class TestStepSize:
@@ -287,6 +291,33 @@ class TestStepSize:
         default = gap(SolverConfig(final_time=0.1))
         halved = gap(SolverConfig(final_time=0.1, dt_max=SolverConfig.dt_max / 2))
         assert abs(default - halved) <= 1e-10 * halved
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_ladder_cap_time_error(self, model, coarse_grid):
+        # Taylor remainders on the geometric ladder: halving the per-interval
+        # cap moves them by far less than the reference tolerance, and the
+        # first interval (0, t_1] is stepped exactly as under dt_max = t_1/4
+        cutoffs = build_cutoffs(coarse_grid)
+        fam = make_packets(build_bump(coarse_grid), 4)
+        u0 = fam.packet + fam.bump_fast
+        coeff = rhs(u0, model)
+        ladder = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 8))
+
+        def run(fraction):
+            config = SolverConfig(final_time=ladder[-1], sample_times=ladder,
+                                  dt_fraction=fraction)
+            traj = evolve(u0, model, config)
+            remainders = [besov_norm(u - u0 - t * coeff, B321, cutoffs)
+                          for t, u in traj.samples[1:]]
+            return traj, np.array(remainders)
+
+        quarter, r_quarter = run(0.25)
+        _, r_eighth = run(0.125)
+        scale = besov_norm(u0, B321, cutoffs)
+        assert np.abs(r_quarter - r_eighth).max() <= 1e-10 * scale
+        first = evolve(u0, model, SolverConfig(final_time=ladder[0], dt_max=ladder[0] / 4))
+        assert quarter.samples[1][0] == ladder[0]
+        assert np.array_equal(quarter.samples[1][1].samples, first.final().samples)
 
 
 def test_h1_energy_formula(trig_grid):

@@ -105,9 +105,17 @@ class TestTaylorCheck:
         cfg = ExperimentConfig(model=Model.CH, n_values=(4,), t_values=(0.05,),
                                grid_points=2**12)
         report = run_taylor_check(cfg, t_min=1e-3, t_max=5e-2, points=6, packet_n=4)
+        # each ladder interval is capped at min(dt_max, start / 4), with the
+        # first interval (0, t_1] capped at t_1 / 4
+        ladder = report.extras["ladder"]
+        starts = [ladder[0], *ladder[:-1]]
+        caps = [min(1e-2, t / 4) for t in starts]
+        steps = sum(math.ceil((b - a) / cap)
+                    for a, b, cap in zip([0.0, *ladder[:-1]], ladder, caps))
         for label, entry in report.per_n.items():
             assert entry["slope"] == pytest.approx(2.0, abs=0.1), label
-            assert entry["solver"]["dt_max"] == 1e-3 / 4, label  # the ladder's cap
+            assert entry["solver"]["steps"] == steps, label
+            assert entry["solver"]["dt_max"] == max(caps), label
         assert report.passed
 
     def test_grid_sized_from_packet_n(self):
@@ -265,6 +273,18 @@ class TestCli:
         cfg_file.write_text(json.dumps(settings))
         with pytest.raises(SystemExit) as err:
             cli_main([command, "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--points", "1"], "points must be at least 2"),
+        (["--points", "0"], "points must be at least 2"),
+        (["--t-min", "0"], "t_min must be positive"),
+        (["--t-min", "2e-3", "--t-max", "1e-3"], "t_max=0.001 must exceed t_min=0.002"),
+    ])
+    def test_bad_taylor_ladder_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli_main(["taylor", *argv])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
 
