@@ -60,7 +60,8 @@ class CutoffPair:
     """Tabulated Littlewood-Paley multipliers bound to one grid.
 
     chi and phi_ring are evaluable at arbitrary frequencies; table[j+1] holds
-    the multiplier of block j on the grid (row 0 is the j = -1 cutoff).
+    the multiplier of block j on the grid's half-spectrum k = 0 .. N/2 (row 0
+    is the j = -1 cutoff).
     """
 
     grid: Grid
@@ -91,9 +92,9 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
             return s * transition_ring(xi)
 
     jm = grid_j_max(grid)
-    rows = [chi(grid.xi)]
+    rows = [chi(grid.xi_half)]
     for j in range(jm + 1):
-        rows.append(ring(grid.xi / 2.0**j))
+        rows.append(ring(grid.xi_half / 2.0**j))
     table = np.array(rows)
     table.flags.writeable = False
     return CutoffPair(grid=grid, chi=chi, phi_ring=ring, j_max=jm, table=table)
@@ -115,8 +116,9 @@ def block_lp_profile(f: Field, cutoffs: CutoffPair, p: float = 2.0) -> np.ndarra
     """
     F = _coeffs(f)
     if p == 2.0:
-        weighted = cutoffs.table * F[None, :]
-        return np.sqrt(np.sum(np.abs(weighted) ** 2, axis=1) / (2.0 * f.grid.half_length))
+        power = np.abs(F) ** 2
+        power[1:-1] *= 2.0  # k and -k; the zero and Nyquist entries stand alone
+        return np.sqrt(np.sum(cutoffs.table**2 * power, axis=1) / (2.0 * f.grid.half_length))
     out = np.empty(cutoffs.table.shape[0])
     for row in range(cutoffs.table.shape[0]):
         out[row] = _to_field(f.grid, cutoffs.table[row] * F).lp_norm(p)

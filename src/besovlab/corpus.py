@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, Grid, SpectralField, inverse_transform
+from .spectral import Field, Grid, _to_field
 
 
 def random_field(
@@ -18,13 +18,14 @@ def random_field(
     band_fraction limits support to |xi| <= band_fraction * xi_max so that
     derivative and product identities remain exact on the grid.
     """
-    n = grid.num_points
+    n, h = grid.num_points, grid.nyquist_index
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
-    coeffs = (re + 1j * im) * (1.0 + np.abs(grid.xi)) ** (-decay)
-    coeffs[np.abs(grid.xi) > band_fraction * grid.xi_max] = 0.0
-    mirrored = np.conj(np.roll(coeffs[::-1], 1))
-    coeffs = 0.5 * (coeffs + mirrored)
-    coeffs[grid.nyquist_index] = coeffs[grid.nyquist_index].real
-    return inverse_transform(SpectralField(grid, coeffs))
-
+    # draw c_k at every xi_k and keep the Hermitian part (c_k + conj c_{-k})/2
+    # on the half-spectrum; it is real at k = 0 and at the Nyquist mode
+    mirror = -np.arange(h + 1)  # FFT-order index of -k
+    abs_xi = np.abs(grid.xi_half)
+    weight = (1.0 + abs_xi) ** (-decay)
+    weight[abs_xi > band_fraction * grid.xi_max] = 0.0
+    coeffs = (0.5 * weight) * ((re[: h + 1] + re[mirror]) + 1j * (im[: h + 1] - im[mirror]))
+    return _to_field(grid, coeffs)

@@ -158,7 +158,7 @@ def h1_energy(u: Field) -> float:
 
 def _rhs_hat(grid: Grid, F: np.ndarray, model: Model) -> tuple:
     """(transport, nonlocal) parts of the model's right-hand side at the
-    coefficients F, as coefficients on the same grid."""
+    half-spectrum coefficients F, as half-spectrum coefficients."""
     ixi = _derivative_multiplier(grid, 1)
     fine = _padded_grid(grid, 2 if model is Model.CH else 3)
     Fx = ixi * F
@@ -277,7 +277,7 @@ def evolve(
         traj.h1_energy.append(h1_energy(u))
 
     record(0.0, u0)
-    F = _coeffs(u0)
+    F0 = F = _coeffs(u0)
     t = 0.0
     for target in targets:
         cap = config.dt_max
@@ -307,5 +307,7 @@ def evolve(
             traj._count_step(dt, dt * rate)
             if abs(t - target) < 1e-13:
                 t = target
-        record(target, _to_field(grid, F))
+        # u0 plus the change: transforming F back whole would add rounding
+        # noise of u0's size at every frequency, the floor of small-t remainders
+        record(target, Field(grid, u0.samples + _ifft(grid, F - F0)))
     return traj

@@ -14,6 +14,10 @@ k = -N/2 .. N/2-1.  Under this convention the discrete Parseval identity
 
 holds exactly, and band-limited statements about continuous transforms carry
 over verbatim to the arrays.
+
+Internally coefficients are rfft half-spectra, k = 0 .. N/2, transformed with
+numpy's rfft/irfft; SpectralField, forward_transform and inverse_transform keep
+the full spectrum in FFT order as thin adapters over them.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class Grid:
         Sample locations -L + i*dx.
     xi : ndarray
         Frequencies pi*k/L in FFT order (k = 0..N/2-1, -N/2..-1).
+    xi_half : ndarray
+        The half-spectrum's frequencies xi[:N/2+1], ending at the Nyquist mode.
     xi_max : float
         Magnitude of the Nyquist frequency, pi*N/(2L).
     """
@@ -81,11 +87,12 @@ class Grid:
         self.k = k
         self.xi = (np.pi / self.half_length) * k
         self.xi_max = np.pi * n / (2.0 * self.half_length)
+        self.nyquist_index = n // 2  # position of k = +-N/2 in both layouts
+        self.xi_half = self.xi[: n // 2 + 1]
         # e^{-i x_m xi_k} = (-1)^k e^{-2pi i mk/N}: the (-1)^k phase maps
         # numpy's 0-based FFT onto the grid whose first sample sits at -L.
-        self.alt_phase = np.where(k % 2 == 0, 1.0, -1.0)
-        self.nyquist_index = n // 2  # position of k = -N/2 in FFT order
-        for arr in (self.x, self.k, self.xi, self.alt_phase):
+        self.alt_phase = np.where(k[: n // 2 + 1] % 2 == 0, 1.0, -1.0)
+        for arr in (self.x, self.k, self.xi, self.xi_half, self.alt_phase):
             arr.flags.writeable = False
         self._cache: dict = {}
 
@@ -103,13 +110,13 @@ class Grid:
         return self._cache[key]
 
     def multiplier(self, key, builder) -> np.ndarray:
-        """Memoised read-only multiplier array builder(xi) for this grid.
+        """Memoised read-only multiplier builder(xi_half) on the half-spectrum.
 
         The Nyquist entry keeps only its real part, so real fields stay real;
         odd symbols such as i*xi vanish there.
         """
         if key not in self._cache:
-            arr = np.array(builder(self.xi))
+            arr = np.array(builder(self.xi_half))
             arr[self.nyquist_index] = arr[self.nyquist_index].real
             arr.flags.writeable = False
             self._cache[key] = arr
@@ -197,36 +204,23 @@ class SpectralField:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
-    def hermitian_residual(self) -> float:
-        """Max |c(-xi) - conj(c(xi))| relative to max |c| (0 for real fields)."""
-        c = self.coeffs
-        scale = float(np.abs(c).max())
-        if scale == 0.0:
-            return 0.0
-        mirrored = np.conj(np.roll(c[::-1], 1))  # index k -> -k
-        resid = np.abs(c - mirrored)
-        resid[self.grid.nyquist_index] = abs(c.imag[self.grid.nyquist_index])
-        return float(resid.max() / scale)
 
-
-# Scaling is done in place wherever the array is our own: every large
-# temporary freed in the solver's inner loop lets glibc trim the heap and
-# fault the pages in again on the next allocation, which costs more than the
-# arithmetic.
+# Arrays of our own are scaled in place: freed temporaries make glibc re-fault the heap.
 
 
 def _fft(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Coefficients at grid.xi of samples taken on grid."""
-    coeffs = np.fft.fft(samples)
+    """Half-spectrum coefficients of samples taken on grid."""
+    coeffs = np.fft.rfft(samples)
     coeffs *= grid.dx * grid.alt_phase
     return coeffs
 
 
 def _ifft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real samples on grid of the coefficients at grid.xi."""
-    samples = np.fft.ifft(grid.alt_phase * coeffs)
+    """Real samples on grid of half-spectrum coefficients; the imaginary part
+    of the zero and Nyquist entries is discarded."""
+    samples = np.fft.irfft(grid.alt_phase * coeffs, grid.num_points)
     samples /= grid.dx
-    return samples.real
+    return samples
 
 
 def _coeffs(f: Field) -> np.ndarray:
@@ -238,17 +232,23 @@ def _to_field(grid: Grid, coeffs: np.ndarray) -> Field:
 
 
 def forward_transform(f: Field) -> SpectralField:
-    """Forward transform under the e^{-i x xi} convention with dx weighting."""
-    return SpectralField(f.grid, _coeffs(f))
+    """Forward transform under the e^{-i x xi} convention with dx weighting;
+    the half-spectrum mirrored to the full one at grid.xi."""
+    half = _coeffs(f)
+    return SpectralField(f.grid, np.concatenate([half, np.conj(half[-2:0:-1])]))
 
 
 def inverse_transform(F: SpectralField) -> Field:
-    """Inverse transform; raises NonRealSpectrum if coefficients are not
-    Hermitian-symmetric to HERMITIAN_RTOL (relative)."""
-    resid = F.hermitian_residual()
-    if resid > HERMITIAN_RTOL:
-        raise NonRealSpectrum(f"hermitian symmetry violated: residual {resid:.3e}")
-    return _to_field(F.grid, F.coeffs)
+    """Inverse transform; raises NonRealSpectrum unless the coefficients are
+    Hermitian-symmetric, max |c(-xi) - conj(c(xi))| <= HERMITIAN_RTOL max |c|
+    (the Nyquist entry is its own partner)."""
+    c, h = F.coeffs, F.grid.nyquist_index
+    resid = np.abs(c - np.conj(np.roll(c[::-1], 1)))  # index k -> -k
+    resid[h] = abs(c.imag[h])
+    worst, scale = resid.max(), np.abs(c).max()
+    if worst > HERMITIAN_RTOL * scale:
+        raise NonRealSpectrum(f"hermitian symmetry violated: residual {worst / scale:.3e}")
+    return _to_field(F.grid, c[: h + 1])
 
 
 def _derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
@@ -289,27 +289,25 @@ def _padded_grid(grid: Grid, total_degree: int) -> Grid:
 
 
 def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
-    """Samples on the finer grid of the trigonometric polynomial with these
-    coefficients (zero-padded spectrum)."""
-    padded = np.zeros(fine.num_points, dtype=complex)
-    h = grid.num_points // 2
+    """Samples on the finer grid of the zero-padded spectrum; the coarse
+    Nyquist entry stands for both +-N/2 and is split evenly between them."""
+    h = grid.nyquist_index
+    padded = np.zeros(fine.nyquist_index + 1, dtype=complex)
     padded[:h] = coeffs[:h]
-    padded[fine.num_points - h :] = coeffs[grid.num_points - h :]
+    padded[h] = 0.5 * coeffs[h].real
     # _ifft's formula, applied in place to the array built here
     padded *= fine.alt_phase
-    samples = np.fft.ifft(padded)
+    samples = np.fft.irfft(padded, fine.num_points)
     samples /= fine.dx
-    return samples.real
+    return samples
 
 
 def _from_padded(grid: Grid, fine: Grid, *factors: np.ndarray) -> np.ndarray:
     """Coefficients of the product of finer-grid samples, truncated to the
     band of grid; the coarse Nyquist mode is zeroed."""
-    coeffs = _fft(fine, functools.reduce(operator.mul, factors))
-    out = np.zeros(grid.num_points, dtype=complex)
-    h = grid.num_points // 2
-    out[:h] = coeffs[:h]
-    out[h + 1 :] = coeffs[fine.num_points - h + 1 :]
+    h = grid.nyquist_index
+    out = np.zeros(h + 1, dtype=complex)
+    out[:h] = _fft(fine, functools.reduce(operator.mul, factors))[:h]
     return out
 
 
@@ -342,7 +340,7 @@ def dealias_triple(f: Field, g: Field, h: Field) -> Field:
 
 def parseval_residual(f: Field) -> float:
     """Relative defect of the discrete Parseval identity for this field."""
-    F = _coeffs(f)
+    F = forward_transform(f).coeffs
     lhs = f.grid.dx * float(np.sum(f.samples**2))
     rhs = float(np.sum(np.abs(F) ** 2)) / (2.0 * f.grid.half_length)
     if lhs == 0.0:

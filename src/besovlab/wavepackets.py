@@ -28,12 +28,11 @@ from .errors import DecayViolation, ResolutionExceeded
 from .spectral import (
     Field,
     Grid,
-    SpectralField,
+    _coeffs,
+    _to_field,
     dealias_product,
     dealias_triple,
     derivative,
-    forward_transform,
-    inverse_transform,
     smooth_step,
 )
 
@@ -75,7 +74,7 @@ def build_bump(grid: Grid, decay_tol: float = BUMP_DECAY_TOL) -> BumpProfile:
         raise ResolutionExceeded(
             f"only {inside} frequency samples inside |xi| <= 1/2; need >= 32"
         )
-    phi = inverse_transform(SpectralField(grid, bump_hat(grid.xi).astype(complex)))
+    phi = _to_field(grid, bump_hat(grid.xi_half))
     outer = np.abs(grid.x) >= grid.half_length / 2.0
     worst = float(np.abs(phi.samples[outer]).max())
     if worst >= decay_tol:
@@ -308,13 +307,9 @@ def modulation_identity_residual(bump: BumpProfile, family: PacketFamily) -> flo
     shifted to +-carrier with the sine phase: (hat(xi-w) - hat(xi+w)) / 2i
     times the amplitude.  Returns the max absolute mismatch relative to the
     packet's largest coefficient."""
-    grid = bump.grid
-    F = forward_transform(family.packet).coeffs
+    xi = bump.grid.xi_half
+    F = _coeffs(family.packet)
     amp = 2.0 ** (-1.5 * family.n)
-    expected = (
-        amp
-        * (bump_hat(grid.xi - family.carrier) - bump_hat(grid.xi + family.carrier))
-        / 2j
-    )
+    expected = amp * (bump_hat(xi - family.carrier) - bump_hat(xi + family.carrier)) / 2j
     scale = float(np.abs(F).max())
     return float(np.abs(F - expected).max() / scale)

@@ -320,6 +320,45 @@ class TestStepSize:
         assert np.array_equal(quarter.samples[1][1].samples, first.final().samples)
 
 
+def test_small_time_remainder_above_rounding_floor():
+    # Novikov packet pair n = 7 on its 2^15 grid, the benchmark's hardest Taylor
+    # datum: its remainder u(t) - u0 - t rhs(u0) at t = 1e-3 is about 1.2e-15 in
+    # B^{3/2}_{2,1}.  evolve records u0 plus the evolved change, which keeps
+    # transform rounding of u0's own size out of it, so the remainder still
+    # scales like t^2 from t = 1e-3 to 2e-3 (samples transformed back whole
+    # from the state gave a two-point slope of 1.1-1.2 here).
+    grid = Grid(2**15, 32 * math.pi)
+    fam = make_packets(build_bump(grid), 7)
+    cutoffs = build_cutoffs(grid)
+    u0 = fam.packet + fam.bump_fast
+    coeff = rhs(u0, Model.NOVIKOV)
+    config = SolverConfig(final_time=2e-3, sample_times=(1e-3, 2e-3), dt_fraction=0.25)
+    traj = evolve(u0, Model.NOVIKOV, config)
+    r1, r2 = (besov_norm(u - u0 - t * coeff, B321, cutoffs) for t, u in traj.samples[1:])
+    assert math.log2(r2 / r1) >= 1.8
+
+
+class TestGapPinned:
+    # D_n(t) = ||S_t(packet + g) - S_t(packet)|| in B^{3/2}_{2,1} for n = 5 on
+    # the box grid, as the nonuniform experiment's solver settings give it,
+    # recorded with the full-spectrum complex-FFT solver.  The half-spectrum
+    # solver must reproduce it to the 1e-10 relative reference tolerance.
+    RECORDED = {
+        Model.CH: {0.02: 0.003081808059731547, 0.1: 0.0049862883823306265},
+        Model.NOVIKOV: {0.02: 0.014794436467894113, 0.1: 0.014950630104191575},
+    }
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_gap_matches_recorded_values(self, model, box_bump, box_cutoffs):
+        fam = make_packets(box_bump, 5)
+        config = SolverConfig(final_time=0.1, sample_times=(0.02, 0.1))
+        pert = evolve(fam.packet + fam.perturbation(model), model, config)
+        base = evolve(fam.packet, model, config)
+        for (t, u), (_, v) in zip(pert.samples[1:], base.samples[1:]):
+            gap = besov_norm(u - v, B321, box_cutoffs)
+            assert gap == pytest.approx(self.RECORDED[model][t], rel=1e-10, abs=0.0)
+
+
 def test_h1_energy_formula(trig_grid):
     g = trig_grid
     u = Field(g, np.sin(3 * g.x))

@@ -234,6 +234,35 @@ class TestDealiasProduct:
             dealias_product(f, f, 4)
 
 
+class TestNyquistMode:
+    """The half-spectrum's last entry stands for both xi = +-xi_max.  Only
+    full-band fields carry it; band-limited data would hide a mishandled one."""
+
+    def test_padding_keeps_the_coarse_field(self, trig_grid):
+        from besovlab.spectral import _coeffs, _derivative_multiplier, _padded_grid, _to_padded
+
+        g = trig_grid
+        fine = _padded_grid(g, 3)  # factor 2: the even fine points are the coarse ones
+        f = random_field(g, rng(16), band_fraction=1.0)
+        F = _coeffs(f)
+        assert abs(F[-1]) > 1e-6 * np.abs(F).max()
+        padded = _to_padded(g, F, fine)
+        assert np.abs(padded[::2] - f.samples).max() <= 1e-13 * f.max_abs()
+        # i*xi*F pads like the coarse field it stands for: an imaginary Nyquist
+        # entry would add a sine mode that shows at the odd fine points only
+        fx = derivative(f, 1)
+        padded = _to_padded(g, _derivative_multiplier(g, 1) * F, fine)
+        assert np.abs(padded - _to_padded(g, _coeffs(fx), fine)).max() <= 1e-13 * fx.max_abs()
+        assert np.abs(padded[::2] - fx.samples).max() <= 1e-13 * fx.max_abs()
+
+    def test_derivatives_of_the_nyquist_mode(self, trig_grid):
+        g = trig_grid
+        mode = Field(g, (-1.0) ** np.arange(g.num_points))
+        assert derivative(mode, 1).max_abs() <= 1e-13 * g.xi_max
+        d2 = derivative(mode, 2)
+        assert np.abs(d2.samples + g.xi_max**2 * mode.samples).max() <= 1e-13 * g.xi_max**2
+
+
 def test_grid_invariants():
     g = Grid(2**10, 16 * math.pi)
     assert g.dx * g.num_points == 2 * g.half_length
