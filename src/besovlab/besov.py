@@ -7,9 +7,10 @@ A pair of smooth cutoffs (chi, phi_ring) with
     chi(xi) + sum_{j>=0} phi_ring(2^{-j} xi) = 1,
 
 defines the blocks: block(-1) = chi(D) f, block(j) = phi_ring(2^{-j} D) f.
-The Besov norm B^s_{p,r} is the l^r norm over j of 2^{js} ||block_j f||_{L^p}.
-On a grid with top frequency xi_max only finitely many blocks are nonzero;
-the sum runs over j = -1 .. j_max(grid).
+The Besov norm B^s_{2,r} is the l^r norm over j of 2^{js} ||block_j f||_{L^2};
+only p = 2 is implemented, and the L^2 block norms are read off the spectrum
+by Parseval.  On a grid with top frequency xi_max only finitely many blocks
+are nonzero; the sum runs over j = -1 .. j_max(grid).
 """
 
 from __future__ import annotations
@@ -42,17 +43,17 @@ def grid_j_max(grid: Grid) -> int:
 
 @dataclass(frozen=True)
 class BesovIndex:
-    """Regularity/integrability/summation triple (s, p, r)."""
+    """Regularity/integrability/summation triple (s, p, r); p must be 2."""
 
     s: float
     p: float = 2.0
     r: float = 1.0
 
     def __post_init__(self):
-        for name in ("p", "r"):
-            v = getattr(self, name)
-            if not (v >= 1.0):
-                raise ValueError(f"{name} must lie in [1, inf], got {v}")
+        if self.p != 2.0:
+            raise ValueError(f"only p = 2 is supported, got {self.p}")
+        if not (self.r >= 1.0):
+            raise ValueError(f"r must lie in [1, inf], got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -81,23 +82,18 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
 
     ring_scale multiplies the ring function and exists solely for fault
     injection in the validation suite; any value other than 1.0 breaks the
-    partition of unity on purpose.
+    partition of unity on purpose (1.0 multiplies exactly).
     """
-    if ring_scale == 1.0:
-        chi, ring = transition_chi, transition_ring
-    else:
-        chi = transition_chi
-
-        def ring(xi, s=float(ring_scale)):
-            return s * transition_ring(xi)
+    def ring(xi, s=float(ring_scale)):
+        return s * transition_ring(xi)
 
     jm = grid_j_max(grid)
-    rows = [chi(grid.xi_half)]
+    rows = [transition_chi(grid.xi_half)]
     for j in range(jm + 1):
         rows.append(ring(grid.xi_half / 2.0**j))
     table = np.array(rows)
     table.flags.writeable = False
-    return CutoffPair(grid=grid, chi=chi, phi_ring=ring, j_max=jm, table=table)
+    return CutoffPair(grid=grid, chi=transition_chi, phi_ring=ring, j_max=jm, table=table)
 
 
 def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
@@ -108,26 +104,17 @@ def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
     return _to_field(f.grid, cutoffs.block_multiplier(j) * _coeffs(f))
 
 
-def block_lp_profile(f: Field, cutoffs: CutoffPair, p: float = 2.0) -> np.ndarray:
-    """Array of ||block_j f||_{L^p} for j = -1 .. j_max.
-
-    For p = 2 the norms are read off in spectral space via Parseval; other p
-    require one inverse transform per block.
-    """
-    F = _coeffs(f)
-    if p == 2.0:
-        power = np.abs(F) ** 2
-        power[1:-1] *= 2.0  # k and -k; the zero and Nyquist entries stand alone
-        return np.sqrt(np.sum(cutoffs.table**2 * power, axis=1) / (2.0 * f.grid.half_length))
-    out = np.empty(cutoffs.table.shape[0])
-    for row in range(cutoffs.table.shape[0]):
-        out[row] = _to_field(f.grid, cutoffs.table[row] * F).lp_norm(p)
-    return out
+def block_lp_profile(f: Field, cutoffs: CutoffPair) -> np.ndarray:
+    """Array of ||block_j f||_{L^2} for j = -1 .. j_max, read off in spectral
+    space via Parseval."""
+    power = np.abs(_coeffs(f)) ** 2
+    power[1:-1] *= 2.0  # k and -k; the zero and Nyquist entries stand alone
+    return np.sqrt(np.sum(cutoffs.table**2 * power, axis=1) / (2.0 * f.grid.half_length))
 
 
 def besov_norm(f: Field, idx: BesovIndex, cutoffs: CutoffPair) -> float:
-    """Nonhomogeneous Besov norm ||(2^{js} ||block_j f||_{L^p})_j||_{l^r}."""
-    profile = block_lp_profile(f, cutoffs, idx.p)
+    """Nonhomogeneous Besov norm ||(2^{js} ||block_j f||_{L^2})_j||_{l^r}."""
+    profile = block_lp_profile(f, cutoffs)
     j = np.arange(-1, cutoffs.j_max + 1)
     weighted = 2.0 ** (j * idx.s) * profile
     if idx.r == 1.0:

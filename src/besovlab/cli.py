@@ -108,6 +108,12 @@ def _settings(parser, command: str, flags: dict, given: dict, path: str | None) 
         if n_min > n_max:
             parser.error(f"n_min={n_min} exceeds n_max={n_max}")
         settings["n_values"] = tuple(range(n_min, n_max + 1))
+    n_values = settings.get("n_values", ())
+    if not isinstance(n_values, (list, tuple)) or any(not isinstance(n, int) or n < 1 for n in n_values):
+        parser.error(f"n_values must be positive integers, got {n_values!r}")
+    seed = settings.get("seed", 0)
+    if not (isinstance(seed, int) and seed >= 0):
+        parser.error(f"seed must be a nonnegative integer, got {seed!r}")
     return settings
 
 

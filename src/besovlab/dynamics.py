@@ -36,6 +36,7 @@ from .spectral import (
     _coeffs,
     _derivative_multiplier,
     _from_padded,
+    _helmholtz_multiplier,
     _ifft,
     _padded_grid,
     _to_field,
@@ -122,9 +123,6 @@ class Trajectory:
     dt_max: float | None = None
     cfl_max: float = 0.0
 
-    def times(self):
-        return [t for t, _ in self.samples]
-
     def final(self) -> Field:
         return self.samples[-1][1]
 
@@ -170,7 +168,7 @@ def _rhs_hat(grid: Grid, F: np.ndarray, model: Model) -> tuple:
         ux2 = _from_padded(grid, fine, b, b)
         # transport -u u_x written as -(u^2)'/2
         return -0.5 * ixi * u2, p_mult * (u2 + 0.5 * ux2)
-    helm = grid.multiplier("helmholtz", lambda xi: 1.0 / (1.0 + xi**2))
+    helm = _helmholtz_multiplier(grid)
     u3 = _from_padded(grid, fine, a, a, a)
     uux2 = _from_padded(grid, fine, a, b, b)
     ux3 = _from_padded(grid, fine, b, b, b)

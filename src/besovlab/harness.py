@@ -50,6 +50,7 @@ from .spectral import (
 )
 from .wavepackets import (
     build_bump,
+    bump_hat,
     cubic_cross_product,
     make_packets,
     min_points_for,
@@ -274,34 +275,30 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _decomposition_pieces(model: Model, fam, u0: Field, cutoffs: CutoffPair) -> dict:
-    """Norms of the first-order decomposition of the solution-map gap."""
+    """Norms of the first-order decomposition of the solution-map gap: the
+    driving product and the corrections, which sum to correction_total."""
     dpert = derivative(fam.perturbation(model), 1)
     if model is Model.CH:
         product = quadratic_cross_product(fam)
-        cross = dealias_product(u0, dpert, 2)
-        nonlocal_diff = p_operator(u0) - p_operator(fam.packet)
-        pieces = {
-            "product_b321": besov_norm(product, B321, cutoffs),
-            "product_b32inf": besov_norm(product, BesovIndex(1.5, 2, math.inf), cutoffs),
-            "transport_cross": besov_norm(cross, B321, cutoffs),
-            "nonlocal_diff": besov_norm(nonlocal_diff, B321, cutoffs),
+        corrections = {
+            "transport_cross": dealias_product(u0, dpert, 2),
+            "nonlocal_diff": p_operator(u0) - p_operator(fam.packet),
         }
-        pieces["correction_total"] = pieces["transport_cross"] + pieces["nonlocal_diff"]
-        return pieces
-    product = cubic_cross_product(fam)
-    mixed = 2.0 * dealias_triple(fam.packet, fam.bump_slow, derivative(fam.packet, 1))
-    advect = dealias_triple(u0, u0, dpert)
-    nonlocal_diff = q_operator(u0) - q_operator(fam.packet)
+    else:
+        product = cubic_cross_product(fam)
+        mixed = dealias_triple(fam.packet, fam.bump_slow, derivative(fam.packet, 1))
+        corrections = {
+            "mixed_cross": 2.0 * mixed,
+            "transport_cross": dealias_triple(u0, u0, dpert),
+            "nonlocal_diff": q_operator(u0) - q_operator(fam.packet),
+        }
     pieces = {
         "product_b321": besov_norm(product, B321, cutoffs),
         "product_b32inf": besov_norm(product, BesovIndex(1.5, 2, math.inf), cutoffs),
-        "mixed_cross": besov_norm(mixed, B321, cutoffs),
-        "transport_cross": besov_norm(advect, B321, cutoffs),
-        "nonlocal_diff": besov_norm(nonlocal_diff, B321, cutoffs),
     }
-    pieces["correction_total"] = (
-        pieces["mixed_cross"] + pieces["transport_cross"] + pieces["nonlocal_diff"]
-    )
+    for name, piece in corrections.items():
+        pieces[name] = besov_norm(piece, B321, cutoffs)
+    pieces["correction_total"] = sum(pieces[name] for name in corrections)
     return pieces
 
 
@@ -609,10 +606,9 @@ def _check_packets(report):
     cutoffs = build_cutoffs(grid)
     bump = build_bump(grid)
 
-    hat = bump.hat
-    plateau_ok = hat(np.array([0.2]))[0] == 1.0 and hat(np.array([0.6]))[0] == 0.0
+    plateau_ok = bump_hat(np.array([0.2]))[0] == 1.0 and bump_hat(np.array([0.6]))[0] == 0.0
     even_res = float(np.abs(bump.phi.samples[1:] - bump.phi.samples[1:][::-1]).max())
-    hat_l2 = math.sqrt(float(np.sum(hat(grid.xi) ** 2)) * math.pi / grid.half_length)
+    hat_l2 = math.sqrt(float(np.sum(bump_hat(grid.xi) ** 2)) * math.pi / grid.half_length)
     pars = abs(bump.phi.l2_norm() - hat_l2 / math.sqrt(2.0 * math.pi)) / bump.phi.l2_norm()
     report.add_check(
         "bump_invariants",
@@ -621,35 +617,22 @@ def _check_packets(report):
         "plateau/evenness/parseval",
     )
 
-    fams = {n: make_packets(bump, n) for n in (4, 5, 6)}
-    fast = [besov_norm(fams[n].bump_fast, B321, cutoffs) * 2.0**n for n in fams]
-    slow = [besov_norm(fams[n].bump_slow, B321, cutoffs) * 2.0 ** (n / 2.0) for n in fams]
-    spread = max(
-        (max(v) - min(v)) / max(v) for v in (fast, slow)
-    )
+    reps = {n: scaling_report(bump, n, cutoffs) for n in (4, 5, 6)}
+    fast = [rep["bump_fast_b32_norm"] * 2.0**n for n, rep in reps.items()]
+    slow = [rep["bump_slow_b32_norm"] * 2.0 ** (n / 2.0) for n, rep in reps.items()]
+    spread = max((max(v) - min(v)) / max(v) for v in (fast, slow))
     report.add_check("perturbation_scaling_exact", spread <= 1e-10, spread, "<= 1e-10")
 
-    worst_mod = max(modulation_identity_residual(bump, fams[n]) for n in fams)
+    worst_mod = max(modulation_identity_residual(bump, make_packets(bump, n)) for n in reps)
     report.add_check("modulation_identity", worst_mod <= 1e-12, worst_mod, "<= 1e-12")
 
-    loc_ok = True
-    worst_loc = 0.0
-    for n in fams:
-        rep = scaling_report(bump, n, cutoffs)
-        loc_ok = loc_ok and all(rep["checks"].values())
-        worst_loc = max(worst_loc, rep["localization_residual_cubic"])
+    loc_ok = all(all(rep["checks"].values()) for rep in reps.values())
+    worst_loc = max(rep["localization_residual_cubic"] for rep in reps.values())
     report.add_check("packet_scaling_reports", loc_ok, worst_loc, "all member checks")
 
-    lim_quad, _ = product_limits(bump)
-    lows = [
-        besov_norm(
-            quadratic_cross_product(fams[n]), BesovIndex(1.5, 2, math.inf), cutoffs
-        )
-        for n in (5, 6)
-    ]
-    report.add_check(
-        "product_lower_bound", min(lows) >= 0.5 * lim_quad, min(lows), f">= {0.5 * lim_quad}"
-    )
+    lim_quad = reps[4]["quad_product_limit"]
+    low = min(reps[n]["quad_product_b32inf"] for n in (5, 6))
+    report.add_check("product_lower_bound", low >= 0.5 * lim_quad, low, f">= {0.5 * lim_quad}")
 
 
 def _check_dynamics_smoke(report):
@@ -689,6 +672,11 @@ def _check_dynamics_smoke(report):
 # --- output emission --------------------------------------------------------
 
 CSV_HEADER = "model,n,t,D_n,ratio,g_norm,h1_drift,verdict"
+# Plot-ready series per report kind: rows grouped by key, (t, value) per line.
+DAT_SERIES = {
+    "nonuniform": ("n", "D_n", "Dn_vs_t_n{}.dat"),
+    "taylor": ("datum", "remainder", "remainder_vs_t_{}.dat"),
+}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -714,43 +702,22 @@ def emit_outputs(report: ExperimentReport, out_dir: str) -> list:
     if report.kind == "nonuniform":
         lines = [CSV_HEADER]
         for row in sorted(report.rows, key=lambda r: (r["n"], r["t"])):
-            if row["t"] == 0.0:
-                continue
-            lines.append(
-                ",".join(
-                    [
-                        row["model"],
-                        repr(row["n"]),
-                        repr(row["t"]),
-                        repr(row["D_n"]),
-                        repr(row["ratio"]),
-                        repr(row["g_norm"]),
-                        repr(row["h1_drift"]),
-                        row["verdict"],
-                    ]
-                )
-            )
+            if row["t"] > 0.0:
+                # str is repr for the numbers and leaves model/verdict unquoted
+                lines.append(",".join(str(row[col]) for col in CSV_HEADER.split(",")))
         csv_path = os.path.join(out_dir, "nonuniform.csv")
         _atomic_write(csv_path, "\n".join(lines) + "\n")
         written.append(csv_path)
 
-        by_n: dict = {}
+    if report.kind in DAT_SERIES:
+        key, value, name = DAT_SERIES[report.kind]
+        series: dict = {}
         for row in report.rows:
             if row["t"] > 0.0:
-                by_n.setdefault(row["n"], []).append((row["t"], row["D_n"]))
-        for n, pairs in sorted(by_n.items()):
-            dat_path = os.path.join(out_dir, f"Dn_vs_t_n{n}.dat")
-            body = "\n".join(f"{repr(t)} {repr(d)}" for t, d in sorted(pairs))
-            _atomic_write(dat_path, body + "\n")
-            written.append(dat_path)
-
-    if report.kind == "taylor":
-        by_datum: dict = {}
-        for row in report.rows:
-            by_datum.setdefault(row["datum"], []).append((row["t"], row["remainder"]))
-        for label, pairs in sorted(by_datum.items()):
-            dat_path = os.path.join(out_dir, f"remainder_vs_t_{label}.dat")
-            body = "\n".join(f"{repr(t)} {repr(r)}" for t, r in sorted(pairs))
+                series.setdefault(row[key], []).append((row["t"], row[value]))
+        for label, pairs in sorted(series.items()):
+            dat_path = os.path.join(out_dir, name.format(label))
+            body = "\n".join(f"{repr(t)} {repr(v)}" for t, v in sorted(pairs))
             _atomic_write(dat_path, body + "\n")
             written.append(dat_path)
 

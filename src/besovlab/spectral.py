@@ -179,11 +179,6 @@ class Field:
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid.dx * np.sum(self.samples**2)))
 
-    def lp_norm(self, p: float) -> float:
-        if p == np.inf:
-            return self.max_abs()
-        return float((self.grid.dx * np.sum(np.abs(self.samples) ** p)) ** (1.0 / p))
-
     def inner(self, other: "Field") -> float:
         self._check_same_grid(other)
         return float(self.grid.dx * np.sum(self.samples * other.samples))
@@ -255,14 +250,18 @@ def _derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
     return grid.multiplier(("deriv", order), lambda xi: (1j * xi) ** order)
 
 
-def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral derivative of the given order (1, 2 or 3).
+def _helmholtz_multiplier(grid: Grid) -> np.ndarray:
+    return grid.multiplier("helmholtz", lambda xi: 1.0 / (1.0 + xi**2))
 
-    Exact for band-limited inputs; the Nyquist mode of odd-order derivatives
+
+def derivative(f: Field, order: int = 1) -> Field:
+    """Spectral derivative of order 1 or 2.
+
+    Exact for band-limited inputs; the Nyquist mode of the first derivative
     is zeroed to preserve realness.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     return _to_field(f.grid, _derivative_multiplier(f.grid, order) * _coeffs(f))
 
 
@@ -272,9 +271,7 @@ def helmholtz_inverse(f: Field) -> Field:
     Equals convolution with the kernel 0.5*e^{-|x|} up to the periodic
     wrap-around, which is negligible for well-decaying data.
     """
-    g = f.grid
-    m = g.multiplier("helmholtz", lambda xi: 1.0 / (1.0 + xi**2))
-    return _to_field(g, m * _coeffs(f))
+    return _to_field(f.grid, _helmholtz_multiplier(f.grid) * _coeffs(f))
 
 
 # --- dealiasing core: every padded product goes through these helpers -------

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovIndex, CutoffPair, besov_norm, block_lp_profile
-from .dynamics import Model
-from .errors import DecayViolation, ResolutionExceeded
+from .dynamics import DECAY_TOL, Model, check_decay
+from .errors import ResolutionExceeded
 from .spectral import (
     Field,
     Grid,
@@ -39,9 +39,6 @@ from .spectral import (
 CARRIER_RATIO = 17.0 / 12.0
 PLATEAU_EDGE = 0.25
 SUPPORT_EDGE = 0.5
-# Achievable periodization floor for a compactly supported smooth transform;
-# see check_decay in dynamics for the matching solver contract.
-BUMP_DECAY_TOL = 1e-3
 
 
 def bump_hat(xi):
@@ -51,23 +48,22 @@ def bump_hat(xi):
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """The bump phi together with its tabulated transform."""
+    """The bump phi on its grid; its transform is bump_hat."""
 
     grid: Grid
     phi: Field
-    hat: object  # callable xi -> [0, 1]
 
     @property
     def peak(self) -> float:
         return float(self.phi.samples[self.grid.num_points // 2])
 
 
-def build_bump(grid: Grid, decay_tol: float = BUMP_DECAY_TOL) -> BumpProfile:
+def build_bump(grid: Grid, decay_tol: float = DECAY_TOL) -> BumpProfile:
     """Tabulate the bump transform on the grid and invert it.
 
     Requires at least 32 frequency samples inside [-1/2, 1/2] (i.e. L >= 32 pi)
     so the plateau and transition are resolved.  Raises DecayViolation when the
-    periodized bump fails to fall below decay_tol on the outer half of the box.
+    periodized bump fails the solver's decay contract (dynamics.check_decay).
     """
     inside = int(np.sum(np.abs(grid.xi) <= SUPPORT_EDGE))
     if inside < 32:
@@ -75,13 +71,8 @@ def build_bump(grid: Grid, decay_tol: float = BUMP_DECAY_TOL) -> BumpProfile:
             f"only {inside} frequency samples inside |xi| <= 1/2; need >= 32"
         )
     phi = _to_field(grid, bump_hat(grid.xi_half))
-    outer = np.abs(grid.x) >= grid.half_length / 2.0
-    worst = float(np.abs(phi.samples[outer]).max())
-    if worst >= decay_tol:
-        raise DecayViolation(
-            f"bump reaches {worst:.3e} at |x| >= L/2 (tolerance {decay_tol:.1e})"
-        )
-    return BumpProfile(grid=grid, phi=phi, hat=bump_hat)
+    check_decay(phi, decay_tol)
+    return BumpProfile(grid=grid, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -204,7 +195,7 @@ def ring_membership(grid: Grid, cutoffs: CutoffPair, center: float, width: float
 
 def localization_residual(f: Field, cutoffs: CutoffPair, members) -> float:
     """Largest relative block norm outside the expected membership set."""
-    profile = block_lp_profile(f, cutoffs, 2.0)
+    profile = block_lp_profile(f, cutoffs)
     total = f.l2_norm()
     if total == 0.0:
         return 0.0
@@ -241,7 +232,7 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     members_packet = ring_membership(grid, cutoffs, fam.carrier, 0.5)
 
     phi_l2 = bump.phi.l2_norm()
-    low_block_l2 = block_lp_profile(bump.phi, cutoffs, 2.0)[0]
+    low_block_l2 = block_lp_profile(bump.phi, cutoffs)[0]
 
     report = {
         "n": n,

@@ -16,7 +16,7 @@ def trig_grid():
 
 @pytest.fixture(scope="session")
 def box_grid():
-    """Medium grid on the standard box, resolves family members n <= 6."""
+    """Medium grid on the standard box, resolves family members n <= 5."""
     return Grid(2**13, 32 * PI)
 
 

@@ -29,6 +29,9 @@ def test_perfbench_names_exported():
     params = list(inspect.signature(besovlab.dealias_product).parameters.values())
     assert [p.name for p in params[:3]] == ["f", "g", "total_degree"]
     assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    # layer_probes builds its index with a positional p, which must stay 2
+    index = besovlab.BesovIndex(1.5, 2, 1)
+    assert (index.s, index.p, index.r) == (1.5, 2, 1)
 
 
 def test_perfbench_runner_calls_bind():

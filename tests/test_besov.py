@@ -17,7 +17,7 @@ from besovlab import (
     lipschitz_norm,
     make_packets,
 )
-from besovlab.besov import block_lp_profile, grid_j_max, transition_chi, transition_ring
+from besovlab.besov import grid_j_max, transition_chi, transition_ring
 from besovlab.corpus import random_field
 from besovlab.harness import EMBED_CONSTANT, PRODUCT_CSTAR
 from besovlab.spectral import dealias_product
@@ -131,15 +131,11 @@ class TestBesovNorm:
             ninf = besov_norm(f, BesovIndex(0.5, 2, INF), box_cutoffs)
             assert n1 + 1e-12 >= n2 >= ninf - 1e-12
 
-    def test_lp_profile_infinity(self, box_grid, box_cutoffs):
-        f = random_field(box_grid, rng(30))
-        prof = block_lp_profile(f, box_cutoffs, INF)
-        blk = dyadic_block(f, 0, box_cutoffs)
-        assert prof[1] == pytest.approx(blk.max_abs(), rel=1e-12)
-
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            BesovIndex(1.5, 0.5, 1)
+        # only B^s_{2,r} is implemented; every other p is rejected
+        for p in (0.5, 1.0, INF):
+            with pytest.raises(ValueError):
+                BesovIndex(1.5, p, 1)
 
 
 @settings(max_examples=20, deadline=None)

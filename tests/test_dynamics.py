@@ -193,7 +193,7 @@ class TestEvolve:
             Model.CH,
             SolverConfig(final_time=0.1, sample_times=times),
         )
-        assert traj.times() == [0.0] + list(times) + [0.1]
+        assert [t for t, _ in traj.samples] == [0.0] + list(times) + [0.1]
 
     def test_temporal_order_four(self, coarse_grid):
         # Richardson: error against a dt/16 reference run contracts ~2^4

@@ -267,6 +267,11 @@ class TestCli:
     @pytest.mark.parametrize("command, settings, message", [
         ("nonuniform", {"n_values": [4], "t_values": [-0.1, 0.2]}, "t_values must be nonnegative"),
         ("lemma31", {"n_min": 6, "n_max": 5, "output_dir": "unused"}, "n_min=6 exceeds n_max=5"),
+        ("nonuniform", {"n_min": 0, "n_max": 1}, "n_values must be positive integers"),
+        ("lemma31", {"n_min": 0, "n_max": 1, "output_dir": "unused"},
+         "n_values must be positive integers"),
+        ("nonuniform", {"n_values": [0, 5]}, "n_values must be positive integers"),
+        ("validate", {"seed": -1}, "seed must be a nonnegative integer"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, settings, message):
         cfg_file = tmp_path / "cfg.json"

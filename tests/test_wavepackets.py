@@ -20,8 +20,8 @@ from besovlab import (
     make_packets,
     product_limits,
 )
+from besovlab.dynamics import DECAY_TOL
 from besovlab.wavepackets import (
-    BUMP_DECAY_TOL,
     CARRIER_RATIO,
     bump_hat,
     cubic_cross_product,
@@ -68,7 +68,7 @@ class TestBump:
     def test_decay_contract(self, box_grid):
         bump = build_bump(box_grid)
         outer = np.abs(box_grid.x) >= box_grid.half_length / 2
-        assert np.abs(bump.phi.samples[outer]).max() < BUMP_DECAY_TOL
+        assert np.abs(bump.phi.samples[outer]).max() < DECAY_TOL
         with pytest.raises(DecayViolation):
             build_bump(box_grid, decay_tol=1e-12)
 
