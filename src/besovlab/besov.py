@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, Grid, derivative, smooth_step, _coeffs, _to_field
+from .spectral import Field, Grid, derivative, smooth_step, _coeffs, _power, _to_field
 
 INF = math.inf
 
@@ -88,9 +88,9 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
         return s * transition_ring(xi)
 
     jm = grid_j_max(grid)
-    rows = [transition_chi(grid.xi_half)]
+    rows = [transition_chi(grid.xi)]
     for j in range(jm + 1):
-        rows.append(ring(grid.xi_half / 2.0**j))
+        rows.append(ring(grid.xi / 2.0**j))
     table = np.array(rows)
     table.flags.writeable = False
     return CutoffPair(grid=grid, chi=transition_chi, phi_ring=ring, j_max=jm, table=table)
@@ -107,8 +107,7 @@ def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
 def block_lp_profile(f: Field, cutoffs: CutoffPair) -> np.ndarray:
     """Array of ||block_j f||_{L^2} for j = -1 .. j_max, read off in spectral
     space via Parseval."""
-    power = np.abs(_coeffs(f)) ** 2
-    power[1:-1] *= 2.0  # k and -k; the zero and Nyquist entries stand alone
+    power = _power(_coeffs(f))
     return np.sqrt(np.sum(cutoffs.table**2 * power, axis=1) / (2.0 * f.grid.half_length))
 
 

@@ -117,13 +117,6 @@ def _settings(parser, command: str, flags: dict, given: dict, path: str | None) 
     return settings
 
 
-def _experiment(parser, settings: dict) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(**settings)
-    except (TypeError, ValueError) as err:
-        parser.error(str(err))
-
-
 def _print_checks(report) -> None:
     for name, entry in report.checks.items():
         state = "PASS" if entry["passed"] else "FAIL"
@@ -155,15 +148,14 @@ def main(argv=None) -> int:
             report = run_validation_suite(**settings)
         elif command == "lemma31":
             report = run_scaling_batch(**settings)
-        elif command == "nonuniform":
-            report = run_nonuniform(_experiment(parser, settings))
         else:
             ladder = {key: settings.pop(key) for key in ("t_min", "t_max", "points") if key in settings}
-            config = _experiment(parser, settings)
-            try:
-                report = run_taylor_check(config, **ladder)
-            except ValueError as err:  # a ladder that cannot be fitted
-                parser.error(str(err))
+            run = run_nonuniform if command == "nonuniform" else run_taylor_check
+            report = run(ExperimentConfig(**settings), **ladder)
+    except (TypeError, ValueError) as err:
+        # raised by the package's own argument checks (Grid, SolverConfig, the
+        # Taylor ladder) and by config values of the wrong type
+        parser.error(str(err))
     except BesovLabError as err:
         print(f"besovlab: error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

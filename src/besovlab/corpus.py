@@ -24,8 +24,7 @@ def random_field(
     # draw c_k at every xi_k and keep the Hermitian part (c_k + conj c_{-k})/2
     # on the half-spectrum; it is real at k = 0 and at the Nyquist mode
     mirror = -np.arange(h + 1)  # FFT-order index of -k
-    abs_xi = np.abs(grid.xi_half)
-    weight = (1.0 + abs_xi) ** (-decay)
-    weight[abs_xi > band_fraction * grid.xi_max] = 0.0
+    weight = (1.0 + grid.xi) ** (-decay)
+    weight[grid.xi > band_fraction * grid.xi_max] = 0.0
     coeffs = (0.5 * weight) * ((re[: h + 1] + re[mirror]) + 1j * (im[: h + 1] - im[mirror]))
     return _to_field(grid, coeffs)

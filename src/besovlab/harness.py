@@ -47,6 +47,7 @@ from .spectral import (
     helmholtz_inverse,
     inverse_transform,
     parseval_residual,
+    _power,
 )
 from .wavepackets import (
     build_bump,
@@ -608,7 +609,7 @@ def _check_packets(report):
 
     plateau_ok = bump_hat(np.array([0.2]))[0] == 1.0 and bump_hat(np.array([0.6]))[0] == 0.0
     even_res = float(np.abs(bump.phi.samples[1:] - bump.phi.samples[1:][::-1]).max())
-    hat_l2 = math.sqrt(float(np.sum(bump_hat(grid.xi) ** 2)) * math.pi / grid.half_length)
+    hat_l2 = math.sqrt(float(np.sum(_power(bump_hat(grid.xi)))) * math.pi / grid.half_length)
     pars = abs(bump.phi.l2_norm() - hat_l2 / math.sqrt(2.0 * math.pi)) / bump.phi.l2_norm()
     report.add_check(
         "bump_invariants",

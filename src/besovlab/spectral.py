@@ -7,17 +7,16 @@ the box).  Transforms follow the physical convention
     F f(xi)  = integral e^{-i x xi} f(x) dx,
     f(x)     = (1/2pi) integral e^{+i x xi} F f(xi) dxi,
 
-discretised with dx-weighted sums on the frequency set xi_k = pi k / L,
-k = -N/2 .. N/2-1.  Under this convention the discrete Parseval identity
+discretised with dx-weighted sums on the frequencies xi_k = pi k / L.  Fields
+are real, so c_{-k} = conj(c_k) and only the half-spectrum k = 0 .. N/2 is
+stored (numpy's rfft layout): each interior entry stands for the pair +-k,
+the zero and Nyquist entries for themselves.  The discrete Parseval identity
 
-    dx * sum |f_i|^2 = (1/2L) * sum |Ff_k|^2
+    dx * sum |f_i|^2 = (1/2L) * sum_{k=0}^{N/2} w_k |Ff_k|^2,
+    w = 1, 2, ..., 2, 1,
 
 holds exactly, and band-limited statements about continuous transforms carry
 over verbatim to the arrays.
-
-Internally coefficients are rfft half-spectra, k = 0 .. N/2, transformed with
-numpy's rfft/irfft; SpectralField, forward_transform and inverse_transform keep
-the full spectrum in FFT order as thin adapters over them.
 """
 
 from __future__ import annotations
@@ -66,11 +65,11 @@ class Grid:
     x : ndarray
         Sample locations -L + i*dx.
     xi : ndarray
-        Frequencies pi*k/L in FFT order (k = 0..N/2-1, -N/2..-1).
-    xi_half : ndarray
-        The half-spectrum's frequencies xi[:N/2+1], ending at the Nyquist mode.
+        Half-spectrum frequencies pi*k/L, k = 0..N/2, rising from 0 to xi_max.
     xi_max : float
-        Magnitude of the Nyquist frequency, pi*N/(2L).
+        The Nyquist frequency, pi*N/(2L).
+    nyquist_index : int
+        N/2, the position of the Nyquist entry.
     """
 
     def __init__(self, num_points: int, half_length: float):
@@ -83,16 +82,14 @@ class Grid:
         self.dx = 2.0 * self.half_length / self.num_points
         self.x = -self.half_length + self.dx * np.arange(self.num_points)
         n = self.num_points
-        k = np.concatenate([np.arange(0, n // 2), np.arange(-n // 2, 0)])
-        self.k = k
+        k = np.arange(n // 2 + 1)
         self.xi = (np.pi / self.half_length) * k
         self.xi_max = np.pi * n / (2.0 * self.half_length)
-        self.nyquist_index = n // 2  # position of k = +-N/2 in both layouts
-        self.xi_half = self.xi[: n // 2 + 1]
+        self.nyquist_index = n // 2
         # e^{-i x_m xi_k} = (-1)^k e^{-2pi i mk/N}: the (-1)^k phase maps
         # numpy's 0-based FFT onto the grid whose first sample sits at -L.
-        self.alt_phase = np.where(k[: n // 2 + 1] % 2 == 0, 1.0, -1.0)
-        for arr in (self.x, self.k, self.xi, self.xi_half, self.alt_phase):
+        self.alt_phase = np.where(k % 2 == 0, 1.0, -1.0)
+        for arr in (self.x, self.xi, self.alt_phase):
             arr.flags.writeable = False
         self._cache: dict = {}
 
@@ -110,13 +107,13 @@ class Grid:
         return self._cache[key]
 
     def multiplier(self, key, builder) -> np.ndarray:
-        """Memoised read-only multiplier builder(xi_half) on the half-spectrum.
+        """Memoised read-only multiplier builder(xi) on the half-spectrum.
 
         The Nyquist entry keeps only its real part, so real fields stay real;
         odd symbols such as i*xi vanish there.
         """
         if key not in self._cache:
-            arr = np.array(builder(self.xi_half))
+            arr = np.array(builder(self.xi))
             arr[self.nyquist_index] = arr[self.nyquist_index].real
             arr.flags.writeable = False
             self._cache[key] = arr
@@ -186,14 +183,14 @@ class Field:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Discrete Fourier coefficients of a real field, indexed by xi_k."""
+    """Half-spectrum coefficients of a real field; coeffs[k] sits at grid.xi[k]."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.grid.num_points,):
+        if coeffs.shape != self.grid.xi.shape:
             raise ValueError("coefficient count does not match grid")
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
@@ -222,28 +219,31 @@ def _coeffs(f: Field) -> np.ndarray:
     return _fft(f.grid, f.samples)
 
 
+def _power(coeffs: np.ndarray) -> np.ndarray:
+    """|c_k|^2 weighted 1, 2, ..., 2, 1: each interior entry stands for +-k."""
+    power = np.abs(coeffs) ** 2
+    power[1:-1] *= 2.0
+    return power
+
+
 def _to_field(grid: Grid, coeffs: np.ndarray) -> Field:
     return Field(grid, _ifft(grid, coeffs))
 
 
 def forward_transform(f: Field) -> SpectralField:
-    """Forward transform under the e^{-i x xi} convention with dx weighting;
-    the half-spectrum mirrored to the full one at grid.xi."""
-    half = _coeffs(f)
-    return SpectralField(f.grid, np.concatenate([half, np.conj(half[-2:0:-1])]))
+    """Forward transform under the e^{-i x xi} convention with dx weighting."""
+    return SpectralField(f.grid, _coeffs(f))
 
 
 def inverse_transform(F: SpectralField) -> Field:
-    """Inverse transform; raises NonRealSpectrum unless the coefficients are
-    Hermitian-symmetric, max |c(-xi) - conj(c(xi))| <= HERMITIAN_RTOL max |c|
-    (the Nyquist entry is its own partner)."""
-    c, h = F.coeffs, F.grid.nyquist_index
-    resid = np.abs(c - np.conj(np.roll(c[::-1], 1)))  # index k -> -k
-    resid[h] = abs(c.imag[h])
-    worst, scale = resid.max(), np.abs(c).max()
+    """Inverse transform; raises NonRealSpectrum when the k = 0 or Nyquist
+    coefficient, each its own conjugate partner, has an imaginary part above
+    HERMITIAN_RTOL max |c| (irfft would drop it)."""
+    c = F.coeffs
+    worst, scale = max(abs(c[0].imag), abs(c[-1].imag)), np.abs(c).max()
     if worst > HERMITIAN_RTOL * scale:
-        raise NonRealSpectrum(f"hermitian symmetry violated: residual {worst / scale:.3e}")
-    return _to_field(F.grid, c[: h + 1])
+        raise NonRealSpectrum(f"imaginary k = 0 or Nyquist entry: {worst / scale:.3e} of max |c|")
+    return _to_field(F.grid, c)
 
 
 def _derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
@@ -337,9 +337,8 @@ def dealias_triple(f: Field, g: Field, h: Field) -> Field:
 
 def parseval_residual(f: Field) -> float:
     """Relative defect of the discrete Parseval identity for this field."""
-    F = forward_transform(f).coeffs
     lhs = f.grid.dx * float(np.sum(f.samples**2))
-    rhs = float(np.sum(np.abs(F) ** 2)) / (2.0 * f.grid.half_length)
+    rhs = float(np.sum(_power(_coeffs(f)))) / (2.0 * f.grid.half_length)
     if lhs == 0.0:
         return abs(rhs)
     return abs(lhs - rhs) / lhs

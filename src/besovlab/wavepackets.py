@@ -61,16 +61,17 @@ class BumpProfile:
 def build_bump(grid: Grid, decay_tol: float = DECAY_TOL) -> BumpProfile:
     """Tabulate the bump transform on the grid and invert it.
 
-    Requires at least 32 frequency samples inside [-1/2, 1/2] (i.e. L >= 32 pi)
-    so the plateau and transition are resolved.  Raises DecayViolation when the
-    periodized bump fails the solver's decay contract (dynamics.check_decay).
+    Requires at least 32 frequencies pi k / L inside [-1/2, 1/2], counted as
+    2 #{grid.xi <= 1/2} - 1 (i.e. L >= 32 pi), so the plateau and transition
+    are resolved.  Raises DecayViolation when the periodized bump fails the
+    solver's decay contract (dynamics.check_decay).
     """
-    inside = int(np.sum(np.abs(grid.xi) <= SUPPORT_EDGE))
+    inside = 2 * int(np.sum(grid.xi <= SUPPORT_EDGE)) - 1
     if inside < 32:
         raise ResolutionExceeded(
             f"only {inside} frequency samples inside |xi| <= 1/2; need >= 32"
         )
-    phi = _to_field(grid, bump_hat(grid.xi_half))
+    phi = _to_field(grid, bump_hat(grid.xi))
     check_decay(phi, decay_tol)
     return BumpProfile(grid=grid, phi=phi)
 
@@ -105,6 +106,8 @@ def carrier_frequency(grid: Grid, n: int) -> tuple[float, float]:
 def min_points_for(n_max: int, half_length: float) -> int:
     """Smallest power-of-two N (>= 2^15) resolving family member n_max with
     the 2/3 dealiasing headroom required by make_packets."""
+    if not half_length > 0:
+        raise ValueError(f"half_length must be positive, got {half_length}")
     need = (CARRIER_RATIO * 2.0**n_max + SUPPORT_EDGE) * 1.5
     num = 2**15
     while math.pi * num / (2.0 * half_length) < need:
@@ -298,7 +301,7 @@ def modulation_identity_residual(bump: BumpProfile, family: PacketFamily) -> flo
     shifted to +-carrier with the sine phase: (hat(xi-w) - hat(xi+w)) / 2i
     times the amplitude.  Returns the max absolute mismatch relative to the
     packet's largest coefficient."""
-    xi = bump.grid.xi_half
+    xi = bump.grid.xi
     F = _coeffs(family.packet)
     amp = 2.0 ** (-1.5 * family.n)
     expected = amp * (bump_hat(xi - family.carrier) - bump_hat(xi + family.carrier)) / 2j

@@ -11,7 +11,6 @@ from besovlab import (
     Grid,
     besov_norm,
     build_cutoffs,
-    derivative,
     dyadic_block,
     linf_norm,
     lipschitz_norm,

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -292,6 +291,20 @@ class TestCli:
             cli_main(["taylor", *argv])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nonuniform", "--grid-n", "15"], "num_points must be even and >= 16, got 15"),
+        (["nonuniform", "--cfl", "0"], "cfl must lie in (0, 1], got 0.0"),
+        (["validate", "--seed", "0", "--grid-n", "15"], "num_points must be even and >= 16, got 15"),
+        (["lemma31", "--n-min", "4", "--n-max", "5", "--out", "unused", "--grid-l", "0"],
+         "half_length must be positive, got 0.0"),
+        (["nonuniform", "--grid-l", "-1"], "half_length must be positive, got -1.0"),
+    ])
+    def test_bad_grid_or_cfl_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
 
     @pytest.mark.parametrize("argv", [
         ["lemma31", "--n-min", "4"],

@@ -30,7 +30,7 @@ class TestForwardTransform:
         xi1 = math.pi / g.half_length
         f = Field(g, np.cos(xi1 * g.x))
         F = forward_transform(f).coeffs
-        at = np.isclose(np.abs(g.xi), xi1)
+        at = np.isclose(g.xi, xi1)
         assert np.allclose(F[at], g.half_length, atol=1e-10)
         assert np.abs(F[~at]).max() <= 1e-12 * g.half_length
 
@@ -56,15 +56,14 @@ class TestForwardTransform:
 class TestInverseTransform:
     def test_single_pair_gives_cosine(self, trig_grid):
         g = trig_grid
-        coeffs = np.zeros(g.num_points, dtype=complex)
-        coeffs[g.k == 1] = g.half_length
-        coeffs[g.k == -1] = g.half_length
+        coeffs = np.zeros(g.xi.size, dtype=complex)
+        coeffs[1] = g.half_length  # stands for the pair k = +-1
         f = inverse_transform(SpectralField(g, coeffs))
         xi1 = math.pi / g.half_length
         assert np.abs(f.samples - np.cos(xi1 * g.x)).max() <= 1e-12
 
     def test_zero(self, trig_grid):
-        f = inverse_transform(SpectralField(trig_grid, np.zeros(trig_grid.num_points)))
+        f = inverse_transform(SpectralField(trig_grid, np.zeros(trig_grid.xi.size)))
         assert f.max_abs() == 0.0
 
     def test_round_trip_from_spectrum(self, trig_grid):
@@ -76,10 +75,17 @@ class TestInverseTransform:
             assert np.abs(back.coeffs - F.coeffs).max() <= 1e-12 * scale
 
     def test_non_hermitian_rejected(self, trig_grid):
-        coeffs = np.zeros(trig_grid.num_points, dtype=complex)
-        coeffs[trig_grid.k == 3] = 1.0  # no conjugate partner
-        with pytest.raises(NonRealSpectrum):
-            inverse_transform(SpectralField(trig_grid, coeffs))
+        # the k = 0 and Nyquist entries are their own conjugate partners, so
+        # they must be real; every other entry stands for a conjugate pair
+        f = random_field(trig_grid, rng(17), band_fraction=1.0)
+        for entry in (0, -1):
+            F = forward_transform(f).coeffs.copy()
+            F[entry] = F[entry].real
+            back = inverse_transform(SpectralField(trig_grid, F))
+            assert np.abs(back.samples - f.samples).max() <= 1e-12 * f.max_abs()
+            F[entry] += 1e-6j * np.abs(F).max()
+            with pytest.raises(NonRealSpectrum):
+                inverse_transform(SpectralField(trig_grid, F))
 
     def test_round_trip_many_fields(self, trig_grid):
         worst = 0.0
@@ -104,6 +110,14 @@ def test_transform_linearity(a, b):
     rhs = a * forward_transform(f1).coeffs + b * forward_transform(f2).coeffs
     scale = max(np.abs(rhs).max(), 1.0)
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def test_public_layout():
+    g = Grid(2**10, 16 * math.pi)
+    F = forward_transform(random_field(g, rng(18))).coeffs
+    assert F.shape == g.xi.shape == (g.num_points // 2 + 1,)
+    assert g.xi[0] == 0.0 and np.all(np.diff(g.xi) > 0)
+    assert g.xi[-1] == pytest.approx(g.xi_max, rel=1e-15)
 
 
 class TestDerivative:
@@ -267,10 +281,8 @@ def test_grid_invariants():
     g = Grid(2**10, 16 * math.pi)
     assert g.dx * g.num_points == 2 * g.half_length
     assert g.num_points % 2 == 0
-    # frequencies symmetric except the lone Nyquist mode
-    pos = np.sort(g.xi[g.xi > 0])
-    neg = np.sort(-g.xi[(g.xi < 0) & (g.k != -g.num_points // 2)])
-    assert np.array_equal(pos, neg)
+    # half-spectrum frequencies: equispaced by pi/L
+    assert np.allclose(np.diff(g.xi), math.pi / g.half_length, rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
         Grid(15, 1.0)
     with pytest.raises(ValueError):
