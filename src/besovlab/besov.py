@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, Grid, derivative, smooth_step, _coeffs, _power, _to_field
+from .spectral import Field, Grid, derivative, smooth_step, _apply, _coeffs, _power
 
 INF = math.inf
 
@@ -101,26 +101,37 @@ def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
     zero for j <= -2 or beyond the grid's j_max."""
     if j <= -2 or j > cutoffs.j_max:
         return Field.zero(f.grid)
-    return _to_field(f.grid, cutoffs.block_multiplier(j) * _coeffs(f))
+    return Field(f.grid, _apply(f.grid, cutoffs.block_multiplier(j), f.samples))
+
+
+def _lp_profile(coeffs: np.ndarray, cutoffs: CutoffPair) -> np.ndarray:
+    """||block_j||_{L^2}, j = -1 .. j_max, of each coefficient row on
+    cutoffs.grid (last axis j); the temporary holds rows x (j_max + 2) x
+    (N/2 + 1) doubles."""
+    power = _power(coeffs)[..., None, :]
+    return np.sqrt(np.sum(cutoffs.table**2 * power, axis=-1) / (2.0 * cutoffs.grid.half_length))
+
+
+def _besov_norm(profile: np.ndarray, idx: BesovIndex) -> np.ndarray:
+    """l^r norm over j of 2^{js} profile_j, for each profile row."""
+    j = np.arange(-1, profile.shape[-1] - 1)
+    weighted = 2.0 ** (j * idx.s) * profile
+    if idx.r == 1.0:
+        return weighted.sum(axis=-1)
+    if idx.r == INF:
+        return weighted.max(axis=-1)
+    return np.sum(weighted**idx.r, axis=-1) ** (1.0 / idx.r)
 
 
 def block_lp_profile(f: Field, cutoffs: CutoffPair) -> np.ndarray:
     """Array of ||block_j f||_{L^2} for j = -1 .. j_max, read off in spectral
     space via Parseval."""
-    power = _power(_coeffs(f))
-    return np.sqrt(np.sum(cutoffs.table**2 * power, axis=1) / (2.0 * f.grid.half_length))
+    return _lp_profile(_coeffs(f), cutoffs)
 
 
 def besov_norm(f: Field, idx: BesovIndex, cutoffs: CutoffPair) -> float:
     """Nonhomogeneous Besov norm ||(2^{js} ||block_j f||_{L^2})_j||_{l^r}."""
-    profile = block_lp_profile(f, cutoffs)
-    j = np.arange(-1, cutoffs.j_max + 1)
-    weighted = 2.0 ** (j * idx.s) * profile
-    if idx.r == 1.0:
-        return float(weighted.sum())
-    if idx.r == INF:
-        return float(weighted.max())
-    return float(np.sum(weighted**idx.r) ** (1.0 / idx.r))
+    return float(_besov_norm(_lp_profile(_coeffs(f), cutoffs), idx))
 
 
 def linf_norm(f: Field) -> float:

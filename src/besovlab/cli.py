@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import BesovLabError
@@ -44,6 +45,11 @@ _GRID = [
     ("--grid-n", dict(dest="grid_points", type=int)),
     ("--grid-l", dict(dest="half_length", type=float)),
 ]
+# validate's grid flags reach only part of the suite
+_FIXED_GRIDS = (
+    "; the packet checks always run on 2^14 points and the solver smoke checks"
+    " on 2^12, both with L = 32 pi"
+)
 _N_RANGE = [("--n-min", dict(type=int)), ("--n-max", dict(type=int))]
 _MODEL = ("--model", dict(choices=["ch", "novikov"]))
 _OUT = ("--out", dict(dest="output_dir"))
@@ -51,7 +57,10 @@ _OUT = ("--out", dict(dest="output_dir"))
 SUBCOMMANDS = {
     "validate": ("run the invariant suite", [
         ("--seed", dict(type=int)),
-        *_GRID,
+        ("--grid-n", dict(dest="grid_points", type=int,
+                          help="points of the transform, cutoff and Besov checks" + _FIXED_GRIDS)),
+        ("--grid-l", dict(dest="half_length", type=float,
+                          help="half length of that grid" + _FIXED_GRIDS)),
         ("--cutoff-scale", dict(type=float, help="fault injection: scale the ring cutoff")),
     ]),
     "lemma31": ("wave-packet scaling reports", [*_N_RANGE, *_GRID, _OUT]),
@@ -114,6 +123,9 @@ def _settings(parser, command: str, flags: dict, given: dict, path: str | None) 
     seed = settings.get("seed", 0)
     if not (isinstance(seed, int) and seed >= 0):
         parser.error(f"seed must be a nonnegative integer, got {seed!r}")
+    cutoff_scale = settings.get("cutoff_scale", 1.0)
+    if not (isinstance(cutoff_scale, (int, float)) and math.isfinite(cutoff_scale)):
+        parser.error(f"cutoff_scale must be a finite number, got {cutoff_scale!r}")
     return settings
 
 

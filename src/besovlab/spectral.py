@@ -171,14 +171,26 @@ class Field:
             raise ValueError("fields live on different grids")
 
     def max_abs(self) -> float:
-        return float(np.abs(self.samples).max())
+        return float(_max_abs(self.samples))
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.dx * np.sum(self.samples**2)))
+        return float(_l2_norm(self.grid, self.samples))
 
     def inner(self, other: "Field") -> float:
         self._check_same_grid(other)
-        return float(self.grid.dx * np.sum(self.samples * other.samples))
+        return float(_inner(self.grid, self.samples, other.samples))
+
+
+def _max_abs(samples: np.ndarray) -> np.ndarray:
+    return np.abs(samples).max(axis=-1)
+
+
+def _l2_norm(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    return np.sqrt(grid.dx * np.sum(samples**2, axis=-1))
+
+
+def _inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return grid.dx * np.sum(a * b, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -198,6 +210,9 @@ class SpectralField:
 
 
 # Arrays of our own are scaled in place: freed temporaries make glibc re-fault the heap.
+# The private helpers below act on the last axis, so a (rows, N) block of
+# samples or a (rows, N/2+1) block of coefficients goes through them as one
+# call; row r of the result equals the one-field call on row r, to the bit.
 
 
 def _fft(grid: Grid, samples: np.ndarray) -> np.ndarray:
@@ -222,7 +237,7 @@ def _coeffs(f: Field) -> np.ndarray:
 def _power(coeffs: np.ndarray) -> np.ndarray:
     """|c_k|^2 weighted 1, 2, ..., 2, 1: each interior entry stands for +-k."""
     power = np.abs(coeffs) ** 2
-    power[1:-1] *= 2.0
+    power[..., 1:-1] *= 2.0
     return power
 
 
@@ -230,20 +245,35 @@ def _to_field(grid: Grid, coeffs: np.ndarray) -> Field:
     return Field(grid, _ifft(grid, coeffs))
 
 
+def _apply(grid: Grid, multiplier: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Samples of the Fourier multiplier applied to each sample row."""
+    return _ifft(grid, multiplier * _fft(grid, samples))
+
+
 def forward_transform(f: Field) -> SpectralField:
     """Forward transform under the e^{-i x xi} convention with dx weighting."""
     return SpectralField(f.grid, _coeffs(f))
+
+
+def _real_ifft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """_ifft of each coefficient row; raises NonRealSpectrum when a row's
+    k = 0 or Nyquist entry, each its own conjugate partner, has an imaginary
+    part above HERMITIAN_RTOL max |c| of the row (irfft would drop it)."""
+    worst = np.maximum(np.abs(coeffs[..., 0].imag), np.abs(coeffs[..., -1].imag))
+    scale = np.abs(coeffs).max(axis=-1)
+    bad = worst > HERMITIAN_RTOL * scale
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        ratio = worst.flat[i] / scale.flat[i]
+        raise NonRealSpectrum(f"imaginary k = 0 or Nyquist entry: {ratio:.3e} of max |c|")
+    return _ifft(grid, coeffs)
 
 
 def inverse_transform(F: SpectralField) -> Field:
     """Inverse transform; raises NonRealSpectrum when the k = 0 or Nyquist
     coefficient, each its own conjugate partner, has an imaginary part above
     HERMITIAN_RTOL max |c| (irfft would drop it)."""
-    c = F.coeffs
-    worst, scale = max(abs(c[0].imag), abs(c[-1].imag)), np.abs(c).max()
-    if worst > HERMITIAN_RTOL * scale:
-        raise NonRealSpectrum(f"imaginary k = 0 or Nyquist entry: {worst / scale:.3e} of max |c|")
-    return _to_field(F.grid, c)
+    return Field(F.grid, _real_ifft(F.grid, F.coeffs))
 
 
 def _derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
@@ -262,7 +292,7 @@ def derivative(f: Field, order: int = 1) -> Field:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return _to_field(f.grid, _derivative_multiplier(f.grid, order) * _coeffs(f))
+    return Field(f.grid, _apply(f.grid, _derivative_multiplier(f.grid, order), f.samples))
 
 
 def helmholtz_inverse(f: Field) -> Field:
@@ -271,7 +301,7 @@ def helmholtz_inverse(f: Field) -> Field:
     Equals convolution with the kernel 0.5*e^{-|x|} up to the periodic
     wrap-around, which is negligible for well-decaying data.
     """
-    return _to_field(f.grid, _helmholtz_multiplier(f.grid) * _coeffs(f))
+    return Field(f.grid, _apply(f.grid, _helmholtz_multiplier(f.grid), f.samples))
 
 
 # --- dealiasing core: every padded product goes through these helpers -------
@@ -289,9 +319,9 @@ def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
     """Samples on the finer grid of the zero-padded spectrum; the coarse
     Nyquist entry stands for both +-N/2 and is split evenly between them."""
     h = grid.nyquist_index
-    padded = np.zeros(fine.nyquist_index + 1, dtype=complex)
-    padded[:h] = coeffs[:h]
-    padded[h] = 0.5 * coeffs[h].real
+    padded = np.zeros(coeffs.shape[:-1] + (fine.nyquist_index + 1,), dtype=complex)
+    padded[..., :h] = coeffs[..., :h]
+    padded[..., h] = 0.5 * coeffs[..., h].real
     # _ifft's formula, applied in place to the array built here
     padded *= fine.alt_phase
     samples = np.fft.irfft(padded, fine.num_points)
@@ -303,18 +333,23 @@ def _from_padded(grid: Grid, fine: Grid, *factors: np.ndarray) -> np.ndarray:
     """Coefficients of the product of finer-grid samples, truncated to the
     band of grid; the coarse Nyquist mode is zeroed."""
     h = grid.nyquist_index
-    out = np.zeros(h + 1, dtype=complex)
-    out[:h] = _fft(fine, functools.reduce(operator.mul, factors))[:h]
+    out = np.zeros(factors[0].shape[:-1] + (h + 1,), dtype=complex)
+    out[..., :h] = _fft(fine, functools.reduce(operator.mul, factors))[..., :h]
     return out
 
 
-def _dealias(total_degree: int, *factors: Field) -> Field:
+def _dealias(grid: Grid, total_degree: int, *factors: np.ndarray) -> np.ndarray:
+    """Samples of the dealiased product of sample rows on grid."""
+    fine = _padded_grid(grid, total_degree)
+    padded = [_to_padded(grid, _fft(grid, f), fine) for f in factors]
+    return _ifft(grid, _from_padded(grid, fine, *padded))
+
+
+def _dealias_fields(total_degree: int, *factors: Field) -> Field:
     grid = factors[0].grid
     for other in factors[1:]:
         factors[0]._check_same_grid(other)
-    fine = _padded_grid(grid, total_degree)
-    padded = [_to_padded(grid, _coeffs(f), fine) for f in factors]
-    return _to_field(grid, _from_padded(grid, fine, *padded))
+    return Field(grid, _dealias(grid, total_degree, *(f.samples for f in factors)))
 
 
 def dealias_product(f: Field, g: Field, total_degree: int = 2) -> Field:
@@ -327,18 +362,21 @@ def dealias_product(f: Field, g: Field, total_degree: int = 2) -> Field:
     """
     if total_degree not in (2, 3):
         raise ValueError(f"total_degree must be 2 or 3, got {total_degree}")
-    return _dealias(total_degree, f, g)
+    return _dealias_fields(total_degree, f, g)
 
 
 def dealias_triple(f: Field, g: Field, h: Field) -> Field:
     """Dealiased triple product on the cubic (factor-2) padded grid."""
-    return _dealias(3, f, g, h)
+    return _dealias_fields(3, f, g, h)
+
+
+def _parseval_residual(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Relative Parseval defect of each sample row; absolute for a zero row."""
+    lhs = grid.dx * np.sum(samples**2, axis=-1)
+    rhs = np.sum(_power(_fft(grid, samples)), axis=-1) / (2.0 * grid.half_length)
+    return np.abs(lhs - rhs) / np.where(lhs == 0.0, 1.0, lhs)
 
 
 def parseval_residual(f: Field) -> float:
     """Relative defect of the discrete Parseval identity for this field."""
-    lhs = f.grid.dx * float(np.sum(f.samples**2))
-    rhs = float(np.sum(_power(_coeffs(f)))) / (2.0 * f.grid.half_length)
-    if lhs == 0.0:
-        return abs(rhs)
-    return abs(lhs - rhs) / lhs
+    return float(_parseval_residual(f.grid, f.samples))

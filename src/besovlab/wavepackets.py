@@ -17,6 +17,7 @@ are what the non-uniform-dependence experiments compare against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +91,11 @@ class PacketFamily:
     def perturbation(self, model: Model) -> Field:
         return self.bump_fast if model is Model.CH else self.bump_slow
 
+    @functools.cached_property
+    def _packet_slope(self) -> Field:
+        """derivative(packet, 1), computed once per member."""
+        return derivative(self.packet, 1)
+
 
 def carrier_frequency(grid: Grid, n: int) -> tuple[float, float]:
     """Modulation frequency (17/12) 2^n snapped to the nearest grid frequency.
@@ -156,13 +162,12 @@ def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
 
 def quadratic_cross_product(family: PacketFamily) -> Field:
     """bump_fast * packet' (dealiased): the term driving the quadratic model."""
-    return dealias_product(family.bump_fast, derivative(family.packet, 1), 2)
+    return dealias_product(family.bump_fast, family._packet_slope, 2)
 
 
 def cubic_cross_product(family: PacketFamily) -> Field:
     """bump_slow^2 * packet' (dealiased): the term driving the cubic model."""
-    dp = derivative(family.packet, 1)
-    return dealias_triple(family.bump_slow, family.bump_slow, dp)
+    return dealias_triple(family.bump_slow, family.bump_slow, family._packet_slope)
 
 
 def product_limits(bump: BumpProfile) -> tuple[float, float]:
@@ -222,7 +227,7 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     fam = make_packets(bump, n)
     grid = bump.grid
     two = 2.0
-    dp = derivative(fam.packet, 1)
+    dp = fam._packet_slope
 
     quad = quadratic_cross_product(fam)
     cub = cubic_cross_product(fam)

@@ -16,10 +16,17 @@ from besovlab import (
     lipschitz_norm,
     make_packets,
 )
-from besovlab.besov import grid_j_max, transition_chi, transition_ring
-from besovlab.corpus import random_field
+from besovlab.besov import (
+    _besov_norm,
+    _lp_profile,
+    block_lp_profile,
+    grid_j_max,
+    transition_chi,
+    transition_ring,
+)
+from besovlab.corpus import _random_samples, random_field
 from besovlab.harness import EMBED_CONSTANT, PRODUCT_CSTAR
-from besovlab.spectral import dealias_product
+from besovlab.spectral import _apply, _fft, dealias_product
 from besovlab.wavepackets import cubic_cross_product
 
 from conftest import rng
@@ -90,6 +97,14 @@ class TestDyadicBlocks:
         assert dyadic_block(f, -2, box_cutoffs).l2_norm() == 0.0
         assert dyadic_block(f, box_cutoffs.j_max + 5, box_cutoffs).l2_norm() == 0.0
 
+    def test_row_block_matches_one_field_calls(self, box_grid, box_cutoffs):
+        block = _random_samples(box_grid, rng(4), 3)
+        for j in range(-1, box_cutoffs.j_max + 1):
+            blocks = _apply(box_grid, box_cutoffs.block_multiplier(j), block)
+            for r in range(3):
+                one = dyadic_block(Field(box_grid, block[r]), j, box_cutoffs)
+                assert np.array_equal(blocks[r], one.samples)
+
     def test_almost_orthogonality(self, box_grid, box_cutoffs):
         for seed in range(10):
             f = random_field(box_grid, rng(seed))
@@ -129,6 +144,15 @@ class TestBesovNorm:
             n2 = besov_norm(f, BesovIndex(0.5, 2, 2), box_cutoffs)
             ninf = besov_norm(f, BesovIndex(0.5, 2, INF), box_cutoffs)
             assert n1 + 1e-12 >= n2 >= ninf - 1e-12
+
+    def test_row_block_matches_one_field_calls(self, box_grid, box_cutoffs):
+        block = _random_samples(box_grid, rng(6), 4)
+        profile = _lp_profile(_fft(box_grid, block), box_cutoffs)
+        for r in range(4):
+            f = Field(box_grid, block[r])
+            assert np.array_equal(profile[r], block_lp_profile(f, box_cutoffs))
+            for idx in (BesovIndex(1.5, 2, 1), BesovIndex(0.5, 2, 2), BesovIndex(1.5, 2, INF)):
+                assert _besov_norm(profile, idx)[r] == besov_norm(f, idx, box_cutoffs)
 
     def test_index_validation(self):
         # only B^s_{2,r} is implemented; every other p is rejected

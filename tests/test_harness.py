@@ -27,6 +27,60 @@ def small_ch_report():
     return run_nonuniform(cfg)
 
 
+# Every check of run_validation_suite(0) as (value, passed), recorded from the
+# one-field-at-a-time suite before its loops were evaluated on row blocks; the
+# row blocks must reproduce each value to the bit, and the injected fault must
+# trip the same checks.
+PINNED_VALIDATION = {
+    1.0: {
+        "block_almost_orthogonality": (6.778714192092638e-17, True),
+        "bump_invariants": ({"evenness": 4.163336342344337e-17, "parseval": 1.659747183762238e-16}, True),
+        "constant_equilibrium": (0.0, True),
+        "cutoff_supports": (None, True),
+        "derivative_composition": (2.046396302654623e-15, True),
+        "embedding_constant": (0.23777085026217504, True),
+        "evolve_deterministic": (True, True),
+        "h1_drift_smoke": (8.908462448474984e-16, True),
+        "helmholtz_self_adjoint": (3.7444245414340004e-14, True),
+        "linearity": (4.698642932788333e-16, True),
+        "modulation_identity": (3.630198172647881e-16, True),
+        "packet_scaling_reports": (1.3128522259721743e-15, True),
+        "parseval": (5.642081172801245e-16, True),
+        "partition_of_unity_1e6": (0.0, True),
+        "perturbation_scaling_exact": (1.3783171134284327e-13, True),
+        "product_estimate": (0.33321816436992824, True),
+        "product_lower_bound": (0.02361106495183698, True),
+        "r_monotonicity": (0.0, True),
+        "reconstruction_1000": (6.298546132293788e-16, True),
+        "round_trip_1000": (6.074394916184871e-16, True),
+        "small_time_consistency": (0.26848128162402085, True),
+    },
+    1.01: {
+        "block_almost_orthogonality": (7.517136945499054e-17, True),
+        "bump_invariants": ({"evenness": 4.163336342344337e-17, "parseval": 1.659747183762238e-16}, True),
+        "constant_equilibrium": (0.0, True),
+        "cutoff_supports": (None, True),
+        "derivative_composition": (2.046396302654623e-15, True),
+        "embedding_constant": (0.23626758925454144, True),
+        "evolve_deterministic": (True, True),
+        "h1_drift_smoke": (8.908462448474984e-16, True),
+        "helmholtz_self_adjoint": (3.7444245414340004e-14, True),
+        "linearity": (4.698642932788333e-16, True),
+        "modulation_identity": (3.630198172647881e-16, True),
+        "packet_scaling_reports": (1.3128522259721743e-15, True),
+        "parseval": (5.642081172801245e-16, True),
+        "partition_of_unity_1e6": (0.010000000000000231, False),
+        "perturbation_scaling_exact": (1.3783171134284327e-13, True),
+        "product_estimate": (0.3333534700424086, True),
+        "product_lower_bound": (0.02361106495183698, True),
+        "r_monotonicity": (0.0, True),
+        "reconstruction_1000": (0.008257748295723408, False),
+        "round_trip_1000": (6.074394916184871e-16, True),
+        "small_time_consistency": (0.26848128162402085, True),
+    },
+}
+
+
 class TestRunNonuniform:
     def test_gap_at_time_zero_equals_perturbation_norm(self):
         cfg = ExperimentConfig(model=Model.CH, n_values=(4,), t_values=(0.0, 0.05),
@@ -139,6 +193,16 @@ class TestValidationSuite:
         assert not report.passed
         assert not report.checks["partition_of_unity_1e6"]["passed"]
 
+    def test_non_finite_fault_fails(self):
+        # a NaN ring makes every ring-dependent value NaN, and a NaN must fail
+        # its check rather than vanish into the running maximum
+        report = run_validation_suite(seed=0, cutoff_scale=math.nan)
+        assert not report.passed
+        for name in ("partition_of_unity_1e6", "reconstruction_1000", "block_almost_orthogonality",
+                     "r_monotonicity", "embedding_constant", "product_estimate"):
+            assert not report.checks[name]["passed"], name
+            assert math.isnan(report.checks[name]["value"]), name
+
     def test_seed_variation_keeps_pass_set(self):
         outcomes = []
         for seed in (1, 2, 3):
@@ -148,6 +212,12 @@ class TestValidationSuite:
             ))
         assert all(o == outcomes[0] for o in outcomes)
         assert all(passed for _, passed in outcomes[0])
+
+    @pytest.mark.parametrize("cutoff_scale", sorted(PINNED_VALIDATION))
+    def test_values_pinned(self, cutoff_scale):
+        report = run_validation_suite(seed=0, cutoff_scale=cutoff_scale)
+        got = {name: (entry["value"], entry["passed"]) for name, entry in report.checks.items()}
+        assert got == PINNED_VALIDATION[cutoff_scale]
 
 
 class TestEmitOutputs:
@@ -299,6 +369,8 @@ class TestCli:
         (["lemma31", "--n-min", "4", "--n-max", "5", "--out", "unused", "--grid-l", "0"],
          "half_length must be positive, got 0.0"),
         (["nonuniform", "--grid-l", "-1"], "half_length must be positive, got -1.0"),
+        (["validate", "--seed", "0", "--cutoff-scale", "nan"], "cutoff_scale must be a finite number, got nan"),
+        (["validate", "--seed", "0", "--cutoff-scale", "inf"], "cutoff_scale must be a finite number, got inf"),
     ])
     def test_bad_grid_or_cfl_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:

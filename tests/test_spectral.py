@@ -18,8 +18,17 @@ from besovlab import (
     helmholtz_inverse,
     inverse_transform,
 )
-from besovlab.corpus import random_field
-from besovlab.spectral import parseval_residual
+from besovlab.corpus import _random_samples, random_field
+from besovlab.spectral import (
+    _apply,
+    _dealias,
+    _derivative_multiplier,
+    _fft,
+    _helmholtz_multiplier,
+    _parseval_residual,
+    _real_ifft,
+    parseval_residual,
+)
 
 from conftest import rng
 
@@ -98,6 +107,32 @@ class TestInverseTransform:
     def test_parseval_identity(self, trig_grid):
         for seed in range(50):
             assert parseval_residual(random_field(trig_grid, rng(seed))) <= 1e-10
+
+    def test_row_block_matches_one_field_calls(self, trig_grid):
+        g = trig_grid
+        block = _random_samples(g, rng(7), 5)
+        draws = rng(7)
+        fields = [random_field(g, draws) for _ in range(5)]
+        coeffs = _fft(g, block)
+        back = _real_ifft(g, coeffs)
+        residuals = _parseval_residual(g, block)
+        d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
+        for r, f in enumerate(fields):
+            assert np.array_equal(block[r], f.samples)
+            assert np.array_equal(coeffs[r], forward_transform(f).coeffs)
+            assert np.array_equal(back[r], inverse_transform(forward_transform(f)).samples)
+            assert residuals[r] == parseval_residual(f)
+            assert np.array_equal(_apply(g, d1, block)[r], derivative(f, 1).samples)
+            assert np.array_equal(_apply(g, d2, block)[r], derivative(f, 2).samples)
+            helmholtz = _apply(g, _helmholtz_multiplier(g), block)[r]
+            assert np.array_equal(helmholtz, helmholtz_inverse(f).samples)
+        assert _parseval_residual(g, np.zeros((2, g.num_points))).tolist() == [0.0, 0.0]
+
+    def test_row_block_rejects_one_non_real_row(self, trig_grid):
+        coeffs = _fft(trig_grid, _random_samples(trig_grid, rng(8), 4))
+        coeffs[2, -1] += 1e-6j * np.abs(coeffs[2]).max()
+        with pytest.raises(NonRealSpectrum):
+            _real_ifft(trig_grid, coeffs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -246,6 +281,16 @@ class TestDealiasProduct:
         f = Field.zero(trig_grid)
         with pytest.raises(ValueError):
             dealias_product(f, f, 4)
+
+    def test_row_block_matches_one_field_calls(self, trig_grid):
+        g = trig_grid
+        u, v, w = _random_samples(g, rng(9), 12, band_fraction=1.0).reshape(3, 4, -1)
+        quadratic = _dealias(g, 2, u, v)
+        triple = _dealias(g, 3, u, v, w)
+        for r in range(4):
+            f, h, k = (Field(g, rows[r]) for rows in (u, v, w))
+            assert np.array_equal(quadratic[r], dealias_product(f, h, 2).samples)
+            assert np.array_equal(triple[r], dealias_triple(f, h, k).samples)
 
 
 class TestNyquistMode:
