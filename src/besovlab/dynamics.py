@@ -11,9 +11,9 @@ Two nonlocal transport equations are implemented on the periodic grid:
 Both right-hand sides vanish on constants, so constants are equilibria, and
 both models conserve the H^1 energy dx * sum(u^2 + u_x^2) exactly in the
 continuum; the integrator monitors the discrete version.  Evolution uses
-classical RK4 with its step size taken from RK4's stability bound on the
-transport term (see SolverConfig), aborting with BlowUp when the slope passes
-the wave-breaking threshold.
+classical RK4 with one step-size rule: RK4's stability bound on the transport
+term, cut short at each sample time (see SolverConfig).  It aborts with BlowUp
+when the slope passes the wave-breaking threshold.
 
 One spectral right-hand side per model, _rhs_hat, returns the transport and
 nonlocal parts separately; evolve integrates their sum, and the Field-level
@@ -24,6 +24,7 @@ function, so the tested operators are the ones the solver runs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,45 +67,41 @@ class SolverConfig:
 
     dt is recomputed every step as
 
-        min(dt_max, cfl * 2.8 / (speed * xi_max + ||u_x||_inf))
+        min(dt_max, cfl * 2.8 / (speed * xi_max + ||u_x||_inf), time to the next sample)
 
-    and shortened to land exactly on each requested sample time.  The
-    denominator bounds the transport term's rate: speed is ||u||_inf (CH) or
-    ||u||_inf^2 (Novikov), xi_max the grid's Nyquist frequency, and
-    ||u_x||_inf the linearisation's growth rate.  2.8 sits just inside RK4's
-    imaginary-axis stability limit 2*sqrt(2), so cfl in (0, 1] is the
-    fraction of that limit a step may use.  A zero rate (the zero datum)
-    leaves dt_max.
-
-    dt_fraction in (0, 1], when set, further caps every step on the sample
-    interval (t_{i-1}, t_i] at dt_fraction * t_{i-1}, and on the first
-    interval (0, t_1] at dt_fraction * t_1.  RK4's global error grows like
-    t * dt^4, so a cap proportional to the elapsed time keeps the relative
-    time error uniform along a geometric ladder of sample times (the Taylor
-    check's), where one cap at dt_fraction * t_1 would take ever more steps.
+    so steps land exactly on each requested sample time.  The denominator
+    bounds the transport term's rate: speed is ||u||_inf (CH) or ||u||_inf^2
+    (Novikov), xi_max the grid's Nyquist frequency, and ||u_x||_inf the
+    linearisation's growth rate.  2.8 sits just inside RK4's imaginary-axis
+    stability limit 2*sqrt(2), so cfl in (0, 1] is the fraction of that limit
+    a step may use.  dt_max defaults to no cap, so a sample interval shorter
+    than the stability bound is one step, and the zero datum (rate zero)
+    steps from sample to sample.  A finite dt_max caps every step; it serves
+    to measure the time error by step refinement.  Non-finite, repeated or
+    unsorted times raise ValueError.
     """
 
     final_time: float
     cfl: float = 0.3
-    dt_max: float = 1e-2
+    dt_max: float = math.inf
     sample_times: tuple = ()
     blowup_threshold: float = 1e6
-    dt_fraction: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_fraction is not None and not (0.0 < self.dt_fraction <= 1.0):
-            raise ValueError(f"dt_fraction must lie in (0, 1], got {self.dt_fraction}")
         if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
-        if self.final_time < 0:
-            raise ValueError("final_time must be nonnegative")
+        if not (math.isfinite(self.final_time) and self.final_time >= 0):
+            raise ValueError(f"final_time must be finite and nonnegative, got {self.final_time}")
         times = tuple(float(t) for t in self.sample_times)
+        for t in times:
+            if not math.isfinite(t):
+                raise ValueError(f"sample times must be finite, got {t}")
         if any(t < 0 or t > self.final_time + 1e-12 for t in times):
             raise ValueError("sample_times must lie in [0, final_time]")
-        if list(times) != sorted(times):
-            raise ValueError("sample_times must be sorted")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError(f"sample_times must be strictly increasing, got {times}")
         object.__setattr__(self, "sample_times", times)
 
 
@@ -278,10 +275,6 @@ def evolve(
     F0 = F = _coeffs(u0)
     t = 0.0
     for target in targets:
-        cap = config.dt_max
-        if config.dt_fraction is not None:
-            # the interval's start time; its end on the first interval (0, t_1]
-            cap = min(cap, config.dt_fraction * (t if t > 0.0 else target))
         while t < target - 1e-13:
             u = _ifft(grid, F)
             if not np.all(np.isfinite(u)):
@@ -293,7 +286,7 @@ def evolve(
             if model is Model.NOVIKOV:
                 speed *= speed
             rate = speed * grid.xi_max + slope
-            dt = min(cap, target - t)
+            dt = min(config.dt_max, target - t)
             if rate > 0.0:
                 dt = min(dt, config.cfl * RK4_IMAGINARY_LIMIT / rate)
             k1 = step_rhs(F)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from besovlab import (
     remainder_bound,
     rhs,
 )
-from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
+from besovlab.harness import B321, SMALL_TIME_CONSTANT, ExperimentConfig, smooth_profile
 from besovlab.besov import lipschitz_norm
 from besovlab.dynamics import RK4_IMAGINARY_LIMIT
 from besovlab.spectral import _coeffs, _from_padded, _to_field, _to_padded
@@ -254,18 +255,23 @@ class TestEvolve:
             SolverConfig(final_time=1.0, sample_times=(0.5, 0.2))
         with pytest.raises(ValueError):
             SolverConfig(final_time=0.1, sample_times=(0.5,))
-        for fraction in (0.0, -0.25, 1.5):
-            with pytest.raises(ValueError, match="dt_fraction"):
-                SolverConfig(final_time=1.0, dt_fraction=fraction)
+        with pytest.raises(ValueError, match="final_time .* got inf"):
+            SolverConfig(final_time=math.inf)
+        with pytest.raises(ValueError, match="finite, got nan"):
+            SolverConfig(final_time=1.0, sample_times=(0.5, math.nan))
+        with pytest.raises(ValueError, match=r"increasing, got \(0.5, 0.5\)"):
+            SolverConfig(final_time=1.0, sample_times=(0.5, 0.5))
 
 
 class TestStepSize:
     def test_zero_datum_steps_at_dt_max(self):
-        # the transport rate vanishes on the zero datum: dt falls back to dt_max
+        # the transport rate vanishes on the zero datum: with dt_max uncapped,
+        # each sample interval is one step
         u0 = Field.zero(Grid(2**10, 32 * math.pi))
-        traj = evolve(u0, Model.CH, SolverConfig(final_time=0.1), decay_tol=None)
-        assert traj.steps_taken == 10
-        assert traj.dt_min == traj.dt_max == 0.01
+        config = SolverConfig(final_time=0.1, sample_times=(0.05, 0.1))
+        traj = evolve(u0, Model.CH, config, decay_tol=None)
+        assert traj.steps_taken == 2
+        assert traj.dt_min == traj.dt_max == 0.05
         assert not np.any(traj.final().samples)
 
     @pytest.mark.parametrize("model", list(Model))
@@ -273,13 +279,16 @@ class TestStepSize:
         # amplitude 2 on 2^14 points: the RK4 transport bound, not dt_max, sets dt
         u0 = smooth_profile(Grid(2**14, 32 * math.pi), amplitude=2.0)
         traj = evolve(u0, model, SolverConfig(final_time=0.2, cfl=1.0))
-        assert traj.steps_taken > 20  # what dt_max = 1e-2 alone gives
+        assert traj.steps_taken > 20  # one step without the bound; dt < 1e-2 here
         assert traj.cfl_max <= RK4_IMAGINARY_LIMIT + 1e-12  # rounding of dt * rate
         assert traj.h1_drift() < 1e-6
 
     def test_time_error_of_gap_below_reference_tolerance(self, box_bump, box_cutoffs):
-        # D_n(0.1) for CH n = 5 on the smallest grid resolving it: halving
-        # dt_max moves it by far less than the 1e-10 relative reference tolerance
+        # D_n(0.1) for CH n = 5 on the smallest grid resolving it, sampled at
+        # the nonuniform experiment's default times: capping the step at
+        # dt_max = 5e-3 moves it by far less than the 1e-10 relative reference
+        # tolerance.  The steps follow the sample times, and RK4's error grows
+        # like dt^4: one step over a lone interval (0, 0.1] moves it by 1.4e-10.
         fam = make_packets(box_bump, 5)
         u0 = fam.packet + fam.perturbation(Model.CH)
 
@@ -288,36 +297,34 @@ class TestStepSize:
             base = evolve(fam.packet, Model.CH, config).final()
             return besov_norm(pert - base, BesovIndex(1.5, 2, 1), box_cutoffs)
 
-        default = gap(SolverConfig(final_time=0.1))
-        halved = gap(SolverConfig(final_time=0.1, dt_max=SolverConfig.dt_max / 2))
-        assert abs(default - halved) <= 1e-10 * halved
+        solver = ExperimentConfig(model=Model.CH).solver()
+        default = gap(solver)
+        capped = gap(dataclasses.replace(solver, dt_max=5e-3))
+        assert abs(default - capped) <= 1e-10 * capped
 
     @pytest.mark.parametrize("model", list(Model))
-    def test_ladder_cap_time_error(self, model, coarse_grid):
-        # Taylor remainders on the geometric ladder: halving the per-interval
-        # cap moves them by far less than the reference tolerance, and the
-        # first interval (0, t_1] is stepped exactly as under dt_max = t_1/4
+    def test_ladder_time_error(self, model, coarse_grid):
+        # Taylor remainders on the geometric ladder, one step per rung under
+        # the default rule: a run capped at dt_max = t_min/8 moves them by far
+        # less than the reference tolerance
         cutoffs = build_cutoffs(coarse_grid)
         fam = make_packets(build_bump(coarse_grid), 4)
         u0 = fam.packet + fam.bump_fast
         coeff = rhs(u0, model)
         ladder = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 8))
 
-        def run(fraction):
-            config = SolverConfig(final_time=ladder[-1], sample_times=ladder,
-                                  dt_fraction=fraction)
+        def run(**cap):
+            config = SolverConfig(final_time=ladder[-1], sample_times=ladder, **cap)
             traj = evolve(u0, model, config)
             remainders = [besov_norm(u - u0 - t * coeff, B321, cutoffs)
                           for t, u in traj.samples[1:]]
             return traj, np.array(remainders)
 
-        quarter, r_quarter = run(0.25)
-        _, r_eighth = run(0.125)
+        default, r_default = run()
+        _, r_capped = run(dt_max=ladder[0] / 8)
+        assert default.steps_taken == len(ladder)
         scale = besov_norm(u0, B321, cutoffs)
-        assert np.abs(r_quarter - r_eighth).max() <= 1e-10 * scale
-        first = evolve(u0, model, SolverConfig(final_time=ladder[0], dt_max=ladder[0] / 4))
-        assert quarter.samples[1][0] == ladder[0]
-        assert np.array_equal(quarter.samples[1][1].samples, first.final().samples)
+        assert np.abs(r_default - r_capped).max() <= 1e-10 * scale
 
 
 def test_small_time_remainder_above_rounding_floor():
@@ -332,7 +339,7 @@ def test_small_time_remainder_above_rounding_floor():
     cutoffs = build_cutoffs(grid)
     u0 = fam.packet + fam.bump_fast
     coeff = rhs(u0, Model.NOVIKOV)
-    config = SolverConfig(final_time=2e-3, sample_times=(1e-3, 2e-3), dt_fraction=0.25)
+    config = SolverConfig(final_time=2e-3, sample_times=(1e-3, 2e-3))
     traj = evolve(u0, Model.NOVIKOV, config)
     r1, r2 = (besov_norm(u - u0 - t * coeff, B321, cutoffs) for t, u in traj.samples[1:])
     assert math.log2(r2 / r1) >= 1.8
