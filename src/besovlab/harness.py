@@ -355,15 +355,17 @@ def run_taylor_check(
 
     The ladder is points geometric times from t_min to t_max; one evolve per
     datum samples it under the solver's one step-size rule, so a rung shorter
-    than the stability bound is a single RK4 step.  On the default ladder
-    that moves every remainder by less than 1e-13 of the datum's norm from a
-    run at dt_max = t_min/8.  Raises ValueError unless 0 < t_min < t_max and
-    points >= 2, and for a non-finite t_max.
+    than the stability bound and dt_max is a single RK4 step.  On the
+    default ladder that moves every remainder by less than 1e-13 of the
+    datum's norm from a run at dt_max = t_min/8.  Raises ValueError unless
+    0 < t_min < t_max < inf and points >= 2.
     """
     if not t_min > 0.0:
         raise ValueError(f"t_min must be positive, got {t_min}")
     if not t_max > t_min:
         raise ValueError(f"t_max={t_max} must exceed t_min={t_min}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if points < 2:
         raise ValueError(f"points must be at least 2 to fit a slope, got {points}")
     ladder = np.geomspace(t_min, t_max, points)

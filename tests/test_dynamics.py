@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +25,7 @@ from besovlab import (
     remainder_bound,
     rhs,
 )
-from besovlab.harness import B321, SMALL_TIME_CONSTANT, ExperimentConfig, smooth_profile
+from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import lipschitz_norm
 from besovlab.dynamics import RK4_IMAGINARY_LIMIT
 from besovlab.spectral import _coeffs, _from_padded, _to_field, _to_padded
@@ -265,13 +264,11 @@ class TestEvolve:
 
 class TestStepSize:
     def test_zero_datum_steps_at_dt_max(self):
-        # the transport rate vanishes on the zero datum: with dt_max uncapped,
-        # each sample interval is one step
+        # the transport rate vanishes on the zero datum: dt falls back to dt_max
         u0 = Field.zero(Grid(2**10, 32 * math.pi))
-        config = SolverConfig(final_time=0.1, sample_times=(0.05, 0.1))
-        traj = evolve(u0, Model.CH, config, decay_tol=None)
+        traj = evolve(u0, Model.CH, SolverConfig(final_time=0.1), decay_tol=None)
         assert traj.steps_taken == 2
-        assert traj.dt_min == traj.dt_max == 0.05
+        assert traj.dt_min == traj.dt_max == SolverConfig.dt_max == 0.05
         assert not np.any(traj.final().samples)
 
     @pytest.mark.parametrize("model", list(Model))
@@ -279,16 +276,15 @@ class TestStepSize:
         # amplitude 2 on 2^14 points: the RK4 transport bound, not dt_max, sets dt
         u0 = smooth_profile(Grid(2**14, 32 * math.pi), amplitude=2.0)
         traj = evolve(u0, model, SolverConfig(final_time=0.2, cfl=1.0))
-        assert traj.steps_taken > 20  # one step without the bound; dt < 1e-2 here
+        assert traj.steps_taken > 20  # dt_max alone gives 4; the bound keeps dt < 1e-2
         assert traj.cfl_max <= RK4_IMAGINARY_LIMIT + 1e-12  # rounding of dt * rate
         assert traj.h1_drift() < 1e-6
 
     def test_time_error_of_gap_below_reference_tolerance(self, box_bump, box_cutoffs):
-        # D_n(0.1) for CH n = 5 on the smallest grid resolving it, sampled at
-        # the nonuniform experiment's default times: capping the step at
+        # D_n(0.1) for CH n = 5 on the smallest grid resolving it, in the two
+        # default-length steps of a lone interval (0, 0.1]: capping the step at
         # dt_max = 5e-3 moves it by far less than the 1e-10 relative reference
-        # tolerance.  The steps follow the sample times, and RK4's error grows
-        # like dt^4: one step over a lone interval (0, 0.1] moves it by 1.4e-10.
+        # tolerance
         fam = make_packets(box_bump, 5)
         u0 = fam.packet + fam.perturbation(Model.CH)
 
@@ -297,9 +293,8 @@ class TestStepSize:
             base = evolve(fam.packet, Model.CH, config).final()
             return besov_norm(pert - base, BesovIndex(1.5, 2, 1), box_cutoffs)
 
-        solver = ExperimentConfig(model=Model.CH).solver()
-        default = gap(solver)
-        capped = gap(dataclasses.replace(solver, dt_max=5e-3))
+        default = gap(SolverConfig(final_time=0.1))
+        capped = gap(SolverConfig(final_time=0.1, dt_max=5e-3))
         assert abs(default - capped) <= 1e-10 * capped
 
     @pytest.mark.parametrize("model", list(Model))

@@ -367,7 +367,7 @@ class TestCli:
         (["nonuniform", "--grid-l", "-1"], "half_length must be positive, got -1.0"),
         (["validate", "--seed", "0", "--cutoff-scale", "nan"], "cutoff_scale must be a finite number, got nan"),
         (["validate", "--seed", "0", "--cutoff-scale", "inf"], "cutoff_scale must be a finite number, got inf"),
-        (["taylor", "--t-max", "inf"], "final_time must be finite and nonnegative, got inf"),
+        (["taylor", "--t-max", "inf"], "t_max must be finite, got inf"),
         (["nonuniform", "--t", "0.05,nan"], "sample times must be finite, got nan"),
         (["nonuniform", "--t", "0.05,0.05"], "sample_times must be strictly increasing, got (0.05, 0.05)"),
     ])
