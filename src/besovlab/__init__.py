@@ -11,7 +11,6 @@ from .besov import (
     build_cutoffs,
     dyadic_block,
     grid_j_max,
-    linf_norm,
     lipschitz_norm,
 )
 from .dynamics import (

@@ -134,10 +134,6 @@ def besov_norm(f: Field, idx: BesovIndex, cutoffs: CutoffPair) -> float:
     return float(_besov_norm(_lp_profile(_coeffs(f), cutoffs), idx))
 
 
-def linf_norm(f: Field) -> float:
-    return f.max_abs()
-
-
 def lipschitz_norm(f: Field) -> float:
     """C^{0,1} norm: ||f||_inf + ||f'||_inf with a spectral derivative."""
     return f.max_abs() + derivative(f, 1).max_abs()

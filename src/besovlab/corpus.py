@@ -11,7 +11,6 @@ def _random_samples(
     grid: Grid,
     rng: np.random.Generator,
     rows: int,
-    decay: float = 1.5,
     band_fraction: float = 0.5,
 ) -> np.ndarray:
     """(rows, N) samples of random_field's fields, drawn from rng in row order:
@@ -23,7 +22,7 @@ def _random_samples(
     # draw c_k at every xi_k and keep the Hermitian part (c_k + conj c_{-k})/2
     # on the half-spectrum; it is real at k = 0 and at the Nyquist mode
     mirror = -np.arange(h + 1)  # FFT-order index of -k
-    weight = (1.0 + grid.xi) ** (-decay)
+    weight = (1.0 + grid.xi) ** -1.5
     weight[grid.xi > band_fraction * grid.xi_max] = 0.0
     coeffs = (0.5 * weight) * (
         (re[:, : h + 1] + re[:, mirror]) + 1j * (im[:, : h + 1] - im[:, mirror])
@@ -34,12 +33,11 @@ def _random_samples(
 def random_field(
     grid: Grid,
     rng: np.random.Generator,
-    decay: float = 1.5,
     band_fraction: float = 0.5,
 ) -> Field:
-    """Real field with Hermitian random spectrum decaying like (1+|xi|)^-decay.
+    """Real field with Hermitian random spectrum decaying like (1+|xi|)^-1.5.
 
     band_fraction limits support to |xi| <= band_fraction * xi_max so that
     derivative and product identities remain exact on the grid.
     """
-    return Field(grid, _random_samples(grid, rng, 1, decay, band_fraction)[0])
+    return Field(grid, _random_samples(grid, rng, 1, band_fraction)[0])

@@ -13,7 +13,7 @@ both models conserve the H^1 energy dx * sum(u^2 + u_x^2) exactly in the
 continuum; the integrator monitors the discrete version.  Evolution uses
 classical RK4 with one step-size rule: RK4's stability bound on the transport
 term, capped at dt_max and cut short at each sample time (see SolverConfig).
-It aborts with BlowUp when the slope passes the wave-breaking threshold.
+It aborts with BlowUp when the slope ||u_x||_inf passes BLOWUP_SLOPE = 1e6.
 
 One spectral right-hand side per model, _rhs_hat, returns the transport and
 nonlocal parts separately; evolve integrates their sum, and the Field-level
@@ -55,6 +55,10 @@ DECAY_TOL = 1e-3
 # there, so cfl = 1 steps just inside that limit.
 RK4_IMAGINARY_LIMIT = 2.8
 
+# evolve raises BlowUp once ||u_x||_inf passes this slope; a breaking wave's
+# slope grows without bound in finite time
+BLOWUP_SLOPE = 1e6
+
 
 class Model(enum.Enum):
     CH = "ch"
@@ -65,42 +69,40 @@ class Model(enum.Enum):
 class SolverConfig:
     """Time-integration parameters.
 
-    dt is recomputed every step as
+    sample_times are the times a run records; the last one is where it ends,
+    and a run without a positive sample time takes no step.  dt is
+    recomputed every step as
 
         min(dt_max, cfl * 2.8 / (speed * xi_max + ||u_x||_inf), time to the next sample)
 
-    so steps land exactly on each requested sample time.  The denominator
-    bounds the transport term's rate: speed is ||u||_inf (CH) or ||u||_inf^2
-    (Novikov), xi_max the grid's Nyquist frequency, and ||u_x||_inf the
-    linearisation's growth rate.  2.8 sits just inside RK4's imaginary-axis
-    stability limit 2*sqrt(2), so cfl in (0, 1] is the fraction of that limit
-    a step may use.  dt_max = 0.05 is the longest step: RK4's error grows
-    like dt^4, and a single step over (0, 0.1] would move a gap D_n by 1e-10
-    relative.  A sample interval no longer than both bounds is one step, and
-    the zero datum (rate zero) steps at dt_max.  A smaller dt_max serves to
-    measure the time error by step refinement.  Non-finite, repeated or
+    so steps land exactly on each sample time.  The denominator bounds the
+    transport term's rate: speed is ||u||_inf (CH) or ||u||_inf^2 (Novikov),
+    xi_max the grid's Nyquist frequency, and ||u_x||_inf the linearisation's
+    growth rate.  2.8 sits just inside RK4's imaginary-axis stability limit
+    2*sqrt(2), so cfl in (0, 1] is the fraction of that limit a step may use.
+    dt_max = 0.05 is the longest step: RK4's error grows like dt^4, and a
+    single step over (0, 0.1] would move a gap D_n by 1e-10 relative.  A
+    sample interval no longer than both bounds is one step, and the zero
+    datum (rate zero) steps at dt_max.  A smaller dt_max serves to measure
+    the time error by step refinement.  Negative, non-finite, repeated or
     unsorted times raise ValueError.
     """
 
-    final_time: float
+    sample_times: tuple
     cfl: float = 0.3
     dt_max: float = 0.05
-    sample_times: tuple = ()
-    blowup_threshold: float = 1e6
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
-        if not (math.isfinite(self.final_time) and self.final_time >= 0):
-            raise ValueError(f"final_time must be finite and nonnegative, got {self.final_time}")
         times = tuple(float(t) for t in self.sample_times)
         for t in times:
             if not math.isfinite(t):
                 raise ValueError(f"sample times must be finite, got {t}")
-        if any(t < 0 or t > self.final_time + 1e-12 for t in times):
-            raise ValueError("sample_times must lie in [0, final_time]")
+            if t < 0:
+                raise ValueError(f"sample times must be nonnegative, got {t}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"sample_times must be strictly increasing, got {times}")
         object.__setattr__(self, "sample_times", times)
@@ -244,10 +246,10 @@ def evolve(
 ) -> Trajectory:
     """Integrate one initial datum with classical RK4.
 
-    Samples are recorded at t = 0, at every requested sample time (landed on
-    exactly) and at final_time, each with its H^1 energy.  Raises BlowUp when
-    ||u_x||_inf exceeds the configured threshold and InvalidField if the
-    state goes non-finite.
+    Samples are recorded at t = 0 and at every positive sample time (landed
+    on exactly), each with its H^1 energy; the run ends at the last sample
+    time.  Raises BlowUp when ||u_x||_inf exceeds BLOWUP_SLOPE and
+    InvalidField if the state goes non-finite.
     """
     check_decay(u0, decay_tol)
     grid = u0.grid
@@ -261,10 +263,6 @@ def evolve(
         return transport
 
     targets = [t for t in config.sample_times if t > 0.0]
-    if config.final_time > 0.0 and (
-        not targets or abs(targets[-1] - config.final_time) > 1e-12
-    ):
-        targets.append(config.final_time)
 
     traj = Trajectory(model=model, samples=[], h1_energy=[])
 
@@ -281,7 +279,7 @@ def evolve(
             if not np.all(np.isfinite(u)):
                 raise InvalidField(f"solution became non-finite at t={t:.6f}")
             slope = float(np.abs(_ifft(grid, ixi * F)).max())
-            if slope > config.blowup_threshold:
+            if slope > BLOWUP_SLOPE:
                 raise BlowUp(t, slope)
             speed = float(np.abs(u).max())
             if model is Model.NOVIKOV:

@@ -77,6 +77,8 @@ class Grid:
             raise ValueError(f"num_points must be even and >= 16, got {num_points}")
         if not half_length > 0:
             raise ValueError(f"half_length must be positive, got {half_length}")
+        if not np.isfinite(half_length):
+            raise ValueError(f"half_length must be finite, got {half_length}")
         self.num_points = int(num_points)
         self.half_length = float(half_length)
         self.dx = 2.0 * self.half_length / self.num_points

@@ -114,6 +114,8 @@ def min_points_for(n_max: int, half_length: float) -> int:
     the 2/3 dealiasing headroom required by make_packets."""
     if not half_length > 0:
         raise ValueError(f"half_length must be positive, got {half_length}")
+    if not math.isfinite(half_length):
+        raise ValueError(f"half_length must be finite, got {half_length}")
     need = (CARRIER_RATIO * 2.0**n_max + SUPPORT_EDGE) * 1.5
     num = 2**15
     while math.pi * num / (2.0 * half_length) < need:

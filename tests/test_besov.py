@@ -12,7 +12,6 @@ from besovlab import (
     besov_norm,
     build_cutoffs,
     dyadic_block,
-    linf_norm,
     lipschitz_norm,
     make_packets,
 )
@@ -178,12 +177,12 @@ class TestSupNorms:
         g = trig_grid
         for k in (1, 4):
             f = Field(g, np.sin(k * g.x))
-            assert linf_norm(f) == pytest.approx(1.0, abs=1e-3)
+            assert f.max_abs() == pytest.approx(1.0, abs=1e-3)
             assert lipschitz_norm(f) == pytest.approx(1.0 + k, abs=1e-2)
 
     def test_constant(self, trig_grid):
         f = Field.constant(trig_grid, -2.5)
-        assert linf_norm(f) == 2.5
+        assert f.max_abs() == 2.5
         assert lipschitz_norm(f) == pytest.approx(2.5, abs=1e-12)
 
     def test_packet_slope_rescales_uniformly(self, box_bump):
@@ -200,7 +199,7 @@ class TestCalibratedBounds:
         for seed in range(200):
             f = random_field(box_grid, rng(seed))
             worst = max(
-                worst, linf_norm(f) / besov_norm(f, BesovIndex(0.5, 2, 1), box_cutoffs)
+                worst, f.max_abs() / besov_norm(f, BesovIndex(0.5, 2, 1), box_cutoffs)
             )
         assert worst <= EMBED_CONSTANT
         assert EMBED_CONSTANT < 2.0
@@ -213,7 +212,7 @@ class TestCalibratedBounds:
             v = random_field(box_grid, rng(seed + 1000))
             uv = dealias_product(u, v, 2)
             num = besov_norm(uv, idx, box_cutoffs)
-            den = besov_norm(u, idx, box_cutoffs) * linf_norm(v) + besov_norm(
+            den = besov_norm(u, idx, box_cutoffs) * v.max_abs() + besov_norm(
                 v, idx, box_cutoffs
-            ) * linf_norm(u)
+            ) * u.max_abs()
             assert num <= bound * den

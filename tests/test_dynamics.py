@@ -169,7 +169,7 @@ class TestRemainderBound:
 class TestEvolve:
     def test_zero_horizon_returns_initial_sample(self, coarse_grid):
         u0 = smooth_profile(coarse_grid)
-        traj = evolve(u0, Model.CH, SolverConfig(final_time=0.0))
+        traj = evolve(u0, Model.CH, SolverConfig(sample_times=(0.0,)))
         assert len(traj.samples) == 1
         t0, field0 = traj.samples[0]
         assert t0 == 0.0
@@ -178,22 +178,18 @@ class TestEvolve:
     @pytest.mark.parametrize("model", list(Model))
     def test_constant_is_equilibrium(self, coarse_grid, model):
         u0 = Field.constant(coarse_grid, 0.4)
-        traj = evolve(u0, model, SolverConfig(final_time=0.5), decay_tol=None)
+        traj = evolve(u0, model, SolverConfig(sample_times=(0.5,)), decay_tol=None)
         assert np.abs(traj.final().samples - 0.4).max() <= 1e-12
 
     def test_decay_precondition_enforced(self, coarse_grid):
         u0 = Field(coarse_grid, 0.5 * np.cos(coarse_grid.x / 16))
         with pytest.raises(DecayViolation):
-            evolve(u0, Model.CH, SolverConfig(final_time=0.1))
+            evolve(u0, Model.CH, SolverConfig(sample_times=(0.1,)))
 
     def test_lands_exactly_on_sample_times(self, coarse_grid):
-        times = (0.013, 0.05, 0.77 * 0.1)
-        traj = evolve(
-            smooth_profile(coarse_grid),
-            Model.CH,
-            SolverConfig(final_time=0.1, sample_times=times),
-        )
-        assert [t for t, _ in traj.samples] == [0.0] + list(times) + [0.1]
+        times = (0.013, 0.05, 0.77 * 0.1, 0.1)
+        traj = evolve(smooth_profile(coarse_grid), Model.CH, SolverConfig(sample_times=times))
+        assert [t for t, _ in traj.samples] == [0.0] + list(times)
 
     def test_temporal_order_four(self, coarse_grid):
         # Richardson: error against a dt/16 reference run contracts ~2^4
@@ -202,7 +198,7 @@ class TestEvolve:
         final = 0.5
 
         def run(dt):
-            cfg = SolverConfig(final_time=final, cfl=1.0, dt_max=dt)
+            cfg = SolverConfig(sample_times=(final,), cfl=1.0, dt_max=dt)
             return evolve(u0, Model.CH, cfg).final().samples
 
         ref = run(0.02 / 16)
@@ -213,25 +209,25 @@ class TestEvolve:
     @pytest.mark.parametrize("model", list(Model))
     def test_h1_energy_drift_small(self, coarse_grid, model):
         u0 = smooth_profile(coarse_grid)
-        traj = evolve(u0, model, SolverConfig(final_time=0.5, sample_times=(0.25, 0.5)))
+        traj = evolve(u0, model, SolverConfig(sample_times=(0.25, 0.5)))
         assert traj.h1_drift() < 1e-6
 
     def test_deterministic(self, coarse_grid):
         u0 = smooth_profile(coarse_grid)
-        cfg = SolverConfig(final_time=0.2, sample_times=(0.1, 0.2))
+        cfg = SolverConfig(sample_times=(0.1, 0.2))
         a = evolve(u0, Model.CH, cfg)
         b = evolve(u0, Model.CH, cfg)
         for (ta, fa), (tb, fb) in zip(a.samples, b.samples):
             assert ta == tb
             assert np.array_equal(fa.samples, fb.samples)
 
-    def test_blowup_detected(self, coarse_grid):
+    def test_blowup_detected(self, coarse_grid, monkeypatch):
         # steep front: the slope of exp(-2x^2) grows from 1.21 past 2.5
         # well before t=1.5 under the quadratic model
+        monkeypatch.setattr("besovlab.dynamics.BLOWUP_SLOPE", 2.5)
         u0 = Field(coarse_grid, np.exp(-2 * coarse_grid.x**2))
-        cfg = SolverConfig(final_time=1.5, blowup_threshold=2.5)
         with pytest.raises(BlowUp) as err:
-            evolve(u0, Model.CH, cfg)
+            evolve(u0, Model.CH, SolverConfig(sample_times=(1.5,)))
         assert 0.0 < err.value.time < 1.5
         assert err.value.slope > 2.5
 
@@ -239,7 +235,7 @@ class TestEvolve:
         u0 = smooth_profile(coarse_grid)
         lip = lipschitz_norm(u0)
         traj = evolve(
-            u0, Model.CH, SolverConfig(final_time=0.1, sample_times=(0.025, 0.05, 0.1))
+            u0, Model.CH, SolverConfig(sample_times=(0.025, 0.05, 0.1))
         )
         for t, u in traj.samples:
             if t == 0.0:
@@ -249,24 +245,24 @@ class TestEvolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(final_time=1.0, cfl=0.0)
+            SolverConfig(sample_times=(1.0,), cfl=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(final_time=1.0, sample_times=(0.5, 0.2))
-        with pytest.raises(ValueError):
-            SolverConfig(final_time=0.1, sample_times=(0.5,))
-        with pytest.raises(ValueError, match="final_time .* got inf"):
-            SolverConfig(final_time=math.inf)
+            SolverConfig(sample_times=(0.5, 0.2))
+        with pytest.raises(ValueError, match="nonnegative, got -0.1"):
+            SolverConfig(sample_times=(-0.1, 0.2))
+        with pytest.raises(ValueError, match="sample times must be finite, got inf"):
+            SolverConfig(sample_times=(0.5, math.inf))
         with pytest.raises(ValueError, match="finite, got nan"):
-            SolverConfig(final_time=1.0, sample_times=(0.5, math.nan))
+            SolverConfig(sample_times=(0.5, math.nan))
         with pytest.raises(ValueError, match=r"increasing, got \(0.5, 0.5\)"):
-            SolverConfig(final_time=1.0, sample_times=(0.5, 0.5))
+            SolverConfig(sample_times=(0.5, 0.5))
 
 
 class TestStepSize:
     def test_zero_datum_steps_at_dt_max(self):
         # the transport rate vanishes on the zero datum: dt falls back to dt_max
         u0 = Field.zero(Grid(2**10, 32 * math.pi))
-        traj = evolve(u0, Model.CH, SolverConfig(final_time=0.1), decay_tol=None)
+        traj = evolve(u0, Model.CH, SolverConfig(sample_times=(0.1,)), decay_tol=None)
         assert traj.steps_taken == 2
         assert traj.dt_min == traj.dt_max == SolverConfig.dt_max == 0.05
         assert not np.any(traj.final().samples)
@@ -275,7 +271,7 @@ class TestStepSize:
     def test_stability_bound_binds_and_is_stable(self, model):
         # amplitude 2 on 2^14 points: the RK4 transport bound, not dt_max, sets dt
         u0 = smooth_profile(Grid(2**14, 32 * math.pi), amplitude=2.0)
-        traj = evolve(u0, model, SolverConfig(final_time=0.2, cfl=1.0))
+        traj = evolve(u0, model, SolverConfig(sample_times=(0.2,), cfl=1.0))
         assert traj.steps_taken > 20  # dt_max alone gives 4; the bound keeps dt < 1e-2
         assert traj.cfl_max <= RK4_IMAGINARY_LIMIT + 1e-12  # rounding of dt * rate
         assert traj.h1_drift() < 1e-6
@@ -293,8 +289,8 @@ class TestStepSize:
             base = evolve(fam.packet, Model.CH, config).final()
             return besov_norm(pert - base, BesovIndex(1.5, 2, 1), box_cutoffs)
 
-        default = gap(SolverConfig(final_time=0.1))
-        capped = gap(SolverConfig(final_time=0.1, dt_max=5e-3))
+        default = gap(SolverConfig(sample_times=(0.1,)))
+        capped = gap(SolverConfig(sample_times=(0.1,), dt_max=5e-3))
         assert abs(default - capped) <= 1e-10 * capped
 
     @pytest.mark.parametrize("model", list(Model))
@@ -309,7 +305,7 @@ class TestStepSize:
         ladder = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 8))
 
         def run(**cap):
-            config = SolverConfig(final_time=ladder[-1], sample_times=ladder, **cap)
+            config = SolverConfig(sample_times=ladder, **cap)
             traj = evolve(u0, model, config)
             remainders = [besov_norm(u - u0 - t * coeff, B321, cutoffs)
                           for t, u in traj.samples[1:]]
@@ -334,7 +330,7 @@ def test_small_time_remainder_above_rounding_floor():
     cutoffs = build_cutoffs(grid)
     u0 = fam.packet + fam.bump_fast
     coeff = rhs(u0, Model.NOVIKOV)
-    config = SolverConfig(final_time=2e-3, sample_times=(1e-3, 2e-3))
+    config = SolverConfig(sample_times=(1e-3, 2e-3))
     traj = evolve(u0, Model.NOVIKOV, config)
     r1, r2 = (besov_norm(u - u0 - t * coeff, B321, cutoffs) for t, u in traj.samples[1:])
     assert math.log2(r2 / r1) >= 1.8
@@ -353,7 +349,7 @@ class TestGapPinned:
     @pytest.mark.parametrize("model", list(Model))
     def test_gap_matches_recorded_values(self, model, box_bump, box_cutoffs):
         fam = make_packets(box_bump, 5)
-        config = SolverConfig(final_time=0.1, sample_times=(0.02, 0.1))
+        config = SolverConfig(sample_times=(0.02, 0.1))
         pert = evolve(fam.packet + fam.perturbation(model), model, config)
         base = evolve(fam.packet, model, config)
         for (t, u), (_, v) in zip(pert.samples[1:], base.samples[1:]):

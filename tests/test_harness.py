@@ -147,7 +147,7 @@ class TestRunNonuniform:
 
         grid = Grid(2**13, 32 * math.pi)
         fam = make_packets(build_bump(grid), 4)
-        cfg = SolverConfig(final_time=0.05, sample_times=(0.05,))
+        cfg = SolverConfig(sample_times=(0.05,))
         a = evolve(fam.packet, Model.CH, cfg)
         b = evolve(fam.packet, Model.CH, cfg)
         assert np.array_equal(a.final().samples, b.final().samples)
@@ -370,6 +370,12 @@ class TestCli:
         (["taylor", "--t-max", "inf"], "t_max must be finite, got inf"),
         (["nonuniform", "--t", "0.05,nan"], "sample times must be finite, got nan"),
         (["nonuniform", "--t", "0.05,0.05"], "sample_times must be strictly increasing, got (0.05, 0.05)"),
+        (["nonuniform", "--grid-l", "inf"], "half_length must be finite, got inf"),
+        (["taylor", "--grid-l", "inf"], "half_length must be finite, got inf"),
+        (["taylor", "--grid-l", "inf", "--grid-n", "1024"], "half_length must be finite, got inf"),
+        (["lemma31", "--n-min", "4", "--n-max", "5", "--out", "unused", "--grid-l", "inf"],
+         "half_length must be finite, got inf"),
+        (["validate", "--seed", "0", "--grid-l", "inf"], "half_length must be finite, got inf"),
     ])
     def test_bad_grid_or_cfl_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
