@@ -27,12 +27,28 @@ INF = math.inf
 
 def transition_chi(xi):
     """Low-frequency cutoff: 1 for |xi| <= 1, 0 for |xi| >= 4/3."""
-    return np.clip(smooth_step((4.0 / 3.0 - np.abs(xi)) * 3.0), 0.0, 1.0)
+    return smooth_step((4.0 / 3.0 - np.abs(xi)) * 3.0)
 
 
 def transition_ring(xi):
     """Ring cutoff chi(xi/2) - chi(xi); supported in {1 <= |xi| <= 8/3}."""
     return transition_chi(np.asarray(xi) / 2.0) - transition_chi(xi)
+
+
+def _cutoff_rows(xi, j_max: int, ring_scale: float):
+    """chi(xi), then ring_scale * ring(xi / 2^j) for j = 0 .. j_max, one row
+    at a time.
+
+    Each level chi(xi / 2^j) is evaluated once and shared by the two rings
+    next to it; xi / 2^j / 2 == xi / 2^(j+1) exactly, so every row equals
+    ring_scale * transition_ring(xi / 2^j) to the bit.
+    """
+    low = transition_chi(xi)
+    yield low
+    for j in range(j_max + 1):
+        high = transition_chi(xi / 2.0 ** (j + 1))
+        yield ring_scale * (high - low)
+        low = high
 
 
 def grid_j_max(grid: Grid) -> int:
@@ -62,14 +78,20 @@ class CutoffPair:
 
     chi and phi_ring are evaluable at arbitrary frequencies; table[j+1] holds
     the multiplier of block j on the grid's half-spectrum k = 0 .. N/2 (row 0
-    is the j = -1 cutoff).
+    is the j = -1 cutoff).  ring_scale multiplies every ring; any value other
+    than 1.0 breaks the partition of unity on purpose (1.0 multiplies
+    exactly) and exists solely for fault injection in the validation suite.
     """
 
     grid: Grid
-    chi: object
-    phi_ring: object
+    ring_scale: float
     j_max: int
     table: np.ndarray = field(repr=False)
+
+    chi = staticmethod(transition_chi)
+
+    def phi_ring(self, xi):
+        return self.ring_scale * transition_ring(xi)
 
     def block_multiplier(self, j: int) -> np.ndarray:
         if j < -1 or j > self.j_max:
@@ -78,22 +100,11 @@ class CutoffPair:
 
 
 def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
-    """Construct the cutoff pair on a grid.
-
-    ring_scale multiplies the ring function and exists solely for fault
-    injection in the validation suite; any value other than 1.0 breaks the
-    partition of unity on purpose (1.0 multiplies exactly).
-    """
-    def ring(xi, s=float(ring_scale)):
-        return s * transition_ring(xi)
-
+    """Construct the cutoff pair on a grid (see CutoffPair for ring_scale)."""
     jm = grid_j_max(grid)
-    rows = [transition_chi(grid.xi)]
-    for j in range(jm + 1):
-        rows.append(ring(grid.xi / 2.0**j))
-    table = np.array(rows)
+    table = np.array(list(_cutoff_rows(grid.xi, jm, float(ring_scale))))
     table.flags.writeable = False
-    return CutoffPair(grid=grid, chi=transition_chi, phi_ring=ring, j_max=jm, table=table)
+    return CutoffPair(grid=grid, ring_scale=float(ring_scale), j_max=jm, table=table)
 
 
 def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:

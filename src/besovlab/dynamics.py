@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, CutoffPair, besov_norm, lipschitz_norm
+from .besov import BesovIndex, CutoffPair, _besov_norm, block_lp_profile, lipschitz_norm
 from .errors import BlowUp, DecayViolation, InvalidField
 from .spectral import (
     Field,
@@ -202,6 +202,26 @@ def novikov_rhs(u: Field) -> Field:
     return rhs(u, Model.NOVIKOV)
 
 
+def _datum_norms(u0: Field, cutoffs: CutoffPair) -> dict:
+    """The norms of a Taylor datum: "lip" (C^{0,1}), "sup", and "b32", "b52",
+    "b72" (B^s_{2,1}, s = 3/2, 5/2, 7/2, from one block profile)."""
+    profile = block_lp_profile(u0, cutoffs)
+    return {
+        "lip": lipschitz_norm(u0),
+        "sup": u0.max_abs(),
+        "b32": float(_besov_norm(profile, BesovIndex(1.5, 2, 1))),
+        "b52": float(_besov_norm(profile, BesovIndex(2.5, 2, 1))),
+        "b72": float(_besov_norm(profile, BesovIndex(3.5, 2, 1))),
+    }
+
+
+def _remainder_bound(model: Model, norms: dict) -> float:
+    lip, sup, b52, b72 = norms["lip"], norms["sup"], norms["b52"], norms["b72"]
+    if model is Model.CH:
+        return 1.0 + lip**2 * b52 + sup * (b52 + (sup + lip**2) * b72)
+    return 1.0 + lip**2 * b52 + lip**4 * b72
+
+
 def remainder_bound(u0: Field, model: Model, cutoffs: CutoffPair) -> float:
     """Norm functional bounding the second-order Taylor remainder.
 
@@ -211,13 +231,7 @@ def remainder_bound(u0: Field, model: Model, cutoffs: CutoffPair) -> float:
     Cubic model:
         1 + ||u||_C01^2 ||u||_{B^{5/2}} + ||u||_C01^4 ||u||_{B^{7/2}}
     """
-    lip = lipschitz_norm(u0)
-    sup = u0.max_abs()
-    b52 = besov_norm(u0, BesovIndex(2.5, 2, 1), cutoffs)
-    b72 = besov_norm(u0, BesovIndex(3.5, 2, 1), cutoffs)
-    if model is Model.CH:
-        return 1.0 + lip**2 * b52 + sup * (b52 + (sup + lip**2) * b72)
-    return 1.0 + lip**2 * b52 + lip**4 * b72
+    return _remainder_bound(model, _datum_norms(u0, cutoffs))
 
 
 def check_decay(u0: Field, tol: float | None = DECAY_TOL):

@@ -40,6 +40,8 @@ from .spectral import (
 CARRIER_RATIO = 17.0 / 12.0
 PLATEAU_EDGE = 0.25
 SUPPORT_EDGE = 0.5
+# Largest grid min_points_for returns: 2^27 doubles are 1 GiB per field.
+MAX_GRID_POINTS = 2**27
 
 
 def bump_hat(xi):
@@ -110,16 +112,29 @@ def carrier_frequency(grid: Grid, n: int) -> tuple[float, float]:
 
 
 def min_points_for(n_max: int, half_length: float) -> int:
-    """Smallest power-of-two N (>= 2^15) resolving family member n_max with
-    the 2/3 dealiasing headroom required by make_packets."""
+    """Smallest N in {2^a, 3*2^a} (N >= 16) whose xi_max = pi N / (2L)
+    leaves family member n_max the 2/3 dealiasing headroom make_packets
+    requires.
+
+    Both kinds of size are fast FFT lengths, and 3*2^a sits halfway between
+    two powers of two.  Raises ValueError when the box needs more than
+    MAX_GRID_POINTS points.
+    """
     if not half_length > 0:
         raise ValueError(f"half_length must be positive, got {half_length}")
     if not math.isfinite(half_length):
         raise ValueError(f"half_length must be finite, got {half_length}")
-    need = (CARRIER_RATIO * 2.0**n_max + SUPPORT_EDGE) * 1.5
-    num = 2**15
-    while math.pi * num / (2.0 * half_length) < need:
-        num *= 2
+    top = CARRIER_RATIO * 2.0**n_max + SUPPORT_EDGE
+    num = 16
+    while top > (2.0 / 3.0) * (math.pi * num / (2.0 * half_length)):
+        # 2^a -> 3*2^(a-1) -> 2^(a+1)
+        num = num * 3 // 2 if num & (num - 1) == 0 else num * 4 // 3
+        if num > MAX_GRID_POINTS:
+            need = 3.0 * half_length * top / math.pi
+            raise ValueError(
+                f"family member n={n_max} in a box of half length L={half_length!r} "
+                f"needs N >= {need:.4g} points, above the limit {MAX_GRID_POINTS}"
+            )
     return num
 
 

@@ -169,12 +169,12 @@ class TestTaylorCheck:
 
     def test_grid_sized_from_packet_n(self):
         # without grid_points the grid is the smallest that resolves packet_n;
-        # n = 8 needs 2^16 at the default box
+        # n = 8 needs 49152 = 3 * 2^14 at the default box
         report = run_taylor_check(ExperimentConfig(model=Model.CH), t_min=1e-3, t_max=2e-3,
                                   points=2, packet_n=8)
-        assert report.grid["num_points"] == 2**16
+        assert report.grid["num_points"] == 49152
         assert report.config == {
-            "model": "ch", "grid_points": 2**16, "half_length": report.grid["half_length"],
+            "model": "ch", "grid_points": 49152, "half_length": report.grid["half_length"],
             "cfl": 0.3, "t_min": 1e-3, "t_max": 2e-3, "points": 2, "packet_n": 8,
         }
 
@@ -376,6 +376,10 @@ class TestCli:
         (["lemma31", "--n-min", "4", "--n-max", "5", "--out", "unused", "--grid-l", "inf"],
          "half_length must be finite, got inf"),
         (["validate", "--seed", "0", "--grid-l", "inf"], "half_length must be finite, got inf"),
+        (["nonuniform", "--grid-l", "1e300"],
+         "family member n=8 in a box of half length L=1e+300 needs N >= 3.468e+302 points"),
+        (["taylor", "--grid-l", "1e300"],
+         "family member n=6 in a box of half length L=1e+300 needs N >= 8.706e+301 points"),
     ])
     def test_bad_grid_or_cfl_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:

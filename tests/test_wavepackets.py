@@ -115,9 +115,22 @@ class TestPacketConstruction:
 
     def test_min_points_helper(self):
         pts = min_points_for(8, 32 * math.pi)
-        assert pts == 2**16
+        assert pts == 49152
         g = Grid(pts, 32 * math.pi)
         assert CARRIER_RATIO * 2**8 + 0.5 <= (2 / 3) * g.xi_max
+
+    @pytest.mark.parametrize("half_length", [32 * math.pi, 150.0])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_min_points_smallest_fast_size(self, n, half_length):
+        pts = min_points_for(n, half_length)
+        odd = pts // (pts & -pts)  # pts with its factors of two removed
+        assert odd in (1, 3)
+        top = CARRIER_RATIO * 2**n + 0.5
+        assert top <= (2 / 3) * Grid(pts, half_length).xi_max
+        smaller = pts * 3 // 4 if odd == 1 else pts * 2 // 3
+        assert top > (2 / 3) * Grid(smaller, half_length).xi_max
+        fam = make_packets(build_bump(Grid(pts, half_length)), n)
+        assert fam.n == n
 
     def test_fourier_supports(self, box_bump, box_cutoffs):
         g = box_bump.grid
