@@ -302,11 +302,16 @@ def evolve(
             dt = min(config.dt_max, target - t)
             if rate > 0.0:
                 dt = min(dt, config.cfl * RK4_IMAGINARY_LIMIT / rate)
-            k1 = step_rhs(F)
-            k2 = step_rhs(F + 0.5 * dt * k1)
-            k3 = step_rhs(F + 0.5 * dt * k2)
-            k4 = step_rhs(F + dt * k3)
-            F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # k1 + 2 k2 + 2 k3 + k4 summed left to right as the stages come,
+            # so each stage is freed once the next one is built
+            k = acc = step_rhs(F)
+            k = step_rhs(F + 0.5 * dt * k)
+            acc = acc + 2.0 * k
+            k = step_rhs(F + 0.5 * dt * k)
+            acc = acc + 2.0 * k
+            k = step_rhs(F + dt * k)
+            acc = acc + k
+            F = F + (dt / 6.0) * acc
             t += dt
             traj._count_step(dt, dt * rate)
             if abs(t - target) < 1e-13:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,63 @@ def _grid(grid_points: int | None, n_max: int, half_length: float) -> Grid:
     return Grid(grid_points or min_points_for(n_max, half_length), half_length)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_items(fn, items) -> list:
+    """[fn(item) for item in items], with the items spread over the calling
+    thread plus one helper thread per further usable CPU (no more threads
+    than items; none with one CPU).
+
+    Each item is evaluated on its own and the results come back in input
+    order, so they do not depend on the thread count.  numpy's FFTs release
+    the interpreter lock, which lets independent trajectories overlap.  If
+    an item raises, no further item is started; once the helpers have
+    finished, the first exception in input order is raised.
+    """
+    items = list(items)
+    results: list = [None] * len(items)
+    errors: list = [None] * len(items)
+    lock = threading.Lock()
+    next_index = 0
+    stop = False
+
+    def work():
+        nonlocal next_index, stop
+        while True:
+            with lock:
+                if stop or next_index == len(items):
+                    return
+                i = next_index
+                next_index += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as err:  # re-raised by the caller below
+                errors[i] = err
+                stop = True
+                return
+
+    helpers = [
+        threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(items)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        stop = True
+        for helper in helpers:
+            helper.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
 @dataclass
 class ExperimentReport:
     """Structured results of one runner invocation."""
@@ -195,6 +253,8 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
 
     Per-n failures (any BesovLabError: blow-up, resolution, non-finite state,
     decay violation) are recorded without aborting the remaining members.
+    The members run concurrently, one thread per usable CPU (_map_items);
+    the report does not depend on how many threads there are.
     """
     grid = config.make_grid()
     cutoffs = build_cutoffs(grid)
@@ -209,82 +269,91 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
         extras={"product_limit": limit, "model": config.model.value},
     )
 
+    members = _map_items(
+        lambda n: _nonuniform_member(config, bump, cutoffs, solver, n), config.n_values
+    )
     gaps: dict = {}
     pert_norms: dict = {}
-    for n in config.n_values:
-        try:
-            fam = make_packets(bump, n)
-            pert = fam.perturbation(config.model)
-            u0 = fam.packet + pert
-            traj_pert = evolve(u0, config.model, solver)
-            traj_base = evolve(fam.packet, config.model, solver)
-
-            pert_norm = besov_norm(pert, B321, cutoffs)
-            pieces = _decomposition_pieces(config.model, fam, u0, cutoffs)
-            pert_norms[n] = pert_norm
-            drift = max(traj_pert.h1_drift(), traj_base.h1_drift())
-            entry = {
-                "perturbation_norm": pert_norm,
-                "snap_error": fam.snap_error,
+    for n, member in zip(config.n_values, members):
+        if isinstance(member, BesovLabError):
+            report.per_n[str(n)] = {"error": f"{type(member).__name__}: {member}"}
+            report.add_check(f"completed_n{n}", False, str(member), "run completes")
+            continue
+        entry, member_gaps = member
+        report.per_n[str(n)] = entry
+        if "dominance_factor" in entry:
+            factor = entry["dominance_factor"]
+            report.add_check(
+                f"dominance_n{n}",
+                factor >= DOMINANCE_FACTOR,
+                factor,
+                f">= {DOMINANCE_FACTOR}",
+            )
+        pert_norm = pert_norms[n] = entry["perturbation_norm"]
+        drift = entry["h1_drift"]
+        for t, gap in member_gaps:
+            gaps[(n, t)] = gap
+            row = {
+                "model": config.model.value,
+                "n": n,
+                "t": t,
+                "D_n": gap,
+                "ratio": gap / t if t > 0 else None,
+                "g_norm": pert_norm,
                 "h1_drift": drift,
-                **pieces,
-                "solver": {
-                    "perturbed": traj_pert.counters(),
-                    "base": traj_base.counters(),
-                },
             }
-            correction = pieces["correction_total"]
-            if n >= DOMINANCE_MIN_N:
-                factor = pieces["product_b321"] / correction if correction > 0 else math.inf
-                entry["dominance_factor"] = factor
+            if t > 0:
+                band = gap / (t * entry["product_b321"])
+                row["band_ratio"] = band
+                band_ok = BAND_LO <= band <= BAND_HI
+                lower_ok = gap / t >= LOWER_BOUND_FRACTION * limit
                 report.add_check(
-                    f"dominance_n{n}",
-                    factor >= DOMINANCE_FACTOR,
-                    factor,
-                    f">= {DOMINANCE_FACTOR}",
+                    f"band_n{n}_t{t}",
+                    band_ok,
+                    band,
+                    f"in [{BAND_LO}, {BAND_HI}]",
                 )
-            report.per_n[str(n)] = entry
-
-            for (t_pert, u_pert), (t_base, u_base) in zip(
-                traj_pert.samples, traj_base.samples
-            ):
-                t = t_pert
-                if t == 0.0 and 0.0 not in config.t_values:
-                    continue
-                gap = besov_norm(u_pert - u_base, B321, cutoffs)
-                gaps[(n, t)] = gap
-                row = {
-                    "model": config.model.value,
-                    "n": n,
-                    "t": t,
-                    "D_n": gap,
-                    "ratio": gap / t if t > 0 else None,
-                    "g_norm": pert_norm,
-                    "h1_drift": drift,
-                }
-                cell_ok = True
-                if t > 0:
-                    band = gap / (t * pieces["product_b321"])
-                    row["band_ratio"] = band
-                    band_ok = BAND_LO <= band <= BAND_HI
-                    lower_ok = gap / t >= LOWER_BOUND_FRACTION * limit
-                    report.add_check(
-                        f"band_n{n}_t{t}",
-                        band_ok,
-                        band,
-                        f"in [{BAND_LO}, {BAND_HI}]",
-                    )
-                    cell_ok = band_ok and lower_ok and drift < H1_DRIFT_TOL
-                else:
-                    cell_ok = abs(gap - pert_norm) <= 1e-12 * pert_norm
-                row["verdict"] = "pass" if cell_ok else "fail"
-                report.rows.append(row)
-        except BesovLabError as err:
-            report.per_n[str(n)] = {"error": f"{type(err).__name__}: {err}"}
-            report.add_check(f"completed_n{n}", False, str(err), "run completes")
+                cell_ok = band_ok and lower_ok and drift < H1_DRIFT_TOL
+            else:
+                cell_ok = abs(gap - pert_norm) <= 1e-12 * pert_norm
+            row["verdict"] = "pass" if cell_ok else "fail"
+            report.rows.append(row)
 
     _aggregate_nonuniform_checks(report, config, gaps, pert_norms, limit)
     return report
+
+
+def _nonuniform_member(config, bump, cutoffs, solver, n: int):
+    """Family member n of run_nonuniform: its report entry and its gaps
+    [(t, D_n(t))] at the reported sample times, or the BesovLabError it
+    raised."""
+    try:
+        fam = make_packets(bump, n)
+        pert = fam.perturbation(config.model)
+        u0 = fam.packet + pert
+        traj_pert = evolve(u0, config.model, solver)
+        traj_base = evolve(fam.packet, config.model, solver)
+        pieces = _decomposition_pieces(config.model, fam, u0, cutoffs)
+        entry = {
+            "perturbation_norm": besov_norm(pert, B321, cutoffs),
+            "snap_error": fam.snap_error,
+            "h1_drift": max(traj_pert.h1_drift(), traj_base.h1_drift()),
+            **pieces,
+            "solver": {"perturbed": traj_pert.counters(), "base": traj_base.counters()},
+        }
+        if n >= DOMINANCE_MIN_N:
+            correction = pieces["correction_total"]
+            product = pieces["product_b321"]
+            entry["dominance_factor"] = product / correction if correction > 0 else math.inf
+        gaps = [
+            (t, besov_norm(u_pert - u_base, B321, cutoffs))
+            for (t, u_pert), (_, u_base) in zip(traj_pert.samples, traj_base.samples)
+            if t > 0.0 or 0.0 in config.t_values
+        ]
+    except BesovLabError as err:
+        # without its traceback, which holds the member's trajectories
+        return err.with_traceback(None)
+    return entry, gaps
 
 
 def _decomposition_pieces(model: Model, fam, u0: Field, cutoffs: CutoffPair) -> dict:
@@ -369,7 +438,8 @@ def run_taylor_check(
     datum's norm from a run at dt_max = t_min/8 (packet_n = 6, both models:
     at most 6.4e-14 on the default 2^15 points, 3.0e-14 on 12288).  Without
     config.grid_points the grid is the smallest that resolves packet_n, but
-    no smaller than TAYLOR_MIN_POINTS.  Raises ValueError unless
+    no smaller than TAYLOR_MIN_POINTS.  The two data are evolved
+    concurrently as in run_nonuniform.  Raises ValueError unless
     0 < t_min < t_max < inf and points >= 2.
     """
     if not t_min > 0.0:
@@ -409,22 +479,10 @@ def run_taylor_check(
         ("smooth", smooth_profile(grid)),
         (f"packet_pair_n{packet_n}", fam.packet + fam.bump_fast),
     ]
-    for label, u0 in data:
-        coeff = rhs(u0, config.model)
-        norms = _datum_norms(u0, cutoffs)
-        bound = _remainder_bound(config.model, norms)
-        traj = evolve(u0, config.model, solver)
-        remainders = []
-        first_order = []
-        for t, u in traj.samples:
-            if t == 0.0:
-                continue
-            remainders.append(besov_norm(u - u0 - t * coeff, B321, cutoffs))
-            first_order.append(besov_norm(u - u0, B321, cutoffs) / t)
-        slope = float(np.polyfit(np.log(ladder), np.log(remainders), 1)[0])
-        implied = max(r / (t**2 * bound) for r, t in zip(remainders, ladder))
-        first_size = _first_order_size(config.model, norms)
-        first_ratio = max(first_order) / first_size if first_size > 0 else 0.0
+    results = _map_items(
+        lambda datum: _taylor_datum(config.model, datum[1], solver, cutoffs, ladder), data
+    )
+    for (label, _), (remainders, entry) in zip(data, results):
         for t, r in zip(ladder, remainders):
             report.rows.append(
                 {
@@ -435,26 +493,47 @@ def run_taylor_check(
                     "verdict": "pass",
                 }
             )
-        report.per_n[label] = {
-            "slope": slope,
-            "remainder_bound": bound,
-            "implied_constant": implied,
-            "first_order_ratio": first_ratio,
-            "solver": traj.counters(),
-        }
+        report.per_n[label] = entry
         report.add_check(
             f"slope_{label}",
-            abs(slope - SLOPE_TARGET) <= SLOPE_TOL,
-            slope,
+            abs(entry["slope"] - SLOPE_TARGET) <= SLOPE_TOL,
+            entry["slope"],
             f"{SLOPE_TARGET} +- {SLOPE_TOL}",
         )
         report.add_check(
             f"first_order_{label}",
-            first_ratio <= FIRST_ORDER_CONSTANT,
-            first_ratio,
+            entry["first_order_ratio"] <= FIRST_ORDER_CONSTANT,
+            entry["first_order_ratio"],
             f"<= {FIRST_ORDER_CONSTANT}",
         )
     return report
+
+
+def _taylor_datum(model: Model, u0: Field, solver: SolverConfig, cutoffs: CutoffPair, ladder):
+    """One datum of run_taylor_check: its remainder at every rung of ladder
+    (the solver's sample times), and its report entry."""
+    coeff = rhs(u0, model)
+    norms = _datum_norms(u0, cutoffs)
+    bound = _remainder_bound(model, norms)
+    traj = evolve(u0, model, solver)
+    remainders = []
+    first_order = []
+    for t, u in traj.samples:
+        if t == 0.0:
+            continue
+        remainders.append(besov_norm(u - u0 - t * coeff, B321, cutoffs))
+        first_order.append(besov_norm(u - u0, B321, cutoffs) / t)
+    slope = float(np.polyfit(np.log(ladder), np.log(remainders), 1)[0])
+    implied = max(r / (t**2 * bound) for r, t in zip(remainders, ladder))
+    first_size = _first_order_size(model, norms)
+    first_ratio = max(first_order) / first_size if first_size > 0 else 0.0
+    return remainders, {
+        "slope": slope,
+        "remainder_bound": bound,
+        "implied_constant": implied,
+        "first_order_ratio": first_ratio,
+        "solver": traj.counters(),
+    }
 
 
 def _first_order_size(model: Model, norms: dict) -> float:

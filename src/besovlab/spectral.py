@@ -105,7 +105,8 @@ class Grid:
             m += 1
         key = ("pad", m)
         if key not in self._cache:
-            self._cache[key] = Grid(m, self.half_length)
+            # setdefault: threads that race here all get the first grid stored
+            self._cache.setdefault(key, Grid(m, self.half_length))
         return self._cache[key]
 
     def multiplier(self, key, builder) -> np.ndarray:
@@ -118,7 +119,7 @@ class Grid:
             arr = np.array(builder(self.xi))
             arr[self.nyquist_index] = arr[self.nyquist_index].real
             arr.flags.writeable = False
-            self._cache[key] = arr
+            self._cache.setdefault(key, arr)
         return self._cache[key]
 
 

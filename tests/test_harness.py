@@ -1,10 +1,14 @@
 import json
 import math
+import pathlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from besovlab import Model
+from besovlab import Model, harness
 from besovlab.cli import main as cli_main
 from besovlab.harness import (
     CSV_HEADER,
@@ -15,6 +19,7 @@ from besovlab.harness import (
     run_scaling_batch,
     run_taylor_check,
     run_validation_suite,
+    _map_items,
 )
 
 # small but honest experiment: n = 4, 5 on the 2^13 grid finish in seconds
@@ -120,20 +125,22 @@ class TestRunNonuniform:
         assert not report.passed
 
     def test_invalid_field_isolated_per_member(self, monkeypatch):
-        from besovlab import InvalidField, harness
+        from besovlab import InvalidField, build_bump, make_packets
 
         real_evolve = harness.evolve
-        calls = []
+        cfg = ExperimentConfig(model=Model.CH, n_values=(4, 5), t_values=(0.05,),
+                               grid_points=2**13)
+        fam = make_packets(build_bump(cfg.make_grid()), 5)
+        # the n = 5 member's perturbed datum; members may run on any thread,
+        # in any order, so the fake recognises the datum, not the call count
+        target = (fam.packet + fam.perturbation(Model.CH)).samples
 
         def evolve_failing_second_member(u0, model, config):
-            calls.append(model)
-            if len(calls) == 3:  # first run of the n=5 member
+            if np.array_equal(u0.samples, target):
                 raise InvalidField("injected")
             return real_evolve(u0, model, config)
 
         monkeypatch.setattr(harness, "evolve", evolve_failing_second_member)
-        cfg = ExperimentConfig(model=Model.CH, n_values=(4, 5), t_values=(0.05,),
-                               grid_points=2**13)
         report = run_nonuniform(cfg)
         assert report.per_n["5"] == {"error": "InvalidField: injected"}
         assert not report.checks["completed_n5"]["passed"]
@@ -177,6 +184,118 @@ class TestTaylorCheck:
             "model": "ch", "grid_points": 49152, "half_length": report.grid["half_length"],
             "cfl": 0.3, "t_min": 1e-3, "t_max": 2e-3, "points": 2, "packet_n": 8,
         }
+
+
+def _forced_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+
+def _emitted(report, out):
+    """{file name: bytes} of everything emit_outputs writes for report."""
+    paths = map(pathlib.Path, emit_outputs(report, str(out)))
+    return {path.name: path.read_bytes() for path in paths}
+
+
+RUNNERS = {
+    "nonuniform_ch": lambda: run_nonuniform(ExperimentConfig(model=Model.CH, **SMALL)),
+    "nonuniform_novikov": lambda: run_nonuniform(ExperimentConfig(model=Model.NOVIKOV, **SMALL)),
+    "taylor": lambda: run_taylor_check(
+        ExperimentConfig(model=Model.NOVIKOV, grid_points=2**12),
+        t_min=1e-3, t_max=1e-2, points=3, packet_n=4,
+    ),
+}
+
+
+class TestConcurrency:
+    """Runners spread their members over one thread per usable CPU; the
+    report must not depend on how many there are."""
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_report_independent_of_thread_count(self, runner, monkeypatch, tmp_path):
+        reports, files = [], []
+        for cpus in (1, 2):
+            _forced_cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            report = RUNNERS[runner]()
+            assert threading.active_count() == before
+            reports.append(report.to_dict())
+            files.append(_emitted(report, tmp_path / str(cpus)))
+        assert reports[0] == reports[1]
+        assert files[0] == files[1]
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread was started with one usable CPU")
+
+        _forced_cpus(monkeypatch, 1)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        for runner in RUNNERS.values():
+            runner()
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_other_errors_propagate(self, runner, monkeypatch):
+        real_evolve = harness.evolve
+        lock = threading.Lock()
+        calls = []
+
+        def evolve_failing_once(u0, model, config):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("injected")
+            return real_evolve(u0, model, config)
+
+        _forced_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "evolve", evolve_failing_once)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            RUNNERS[runner]()
+        assert threading.active_count() == before
+
+    def test_map_items_stress(self, monkeypatch):
+        # more threads than CPUs and a short switch interval: every item is
+        # claimed exactly once and its result lands at its own index
+        _forced_cpus(monkeypatch, 8)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = threading.active_count()
+            out = _map_items(lambda i: seen.append(i) or i * i, range(500))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * i for i in range(500)]
+        assert sorted(seen) == list(range(500))
+        assert threading.active_count() == before
+
+    def test_map_items_raises_first_error_in_input_order(self, monkeypatch):
+        def fail_late_items(i):
+            if i == 1:
+                time.sleep(0.05)  # item 2 raises first in time
+            if i >= 1:
+                raise ValueError(i)
+            return i
+
+        _forced_cpus(monkeypatch, 3)
+        with pytest.raises(ValueError) as info:
+            _map_items(fail_late_items, range(3))
+        assert info.value.args == (1,)
+
+    def test_map_items_starts_no_item_after_a_raise(self, monkeypatch):
+        started = []
+
+        def fail_first_item(i):
+            if i == 0:
+                raise ValueError(i)
+            started.append(i)
+            time.sleep(0.05)  # item 0 raises while this runs
+
+        _forced_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError):
+            _map_items(fail_first_item, range(10))
+        assert started in ([], [1])
 
 
 class TestValidationSuite:

@@ -1,7 +1,10 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -26,3 +29,13 @@ def test_every_import_is_used():
     sources += (ROOT / "tests").glob("*.py")
     unused = [entry for path in sorted(sources) for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_import_loads_no_executor_module():
+    # the runners' threads come from threading, which numpy already loads;
+    # concurrent.futures would add ~9 ms and 0.25 MB to every start-up
+    code = "import sys, besovlab; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
