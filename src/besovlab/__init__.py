@@ -23,7 +23,6 @@ from .dynamics import (
     novikov_rhs,
     p_operator,
     q_operator,
-    remainder_bound,
     rhs,
 )
 from .errors import (

@@ -76,9 +76,9 @@ class BesovIndex:
 class CutoffPair:
     """Tabulated Littlewood-Paley multipliers bound to one grid.
 
-    chi and phi_ring are evaluable at arbitrary frequencies; table[j+1] holds
-    the multiplier of block j on the grid's half-spectrum k = 0 .. N/2 (row 0
-    is the j = -1 cutoff).  ring_scale multiplies every ring; any value other
+    chi is evaluable at arbitrary frequencies; table[j+1] holds the
+    multiplier of block j on the grid's half-spectrum k = 0 .. N/2 (row 0 is
+    the j = -1 cutoff).  ring_scale multiplies every ring; any value other
     than 1.0 breaks the partition of unity on purpose (1.0 multiplies
     exactly) and exists solely for fault injection in the validation suite.
     """
@@ -89,9 +89,6 @@ class CutoffPair:
     table: np.ndarray = field(repr=False)
 
     chi = staticmethod(transition_chi)
-
-    def phi_ring(self, xi):
-        return self.ring_scale * transition_ring(xi)
 
     def block_multiplier(self, j: int) -> np.ndarray:
         if j < -1 or j > self.j_max:

@@ -68,7 +68,6 @@ SUBCOMMANDS = {
         _MODEL,
         *_N_RANGE,
         ("--t", dict(dest="t_values", type=_float_list, help="comma-separated sample times")),
-        ("--cfl", dict(type=float)),
         *_GRID,
         _OUT,
     ]),
@@ -114,12 +113,11 @@ def _settings(parser, command: str, flags: dict, given: dict, path: str | None) 
         parser.error(f"missing {needs}")
     if "n_min" in settings:
         n_min, n_max = settings.pop("n_min"), settings.pop("n_max")
+        if not (isinstance(n_min, int) and isinstance(n_max, int)):
+            parser.error(f"n_min and n_max must be integers, got {n_min!r} and {n_max!r}")
         if n_min > n_max:
             parser.error(f"n_min={n_min} exceeds n_max={n_max}")
         settings["n_values"] = tuple(range(n_min, n_max + 1))
-    n_values = settings.get("n_values", ())
-    if not isinstance(n_values, (list, tuple)) or any(not isinstance(n, int) or n < 1 for n in n_values):
-        parser.error(f"n_values must be positive integers, got {n_values!r}")
     seed = settings.get("seed", 0)
     if not (isinstance(seed, int) and seed >= 0):
         parser.error(f"seed must be a nonnegative integer, got {seed!r}")

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, CutoffPair, _besov_norm, block_lp_profile, lipschitz_norm
 from .errors import BlowUp, DecayViolation, InvalidField
 from .spectral import (
     Field,
@@ -52,8 +51,11 @@ DECAY_TOL = 1e-3
 
 # Classical RK4 is stable on the imaginary axis up to |dt*lambda| = 2*sqrt(2)
 # (Hairer-Norsett-Wanner, Solving ODEs I); a transport term's spectrum lies
-# there, so cfl = 1 steps just inside that limit.
+# there, so a step at the full limit 2.8 / rate stays just inside it.
 RK4_IMAGINARY_LIMIT = 2.8
+
+# Fraction of RK4_IMAGINARY_LIMIT a step may use (see SolverConfig).
+CFL = 0.3
 
 # evolve raises BlowUp once ||u_x||_inf passes this slope; a breaking wave's
 # slope grows without bound in finite time
@@ -73,13 +75,14 @@ class SolverConfig:
     and a run without a positive sample time takes no step.  dt is
     recomputed every step as
 
-        min(dt_max, cfl * 2.8 / (speed * xi_max + ||u_x||_inf), time to the next sample)
+        min(dt_max, CFL * 2.8 / (speed * xi_max + ||u_x||_inf), time to the next sample)
 
     so steps land exactly on each sample time.  The denominator bounds the
     transport term's rate: speed is ||u||_inf (CH) or ||u||_inf^2 (Novikov),
     xi_max the grid's Nyquist frequency, and ||u_x||_inf the linearisation's
     growth rate.  2.8 sits just inside RK4's imaginary-axis stability limit
-    2*sqrt(2), so cfl in (0, 1] is the fraction of that limit a step may use.
+    2*sqrt(2), and CFL = 0.3 is the fixed fraction of that limit a step may
+    use.
     dt_max = 0.05 is the longest step: RK4's error grows like dt^4, and a
     single step over (0, 0.1] would move a gap D_n by 1e-10 relative.  A
     sample interval no longer than both bounds is one step, and the zero
@@ -89,12 +92,9 @@ class SolverConfig:
     """
 
     sample_times: tuple
-    cfl: float = 0.3
     dt_max: float = 0.05
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
         times = tuple(float(t) for t in self.sample_times)
@@ -110,14 +110,13 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of one run, with the H^1 energy of each sample and
-    the solver's step counters: steps taken, the smallest and largest step
-    (None before the first) and the largest CFL number dt * rate, where rate
-    is the transport bound of SolverConfig."""
+    """Sampled solution of one run and the solver's step counters: steps
+    taken, the smallest and largest step (None before the first) and the
+    largest CFL number dt * rate, where rate is the transport bound of
+    SolverConfig."""
 
     model: Model
     samples: list  # [(time, Field)]
-    h1_energy: list
     steps_taken: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
@@ -127,10 +126,13 @@ class Trajectory:
         return self.samples[-1][1]
 
     def h1_drift(self) -> float:
-        e0 = self.h1_energy[0]
+        """Largest change of the H^1 energy over the samples, relative to its
+        initial value (absolute if that is zero)."""
+        energies = [h1_energy(u) for _, u in self.samples]
+        e0 = energies[0]
         if e0 == 0.0:
-            return max(abs(e) for e in self.h1_energy)
-        return max(abs(e - e0) for e in self.h1_energy) / abs(e0)
+            return max(abs(e) for e in energies)
+        return max(abs(e - e0) for e in energies) / abs(e0)
 
     def counters(self) -> dict:
         """What the solver did, for reports."""
@@ -202,38 +204,6 @@ def novikov_rhs(u: Field) -> Field:
     return rhs(u, Model.NOVIKOV)
 
 
-def _datum_norms(u0: Field, cutoffs: CutoffPair) -> dict:
-    """The norms of a Taylor datum: "lip" (C^{0,1}), "sup", and "b32", "b52",
-    "b72" (B^s_{2,1}, s = 3/2, 5/2, 7/2, from one block profile)."""
-    profile = block_lp_profile(u0, cutoffs)
-    return {
-        "lip": lipschitz_norm(u0),
-        "sup": u0.max_abs(),
-        "b32": float(_besov_norm(profile, BesovIndex(1.5, 2, 1))),
-        "b52": float(_besov_norm(profile, BesovIndex(2.5, 2, 1))),
-        "b72": float(_besov_norm(profile, BesovIndex(3.5, 2, 1))),
-    }
-
-
-def _remainder_bound(model: Model, norms: dict) -> float:
-    lip, sup, b52, b72 = norms["lip"], norms["sup"], norms["b52"], norms["b72"]
-    if model is Model.CH:
-        return 1.0 + lip**2 * b52 + sup * (b52 + (sup + lip**2) * b72)
-    return 1.0 + lip**2 * b52 + lip**4 * b72
-
-
-def remainder_bound(u0: Field, model: Model, cutoffs: CutoffPair) -> float:
-    """Norm functional bounding the second-order Taylor remainder.
-
-    Quadratic model:
-        1 + ||u||_C01^2 ||u||_{B^{5/2}} +
-        ||u||_inf (||u||_{B^{5/2}} + (||u||_inf + ||u||_C01^2) ||u||_{B^{7/2}})
-    Cubic model:
-        1 + ||u||_C01^2 ||u||_{B^{5/2}} + ||u||_C01^4 ||u||_{B^{7/2}}
-    """
-    return _remainder_bound(model, _datum_norms(u0, cutoffs))
-
-
 def check_decay(u0: Field, tol: float | None = DECAY_TOL):
     """Line-truncation contract: |u0| < tol on the outer half of the box.
 
@@ -261,9 +231,9 @@ def evolve(
     """Integrate one initial datum with classical RK4.
 
     Samples are recorded at t = 0 and at every positive sample time (landed
-    on exactly), each with its H^1 energy; the run ends at the last sample
-    time.  Raises BlowUp when ||u_x||_inf exceeds BLOWUP_SLOPE and
-    InvalidField if the state goes non-finite.
+    on exactly); the run ends at the last sample time.  Raises BlowUp when
+    ||u_x||_inf exceeds BLOWUP_SLOPE and InvalidField if the state goes
+    non-finite.
     """
     check_decay(u0, decay_tol)
     grid = u0.grid
@@ -278,13 +248,7 @@ def evolve(
 
     targets = [t for t in config.sample_times if t > 0.0]
 
-    traj = Trajectory(model=model, samples=[], h1_energy=[])
-
-    def record(t: float, u: Field):
-        traj.samples.append((t, u))
-        traj.h1_energy.append(h1_energy(u))
-
-    record(0.0, u0)
+    traj = Trajectory(model=model, samples=[(0.0, u0)])
     F0 = F = _coeffs(u0)
     t = 0.0
     for target in targets:
@@ -301,7 +265,7 @@ def evolve(
             rate = speed * grid.xi_max + slope
             dt = min(config.dt_max, target - t)
             if rate > 0.0:
-                dt = min(dt, config.cfl * RK4_IMAGINARY_LIMIT / rate)
+                dt = min(dt, CFL * RK4_IMAGINARY_LIMIT / rate)
             # k1 + 2 k2 + 2 k3 + k4 summed left to right as the stages come,
             # so each stage is freed once the next one is built
             k = acc = step_rhs(F)
@@ -318,5 +282,5 @@ def evolve(
                 t = target
         # u0 plus the change: transforming F back whole would add rounding
         # noise of u0's size at every frequency, the floor of small-t remainders
-        record(target, Field(grid, u0.samples + _ifft(grid, F - F0)))
+        traj.samples.append((target, Field(grid, u0.samples + _ifft(grid, F - F0))))
     return traj

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .besov import (
     BesovIndex,
     CutoffPair,
     besov_norm,
+    block_lp_profile,
     build_cutoffs,
     lipschitz_norm,
     transition_ring,
@@ -29,16 +31,7 @@ from .besov import (
     _lp_profile,
 )
 from .corpus import _random_samples
-from .dynamics import (
-    Model,
-    SolverConfig,
-    evolve,
-    p_operator,
-    q_operator,
-    rhs,
-    _datum_norms,
-    _remainder_bound,
-)
+from .dynamics import CFL, Model, SolverConfig, evolve, p_operator, q_operator, rhs
 from .errors import BesovLabError, ResolutionExceeded
 from .spectral import (
     Field,
@@ -84,7 +77,7 @@ DOMINANCE_MIN_N = 6
 H1_DRIFT_TOL = 1e-6
 SLOPE_TARGET, SLOPE_TOL = 2.0, 0.1
 
-# Fewest points of run_taylor_check's default grid.  Its remainder_bound
+# Fewest points of run_taylor_check's default grid.  Its remainder bound
 # reads sup and Lipschitz norms off the samples, so it moves with the sample
 # points (8e-8 relative for the Novikov packet pair n = 6 between 2^15 and
 # 12288 points), and perfbench's taylor-novikov workload, which leaves
@@ -108,23 +101,20 @@ class ExperimentConfig:
     t_values: tuple = (0.02, 0.05, 0.1)
     grid_points: int | None = None  # None: smallest adequate 2^a or 3*2^a
     half_length: float = DEFAULT_HALF_LENGTH
-    cfl: float = SolverConfig.cfl
 
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
-        if not self.n_values:
-            raise ValueError("n_values must be nonempty")
+        object.__setattr__(self, "n_values", _family_members(self.n_values))
         ts = tuple(sorted(float(t) for t in self.t_values))
         if not ts or ts[0] < 0:
             raise ValueError("t_values must be nonnegative and nonempty")
         object.__setattr__(self, "t_values", ts)
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
 
     def make_grid(self) -> Grid:
         return _grid(self.grid_points, max(self.n_values), self.half_length)
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(sample_times=self.t_values, cfl=self.cfl)
+        return SolverConfig(sample_times=self.t_values)
 
     def to_dict(self) -> dict:
         return {
@@ -133,13 +123,31 @@ class ExperimentConfig:
             "t_values": list(self.t_values),
             "grid_points": self.grid_points,
             "half_length": self.half_length,
-            "cfl": self.cfl,
+            "cfl": CFL,
         }
+
+
+def _family_members(n_values) -> tuple:
+    """n_values as a tuple; ValueError unless they are positive integers, at
+    least one and none repeated (a repeat would evolve and report a member
+    twice)."""
+    ns = tuple(n_values) if isinstance(n_values, (list, tuple, range)) else ()
+    if (
+        not ns
+        or len(set(ns)) < len(ns)
+        or any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1 for n in ns)
+    ):
+        raise ValueError(
+            f"n_values must be positive integers, at least one and none repeated, got {n_values!r}"
+        )
+    return tuple(int(n) for n in ns)
 
 
 def _grid(grid_points: int | None, n_max: int, half_length: float) -> Grid:
     """The requested grid, or the smallest one resolving family member n_max."""
-    return Grid(grid_points or min_points_for(n_max, half_length), half_length)
+    if grid_points is None:
+        grid_points = min_points_for(n_max, half_length)
+    return Grid(grid_points, half_length)
 
 
 def _usable_cpus() -> int:
@@ -412,10 +420,10 @@ def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, limit):
             )
 
 
-def smooth_profile(grid: Grid, amplitude: float = 0.25) -> Field:
-    """Gaussian reference datum amplitude * exp(-x^2/8) (width 2) for
+def smooth_profile(grid: Grid) -> Field:
+    """Gaussian reference datum 0.25 * exp(-x^2/8) (width 2) for
     solver-validity and Taylor checks."""
-    return Field(grid, amplitude * np.exp(-(grid.x**2) / 8.0))
+    return Field(grid, 0.25 * np.exp(-(grid.x**2) / 8.0))
 
 
 def run_taylor_check(
@@ -451,10 +459,10 @@ def run_taylor_check(
     if points < 2:
         raise ValueError(f"points must be at least 2 to fit a slope, got {points}")
     ladder = np.geomspace(t_min, t_max, points)
-    solver = SolverConfig(sample_times=tuple(float(t) for t in ladder), cfl=config.cfl)
-    num_points = config.grid_points or max(
-        TAYLOR_MIN_POINTS, min_points_for(packet_n, config.half_length)
-    )
+    solver = SolverConfig(sample_times=tuple(float(t) for t in ladder))
+    num_points = config.grid_points
+    if num_points is None:
+        num_points = max(TAYLOR_MIN_POINTS, min_points_for(packet_n, config.half_length))
     grid = Grid(num_points, config.half_length)
     cutoffs = build_cutoffs(grid)
     bump = build_bump(grid)
@@ -465,7 +473,7 @@ def run_taylor_check(
             "model": config.model.value,
             "grid_points": grid.num_points,
             "half_length": grid.half_length,
-            "cfl": config.cfl,
+            "cfl": CFL,
             "t_min": t_min,
             "t_max": t_max,
             "points": points,
@@ -534,6 +542,35 @@ def _taylor_datum(model: Model, u0: Field, solver: SolverConfig, cutoffs: Cutoff
         "first_order_ratio": first_ratio,
         "solver": traj.counters(),
     }
+
+
+def _datum_norms(u0: Field, cutoffs: CutoffPair) -> dict:
+    """The norms of a Taylor datum: "lip" (C^{0,1}), "sup", and "b32", "b52",
+    "b72" (B^s_{2,1}, s = 3/2, 5/2, 7/2, from one block profile)."""
+    profile = block_lp_profile(u0, cutoffs)
+    return {
+        "lip": lipschitz_norm(u0),
+        "sup": u0.max_abs(),
+        "b32": float(_besov_norm(profile, B321)),
+        "b52": float(_besov_norm(profile, BesovIndex(2.5, 2, 1))),
+        "b72": float(_besov_norm(profile, BesovIndex(3.5, 2, 1))),
+    }
+
+
+def _remainder_bound(model: Model, norms: dict) -> float:
+    """Norm functional bounding the second-order Taylor remainder, from the
+    datum's norms (_datum_norms).
+
+    Quadratic model:
+        1 + ||u||_C01^2 ||u||_{B^{5/2}} +
+        ||u||_inf (||u||_{B^{5/2}} + (||u||_inf + ||u||_C01^2) ||u||_{B^{7/2}})
+    Cubic model:
+        1 + ||u||_C01^2 ||u||_{B^{5/2}} + ||u||_C01^4 ||u||_{B^{7/2}}
+    """
+    lip, sup, b52, b72 = norms["lip"], norms["sup"], norms["b52"], norms["b72"]
+    if model is Model.CH:
+        return 1.0 + lip**2 * b52 + sup * (b52 + (sup + lip**2) * b72)
+    return 1.0 + lip**2 * b52 + lip**4 * b72
 
 
 def _first_order_size(model: Model, norms: dict) -> float:
@@ -792,7 +829,8 @@ def _check_dynamics_smoke(report):
         np.array_equal(a[1].samples, b[1].samples) for a, b in zip(t1.samples, t2.samples)
     )
     report.add_check("evolve_deterministic", identical, identical, "bit-identical")
-    report.add_check("h1_drift_smoke", t1.h1_drift() <= 1e-10, t1.h1_drift(), "<= 1e-10")
+    drift = t1.h1_drift()
+    report.add_check("h1_drift_smoke", drift <= 1e-10, drift, "<= 1e-10")
 
     lip = lipschitz_norm(u0)
     worst_small = 0.0
@@ -870,7 +908,9 @@ def run_scaling_batch(
 ) -> ExperimentReport:
     """Scaling reports for a range of family members plus cross-n variation
     checks (each rescaled quantity must stay within a factor 1.5 over the
-    range, and the rescaled product norms must approach their limits)."""
+    range, and the rescaled product norms must approach their limits).
+    Raises ValueError unless n_values are positive integers, none repeated."""
+    n_values = _family_members(n_values)
     grid = _grid(grid_points, max(n_values), half_length)
     cutoffs = build_cutoffs(grid)
     bump = build_bump(grid)

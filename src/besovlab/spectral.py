@@ -158,9 +158,6 @@ class Field:
         self._check_same_grid(other)
         return Field(self.grid, self.samples - other.samples)
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.samples)
-
     def __mul__(self, scalar) -> "Field":
         return Field(self.grid, float(scalar) * self.samples)
 
@@ -178,10 +175,6 @@ class Field:
 
     def l2_norm(self) -> float:
         return float(_l2_norm(self.grid, self.samples))
-
-    def inner(self, other: "Field") -> float:
-        self._check_same_grid(other)
-        return float(_inner(self.grid, self.samples, other.samples))
 
 
 def _max_abs(samples: np.ndarray) -> np.ndarray:
@@ -378,8 +371,3 @@ def _parseval_residual(grid: Grid, samples: np.ndarray) -> np.ndarray:
     lhs = grid.dx * np.sum(samples**2, axis=-1)
     rhs = np.sum(_power(_fft(grid, samples)), axis=-1) / (2.0 * grid.half_length)
     return np.abs(lhs - rhs) / np.where(lhs == 0.0, 1.0, lhs)
-
-
-def parseval_residual(f: Field) -> float:
-    """Relative defect of the discrete Parseval identity for this field."""
-    return float(_parseval_residual(f.grid, f.samples))

@@ -215,7 +215,7 @@ def test_criterion_6_solver_validity():
     u0c = smooth_profile(order_grid)
 
     def final(dt):
-        cfg = SolverConfig(sample_times=(0.5,), cfl=1.0, dt_max=dt)
+        cfg = SolverConfig(sample_times=(0.5,), dt_max=dt)
         return evolve(u0c, Model.CH, cfg).final().samples
 
     ref = final(0.02 / 16)

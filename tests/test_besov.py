@@ -49,7 +49,7 @@ class TestCutoffs:
         xis = np.linspace(-box_grid.xi_max, box_grid.xi_max, 100001)
         total = box_cutoffs.chi(xis)
         for j in range(box_cutoffs.j_max + 1):
-            total = total + box_cutoffs.phi_ring(xis / 2.0**j)
+            total = total + transition_ring(xis / 2.0**j)
         assert np.abs(total - 1.0).max() <= 1e-12
 
     def test_neighbouring_rings_only_overlap(self):

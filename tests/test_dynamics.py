@@ -22,9 +22,9 @@ from besovlab import (
     novikov_rhs,
     p_operator,
     q_operator,
-    remainder_bound,
     rhs,
 )
+from besovlab import harness
 from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import lipschitz_norm
 from besovlab.dynamics import RK4_IMAGINARY_LIMIT
@@ -136,6 +136,10 @@ class TestModelRhs:
         assert np.array_equal(rhs(u, Model.NOVIKOV).samples, novikov_rhs(u).samples)
 
 
+def remainder_bound(u, model, cutoffs):
+    return harness._remainder_bound(model, harness._datum_norms(u, cutoffs))
+
+
 class TestRemainderBound:
     def test_zero_field_gives_one(self, box_grid, box_cutoffs):
         z = Field.zero(box_grid)
@@ -193,12 +197,12 @@ class TestEvolve:
 
     def test_temporal_order_four(self, coarse_grid):
         # Richardson: error against a dt/16 reference run contracts ~2^4
-        # per halving of dt_max (cfl made non-binding)
+        # per halving of dt_max (the stability bound does not bind here)
         u0 = smooth_profile(coarse_grid)
         final = 0.5
 
         def run(dt):
-            cfg = SolverConfig(sample_times=(final,), cfl=1.0, dt_max=dt)
+            cfg = SolverConfig(sample_times=(final,), dt_max=dt)
             return evolve(u0, Model.CH, cfg).final().samples
 
         ref = run(0.02 / 16)
@@ -245,8 +249,6 @@ class TestEvolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(sample_times=(1.0,), cfl=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(sample_times=(0.5, 0.2))
         with pytest.raises(ValueError, match="nonnegative, got -0.1"):
             SolverConfig(sample_times=(-0.1, 0.2))
@@ -268,10 +270,12 @@ class TestStepSize:
         assert not np.any(traj.final().samples)
 
     @pytest.mark.parametrize("model", list(Model))
-    def test_stability_bound_binds_and_is_stable(self, model):
-        # amplitude 2 on 2^14 points: the RK4 transport bound, not dt_max, sets dt
-        u0 = smooth_profile(Grid(2**14, 32 * math.pi), amplitude=2.0)
-        traj = evolve(u0, model, SolverConfig(sample_times=(0.2,), cfl=1.0))
+    def test_stability_bound_binds_and_is_stable(self, model, monkeypatch):
+        # amplitude 2 on 2^14 points at the full RK4 limit: the transport
+        # bound, not dt_max, sets dt
+        monkeypatch.setattr("besovlab.dynamics.CFL", 1.0)
+        u0 = 8.0 * smooth_profile(Grid(2**14, 32 * math.pi))
+        traj = evolve(u0, model, SolverConfig(sample_times=(0.2,)))
         assert traj.steps_taken > 20  # dt_max alone gives 4; the bound keeps dt < 1e-2
         assert traj.cfl_max <= RK4_IMAGINARY_LIMIT + 1e-12  # rounding of dt * rate
         assert traj.h1_drift() < 1e-6

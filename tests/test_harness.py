@@ -146,6 +146,14 @@ class TestRunNonuniform:
         assert not report.checks["completed_n5"]["passed"]
         assert {r["n"] for r in report.rows} == {4}
 
+    @pytest.mark.parametrize("n_values", [(4.7,), (4, 4), (), (0, 5), (True,), 4])
+    def test_bad_n_values_rejected(self, n_values):
+        # a fractional n used to be truncated and a repeated one run twice
+        with pytest.raises(ValueError, match="n_values must be positive integers"):
+            ExperimentConfig(n_values=n_values)
+        with pytest.raises(ValueError, match="n_values must be positive integers"):
+            run_scaling_batch(n_values, grid_points=2**13)
+
     def test_identical_solver_settings_give_zero_gap_without_perturbation(self):
         # determinism corollary: evolving the same datum twice gives bitwise
         # equal trajectories, so a vanished perturbation produces D == 0
@@ -439,6 +447,7 @@ class TestCli:
         ("lemma31", "model"),
         ("nonuniform", "seed"),
         ("taylor", "t_values"),
+        ("nonuniform", "cfl"),
     ])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):
         cfg_file = tmp_path / "cfg.json"
@@ -456,6 +465,13 @@ class TestCli:
          "n_values must be positive integers"),
         ("nonuniform", {"n_values": [0, 5]}, "n_values must be positive integers"),
         ("validate", {"seed": -1}, "seed must be a nonnegative integer"),
+        ("nonuniform", {"n_values": [4, 4]}, "n_values must be positive integers"),
+        ("nonuniform", {"n_values": [4.7]}, "n_values must be positive integers"),
+        ("nonuniform", {"n_values": 4}, "n_values must be positive integers"),
+        ("nonuniform", {"n_values": []}, "n_values must be positive integers"),
+        ("nonuniform", {"n_min": 4.5, "n_max": 6}, "n_min and n_max must be integers"),
+        ("lemma31", {"n_min": "4", "n_max": 6, "output_dir": "unused"},
+         "n_min and n_max must be integers"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, settings, message):
         cfg_file = tmp_path / "cfg.json"
@@ -479,7 +495,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["nonuniform", "--grid-n", "15"], "num_points must be even and >= 16, got 15"),
-        (["nonuniform", "--cfl", "0"], "cfl must lie in (0, 1], got 0.0"),
+        # the step fraction is the constant dynamics.CFL, not a setting
+        (["nonuniform", "--cfl", "0.3"], "unrecognized arguments: --cfl 0.3"),
         (["validate", "--seed", "0", "--grid-n", "15"], "num_points must be even and >= 16, got 15"),
         (["lemma31", "--n-min", "4", "--n-max", "5", "--out", "unused", "--grid-l", "0"],
          "half_length must be positive, got 0.0"),
@@ -499,6 +516,10 @@ class TestCli:
          "family member n=8 in a box of half length L=1e+300 needs N >= 3.468e+302 points"),
         (["taylor", "--grid-l", "1e300"],
          "family member n=6 in a box of half length L=1e+300 needs N >= 8.706e+301 points"),
+        (["nonuniform", "--grid-n", "0"], "num_points must be even and >= 16, got 0"),
+        (["taylor", "--grid-n", "0"], "num_points must be even and >= 16, got 0"),
+        (["lemma31", "--n-min", "4", "--n-max", "5", "--out", "unused", "--grid-n", "0"],
+         "num_points must be even and >= 16, got 0"),
     ])
     def test_bad_grid_or_cfl_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:

@@ -31,6 +31,47 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def referenced_names(path: pathlib.Path) -> set:
+    """Names path reads (as a name, an attribute or a module it imports from),
+    leaving out a function's or class's references to its own name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id != own:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+    return names
+
+
+# toolkit functions the README documents for users; the package itself does
+# not call them
+TOOLKIT_ONLY = {"dyadic_block", "helmholtz_inverse"}
+
+
+def test_every_exported_name_is_used():
+    # an exported name must serve the package or the benchmark, not only tests
+    import besovlab
+
+    sources = [p for p in (ROOT / "src" / "besovlab").glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "perfbench").glob("*.py")
+    used = set().union(*(referenced_names(path) for path in sources))
+    assert sorted(set(besovlab.__all__) - used - TOOLKIT_ONLY) == []
+
+
+def test_dynamics_imports_nothing_from_besov():
+    # the solver needs no Besov norm; the Taylor check owns the norms it reads
+    tree = ast.parse((ROOT / "src" / "besovlab" / "dynamics.py").read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert [m for m in modules if m and m.rsplit(".", 1)[-1] == "besov"] == []
+
+
 def test_import_loads_no_executor_module():
     # the runners' threads come from threading, which numpy already loads;
     # concurrent.futures would add ~9 ms and 0.25 MB to every start-up
