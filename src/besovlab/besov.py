@@ -81,12 +81,14 @@ class CutoffPair:
     the j = -1 cutoff).  ring_scale multiplies every ring; any value other
     than 1.0 breaks the partition of unity on purpose (1.0 multiplies
     exactly) and exists solely for fault injection in the validation suite.
+    table_sq is table**2, the weights of the L^2 block norms.
     """
 
     grid: Grid
     ring_scale: float
     j_max: int
     table: np.ndarray = field(repr=False)
+    table_sq: np.ndarray = field(repr=False)
 
     chi = staticmethod(transition_chi)
 
@@ -100,8 +102,12 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
     """Construct the cutoff pair on a grid (see CutoffPair for ring_scale)."""
     jm = grid_j_max(grid)
     table = np.array(list(_cutoff_rows(grid.xi, jm, float(ring_scale))))
-    table.flags.writeable = False
-    return CutoffPair(grid=grid, ring_scale=float(ring_scale), j_max=jm, table=table)
+    table_sq = table**2
+    for arr in (table, table_sq):
+        arr.flags.writeable = False
+    return CutoffPair(
+        grid=grid, ring_scale=float(ring_scale), j_max=jm, table=table, table_sq=table_sq
+    )
 
 
 def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
@@ -117,7 +123,7 @@ def _lp_profile(coeffs: np.ndarray, cutoffs: CutoffPair) -> np.ndarray:
     cutoffs.grid (last axis j); the temporary holds rows x (j_max + 2) x
     (N/2 + 1) doubles."""
     power = _power(coeffs)[..., None, :]
-    return np.sqrt(np.sum(cutoffs.table**2 * power, axis=-1) / (2.0 * cutoffs.grid.half_length))
+    return np.sqrt(np.sum(cutoffs.table_sq * power, axis=-1) / (2.0 * cutoffs.grid.half_length))
 
 
 def _besov_norm(profile: np.ndarray, idx: BesovIndex) -> np.ndarray:

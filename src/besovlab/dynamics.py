@@ -156,41 +156,97 @@ def h1_energy(u: Field) -> float:
     return float(u.grid.dx * np.sum(u.samples**2 + ux.samples**2))
 
 
-def _rhs_hat(grid: Grid, F: np.ndarray, model: Model) -> tuple:
+class _Workspace:
+    """Work arrays of _rhs_hat and the RK4 stages for one grid and model.
+
+    A step writes every array of the grid's size into one of these instead
+    of allocating it: glibc hands freed arrays of that size back to the OS
+    and faults them in again on the next allocation.  Each evolve call
+    builds its own set, and so does each Field-level operator call; threads
+    share grids, so a set never lives in the grid's cache.
+    """
+
+    def __init__(self, grid: Grid, model: Model):
+        self.fine = fine = _padded_grid(grid, 2 if model is Model.CH else 3)
+        coarse = grid.xi.shape
+        self.Fx = np.empty(coarse, dtype=complex)
+        # one spectrum per product of the model's RHS
+        count = 2 if model is Model.CH else 3
+        self.products = [np.empty(coarse, dtype=complex) for _ in range(count)]
+        # padded spectrum of u, then of u_x, then each product's spectrum
+        self.fine_spec = np.empty(fine.xi.shape, dtype=complex)
+        self.u = np.empty(fine.num_points)
+        self.ux = np.empty(fine.num_points)
+        self.product = np.empty(fine.num_points)
+
+    def transform_product(self, grid: Grid, out: np.ndarray, *factors) -> np.ndarray:
+        return _from_padded(
+            grid, self.fine, *factors, product=self.product, spec=self.fine_spec, out=out
+        )
+
+
+def _rhs_hat(grid: Grid, F: np.ndarray, model: Model, work: _Workspace) -> tuple:
     """(transport, nonlocal) parts of the model's right-hand side at the
-    half-spectrum coefficients F, as half-spectrum coefficients."""
+    half-spectrum coefficients F, as half-spectrum coefficients.  Both are
+    arrays of work, overwritten by its next use.
+
+    The formulas are evaluated in place, each operation in the order of the
+    expression in its comment, so the result does not depend on the buffers.
+    """
     ixi = _derivative_multiplier(grid, 1)
-    fine = _padded_grid(grid, 2 if model is Model.CH else 3)
-    Fx = ixi * F
-    a = _to_padded(grid, F, fine)
-    b = _to_padded(grid, Fx, fine)
+    fine = work.fine
+    np.multiply(ixi, F, out=work.Fx)
+    a = _to_padded(grid, F, fine, work.fine_spec, work.u)
+    b = _to_padded(grid, work.Fx, fine, work.fine_spec, work.ux)
     if model is Model.CH:
         p_mult = grid.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
-        u2 = _from_padded(grid, fine, a, a)
-        ux2 = _from_padded(grid, fine, b, b)
         # transport -u u_x written as -(u^2)'/2
-        return -0.5 * ixi * u2, p_mult * (u2 + 0.5 * ux2)
-    helm = _helmholtz_multiplier(grid)
-    u3 = _from_padded(grid, fine, a, a, a)
-    uux2 = _from_padded(grid, fine, a, b, b)
-    ux3 = _from_padded(grid, fine, b, b, b)
+        transport_mult = grid.multiplier("ch_transport", lambda _: -0.5 * ixi)
+        u2 = work.transform_product(grid, work.products[0], a, a)
+        ux2 = work.transform_product(grid, work.products[1], b, b)
+        # nonlocal: p_mult * (u2 + 0.5 * ux2)
+        ux2 *= 0.5
+        ux2 += u2
+        ux2 *= p_mult
+        # transport: (-0.5 * ixi) * u2
+        u2 *= transport_mult
+        return u2, ux2
+    neg_helm = grid.multiplier("neg_helmholtz", lambda _: -_helmholtz_multiplier(grid))
     # transport -u^2 u_x written as -(u^3)'/3
-    return -(1.0 / 3.0) * ixi * u3, -helm * (0.5 * ux3 + ixi * (1.5 * uux2 + u3))
+    transport_mult = grid.multiplier("novikov_transport", lambda _: -(1.0 / 3.0) * ixi)
+    u3 = work.transform_product(grid, work.products[0], a, a, a)
+    uux2 = work.transform_product(grid, work.products[1], a, b, b)
+    ux3 = work.transform_product(grid, work.products[2], b, b, b)
+    # nonlocal: -helm * (0.5 * ux3 + ixi * (1.5 * uux2 + u3))
+    uux2 *= 1.5
+    uux2 += u3
+    uux2 *= ixi
+    ux3 *= 0.5
+    ux3 += uux2
+    ux3 *= neg_helm
+    # transport: (-(1/3) * ixi) * u3
+    u3 *= transport_mult
+    return u3, ux3
+
+
+def _field_rhs(u: Field, model: Model) -> tuple:
+    """_rhs_hat at a Field, with a workspace of its own."""
+    return _rhs_hat(u.grid, _coeffs(u), model, _Workspace(u.grid, model))
 
 
 def p_operator(u: Field) -> Field:
     """Nonlocal term P(u) of the quadratic model."""
-    return _to_field(u.grid, _rhs_hat(u.grid, _coeffs(u), Model.CH)[1])
+    return _to_field(u.grid, _field_rhs(u, Model.CH)[1])
 
 
 def q_operator(u: Field) -> Field:
     """Nonlocal term Q(u) of the cubic model."""
-    return _to_field(u.grid, _rhs_hat(u.grid, _coeffs(u), Model.NOVIKOV)[1])
+    return _to_field(u.grid, _field_rhs(u, Model.NOVIKOV)[1])
 
 
 def rhs(u: Field, model: Model) -> Field:
     """Full right-hand side: transport part plus nonlocal part."""
-    transport, nonlocal_part = _rhs_hat(u.grid, _coeffs(u), model)
+    transport, nonlocal_part = _field_rhs(u, model)
     return _to_field(u.grid, transport + nonlocal_part)
 
 
@@ -202,6 +258,12 @@ def ch_rhs(u: Field) -> Field:
 def novikov_rhs(u: Field) -> Field:
     """-u^2 u_x + Q(u)."""
     return rhs(u, Model.NOVIKOV)
+
+
+def _sup(samples: np.ndarray) -> float:
+    """max |samples|, read off the extremes without an |samples| array; not
+    finite when a sample is not (max and min propagate NaN)."""
+    return float(max(samples.max(), -samples.min()))
 
 
 def check_decay(u0: Field, tol: float | None = DECAY_TOL):
@@ -238,44 +300,57 @@ def evolve(
     check_decay(u0, decay_tol)
     grid = u0.grid
     ixi = _derivative_multiplier(grid, 1)
+    work = _Workspace(grid, model)
+    F0 = _coeffs(u0)
+    # the state, the argument of the next stage, the RK4 sum and the step
+    # check's samples, each updated in place
+    F = F0.copy()
+    stage = np.empty_like(F)
+    acc = np.empty_like(F)
+    samples = np.empty(grid.num_points)
 
-    def step_rhs(F):
-        transport, nonlocal_part = _rhs_hat(grid, F, model)
-        # summed in place: a fresh array here, just after _rhs_hat freed its
-        # padded arrays, makes glibc trim and re-fault the heap every stage
+    def step_rhs(G):
+        transport, nonlocal_part = _rhs_hat(grid, G, model, work)
         transport += nonlocal_part
         return transport
+
+    def stage_from(h, k):
+        # F + h * k
+        np.multiply(k, h, out=stage)
+        return np.add(stage, F, out=stage)
 
     targets = [t for t in config.sample_times if t > 0.0]
 
     traj = Trajectory(model=model, samples=[(0.0, u0)])
-    F0 = F = _coeffs(u0)
     t = 0.0
     for target in targets:
         while t < target - 1e-13:
-            u = _ifft(grid, F)
-            if not np.all(np.isfinite(u)):
+            speed = _sup(_ifft(grid, F, out=samples, work=stage))
+            if not math.isfinite(speed):
                 raise InvalidField(f"solution became non-finite at t={t:.6f}")
-            slope = float(np.abs(_ifft(grid, ixi * F)).max())
+            slope = _sup(_ifft(grid, np.multiply(ixi, F, out=stage), out=samples, work=stage))
             if slope > BLOWUP_SLOPE:
                 raise BlowUp(t, slope)
-            speed = float(np.abs(u).max())
             if model is Model.NOVIKOV:
                 speed *= speed
             rate = speed * grid.xi_max + slope
             dt = min(config.dt_max, target - t)
             if rate > 0.0:
                 dt = min(dt, CFL * RK4_IMAGINARY_LIMIT / rate)
-            # k1 + 2 k2 + 2 k3 + k4 summed left to right as the stages come,
-            # so each stage is freed once the next one is built
-            k = acc = step_rhs(F)
-            k = step_rhs(F + 0.5 * dt * k)
-            acc = acc + 2.0 * k
-            k = step_rhs(F + 0.5 * dt * k)
-            acc = acc + 2.0 * k
-            k = step_rhs(F + dt * k)
-            acc = acc + k
-            F = F + (dt / 6.0) * acc
+            # k1 + 2 k2 + 2 k3 + k4 summed left to right as the stages come;
+            # a stage k is doubled in place only after F + c dt k is built
+            k = step_rhs(F)
+            np.copyto(acc, k)
+            k = step_rhs(stage_from(0.5 * dt, k))
+            stage_from(0.5 * dt, k)
+            acc += np.multiply(k, 2.0, out=k)
+            k = step_rhs(stage)
+            stage_from(dt, k)
+            acc += np.multiply(k, 2.0, out=k)
+            k = step_rhs(stage)
+            acc += k
+            acc *= dt / 6.0
+            F += acc
             t += dt
             traj._count_step(dt, dt * rate)
             if abs(t - target) < 1e-13:

@@ -8,6 +8,7 @@ complete record of what was computed and why it passed or failed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -261,8 +262,9 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
 
     Per-n failures (any BesovLabError: blow-up, resolution, non-finite state,
     decay violation) are recorded without aborting the remaining members.
-    The members run concurrently, one thread per usable CPU (_map_items);
-    the report does not depend on how many threads there are.
+    The members' trajectories run concurrently, one thread per usable CPU
+    (_nonuniform_members); the report does not depend on how many threads
+    there are.
     """
     grid = config.make_grid()
     cutoffs = build_cutoffs(grid)
@@ -277,9 +279,7 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
         extras={"product_limit": limit, "model": config.model.value},
     )
 
-    members = _map_items(
-        lambda n: _nonuniform_member(config, bump, cutoffs, solver, n), config.n_values
-    )
+    members = _nonuniform_members(config, bump, cutoffs, solver)
     gaps: dict = {}
     pert_norms: dict = {}
     for n, member in zip(config.n_values, members):
@@ -331,37 +331,95 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _nonuniform_member(config, bump, cutoffs, solver, n: int):
-    """Family member n of run_nonuniform: its report entry and its gaps
-    [(t, D_n(t))] at the reported sample times, or the BesovLabError it
-    raised."""
+def _catching(job):
+    """job(), or the BesovLabError it raised, without its traceback (which
+    would keep the member's trajectories alive)."""
     try:
-        fam = make_packets(bump, n)
-        pert = fam.perturbation(config.model)
-        u0 = fam.packet + pert
-        traj_pert = evolve(u0, config.model, solver)
-        traj_base = evolve(fam.packet, config.model, solver)
-        pieces = _decomposition_pieces(config.model, fam, u0, cutoffs)
-        entry = {
-            "perturbation_norm": besov_norm(pert, B321, cutoffs),
-            "snap_error": fam.snap_error,
-            "h1_drift": max(traj_pert.h1_drift(), traj_base.h1_drift()),
-            **pieces,
-            "solver": {"perturbed": traj_pert.counters(), "base": traj_base.counters()},
-        }
-        if n >= DOMINANCE_MIN_N:
-            correction = pieces["correction_total"]
-            product = pieces["product_b321"]
-            entry["dominance_factor"] = product / correction if correction > 0 else math.inf
-        gaps = [
-            (t, besov_norm(u_pert - u_base, B321, cutoffs))
-            for (t, u_pert), (_, u_base) in zip(traj_pert.samples, traj_base.samples)
-            if t > 0.0 or 0.0 in config.t_values
-        ]
+        return job()
     except BesovLabError as err:
-        # without its traceback, which holds the member's trajectories
         return err.with_traceback(None)
-    return entry, gaps
+
+
+def _nonuniform_members(config, bump, cutoffs, solver) -> list:
+    """For each family member n of run_nonuniform, its report entry and its
+    gaps [(t, D_n(t))] at the reported sample times, or the BesovLabError it
+    raised.
+
+    The work items are trajectories, not members, so three members keep two
+    CPUs busy: every member's perturbed and base evolve, then each member's
+    decomposition pieces and perturbation norm, which fill the threads'
+    last gaps; once all of these are done, each member's gaps and H^1
+    drift.  A member's error is the first of its items in the order
+    perturbed, base, pieces: the one it raises when run alone.
+    """
+    model = config.model
+    members = {
+        n: _catching(functools.partial(_member_data, bump, model, n)) for n in config.n_values
+    }
+    live = [n for n, member in members.items() if not isinstance(member, BesovLabError)]
+    jobs = [
+        functools.partial(evolve, datum, model, solver)
+        for n in live
+        for datum in (members[n][2], members[n][0].packet)
+    ]
+    jobs += [functools.partial(_member_pieces, model, *members[n], cutoffs) for n in live]
+    done = _map_items(_catching, jobs)
+    runs = {n: (done[2 * i], done[2 * i + 1], done[2 * len(live) + i]) for i, n in enumerate(live)}
+    for n, run in runs.items():
+        members[n] = next((r for r in run if isinstance(r, BesovLabError)), members[n])
+    live = [n for n in live if not isinstance(members[n], BesovLabError)]
+    finals = _map_items(
+        _catching,
+        [functools.partial(_member_gaps, config.t_values, cutoffs, *runs[n][:2]) for n in live],
+    )
+    for n, final in zip(live, finals):
+        if isinstance(final, BesovLabError):
+            members[n] = final
+            continue
+        drift, gaps = final
+        members[n] = _member_entry(n, members[n][0], *runs[n], drift), gaps
+    return [members[n] for n in config.n_values]
+
+
+def _member_data(bump, model: Model, n: int) -> tuple:
+    """Family member n's packets, its perturbation and its perturbed datum."""
+    fam = make_packets(bump, n)
+    pert = fam.perturbation(model)
+    return fam, pert, fam.packet + pert
+
+
+def _member_pieces(model: Model, fam, pert: Field, u0: Field, cutoffs: CutoffPair) -> tuple:
+    """A member's decomposition pieces and its perturbation's B^{3/2}_{2,1} norm."""
+    pieces = _decomposition_pieces(model, fam, u0, cutoffs)
+    return pieces, besov_norm(pert, B321, cutoffs)
+
+
+def _member_gaps(t_values, cutoffs: CutoffPair, traj_pert, traj_base) -> tuple:
+    """A member's H^1 drift and its gaps [(t, D_n(t))] at the reported times."""
+    drift = max(traj_pert.h1_drift(), traj_base.h1_drift())
+    gaps = [
+        (t, besov_norm(u_pert - u_base, B321, cutoffs))
+        for (t, u_pert), (_, u_base) in zip(traj_pert.samples, traj_base.samples)
+        if t > 0.0 or 0.0 in t_values
+    ]
+    return drift, gaps
+
+
+def _member_entry(n: int, fam, traj_pert, traj_base, pieces_and_norm, drift: float) -> dict:
+    """A member's per_n entry in the report."""
+    pieces, pert_norm = pieces_and_norm
+    entry = {
+        "perturbation_norm": pert_norm,
+        "snap_error": fam.snap_error,
+        "h1_drift": drift,
+        **pieces,
+        "solver": {"perturbed": traj_pert.counters(), "base": traj_base.counters()},
+    }
+    if n >= DOMINANCE_MIN_N:
+        correction = pieces["correction_total"]
+        product = pieces["product_b321"]
+        entry["dominance_factor"] = product / correction if correction > 0 else math.inf
+    return entry
 
 
 def _decomposition_pieces(model: Model, fam, u0: Field, cutoffs: CutoffPair) -> dict:
@@ -382,9 +440,10 @@ def _decomposition_pieces(model: Model, fam, u0: Field, cutoffs: CutoffPair) -> 
             "transport_cross": dealias_triple(u0, u0, dpert),
             "nonlocal_diff": q_operator(u0) - q_operator(fam.packet),
         }
+    profile = block_lp_profile(product, cutoffs)
     pieces = {
-        "product_b321": besov_norm(product, B321, cutoffs),
-        "product_b32inf": besov_norm(product, BesovIndex(1.5, 2, math.inf), cutoffs),
+        "product_b321": float(_besov_norm(profile, B321)),
+        "product_b32inf": float(_besov_norm(profile, BesovIndex(1.5, 2, math.inf))),
     }
     for name, piece in corrections.items():
         pieces[name] = besov_norm(piece, B321, cutoffs)

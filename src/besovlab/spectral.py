@@ -21,8 +21,6 @@ over verbatim to the arrays.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +89,9 @@ class Grid:
         # e^{-i x_m xi_k} = (-1)^k e^{-2pi i mk/N}: the (-1)^k phase maps
         # numpy's 0-based FFT onto the grid whose first sample sits at -L.
         self.alt_phase = np.where(k % 2 == 0, 1.0, -1.0)
-        for arr in (self.x, self.xi, self.alt_phase):
+        # _fft's scale dx * alt_phase, stored so no transform rebuilds it
+        self.dx_phase = self.dx * self.alt_phase
+        for arr in (self.x, self.xi, self.alt_phase, self.dx_phase):
             arr.flags.writeable = False
         self._cache: dict = {}
 
@@ -209,19 +209,23 @@ class SpectralField:
 # The private helpers below act on the last axis, so a (rows, N) block of
 # samples or a (rows, N/2+1) block of coefficients goes through them as one
 # call; row r of the result equals the one-field call on row r, to the bit.
+# Where a helper takes work arrays (out, work, ...), it writes into those
+# instead of allocating; the solver's RK4 stages pass them (dynamics._Workspace).
 
 
 def _fft(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of samples taken on grid."""
     coeffs = np.fft.rfft(samples)
-    coeffs *= grid.dx * grid.alt_phase
+    coeffs *= grid.dx_phase
     return coeffs
 
 
-def _ifft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def _ifft(grid: Grid, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
     """Real samples on grid of half-spectrum coefficients; the imaginary part
-    of the zero and Nyquist entries is discarded."""
-    samples = np.fft.irfft(grid.alt_phase * coeffs, grid.num_points)
+    of the zero and Nyquist entries is discarded.  The samples go to out and
+    the phased coefficients to work (coeffs' shape; may be coeffs itself)."""
+    phased = np.multiply(grid.alt_phase, coeffs, out=work)
+    samples = np.fft.irfft(phased, grid.num_points, out=out)
     samples /= grid.dx
     return samples
 
@@ -311,26 +315,40 @@ def _padded_grid(grid: Grid, total_degree: int) -> Grid:
     return grid.padded(2, 1)
 
 
-def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid) -> np.ndarray:
+def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid, spec=None, out=None) -> np.ndarray:
     """Samples on the finer grid of the zero-padded spectrum; the coarse
-    Nyquist entry stands for both +-N/2 and is split evenly between them."""
+    Nyquist entry stands for both +-N/2 and is split evenly between them.
+    The padded spectrum is built in spec (fine's half-spectrum shape) and
+    the samples go to out."""
     h = grid.nyquist_index
-    padded = np.zeros(coeffs.shape[:-1] + (fine.nyquist_index + 1,), dtype=complex)
-    padded[..., :h] = coeffs[..., :h]
-    padded[..., h] = 0.5 * coeffs[..., h].real
-    # _ifft's formula, applied in place to the array built here
-    padded *= fine.alt_phase
-    samples = np.fft.irfft(padded, fine.num_points)
-    samples /= fine.dx
-    return samples
+    if spec is None:
+        spec = np.empty(coeffs.shape[:-1] + (fine.nyquist_index + 1,), dtype=complex)
+    spec[..., :h] = coeffs[..., :h]
+    spec[..., h] = 0.5 * coeffs[..., h].real
+    spec[..., h + 1 :] = 0.0
+    return _ifft(fine, spec, out=out, work=spec)
 
 
-def _from_padded(grid: Grid, fine: Grid, *factors: np.ndarray) -> np.ndarray:
+def _from_padded(
+    grid: Grid, fine: Grid, *factors: np.ndarray, product=None, spec=None, out=None
+) -> np.ndarray:
     """Coefficients of the product of finer-grid samples, truncated to the
-    band of grid; the coarse Nyquist mode is zeroed."""
+    band of grid; the coarse Nyquist mode is zeroed.  The product is formed
+    in product (fine samples), its transform in spec (fine half-spectrum)
+    and the coefficients go to out."""
     h = grid.nyquist_index
-    out = np.zeros(factors[0].shape[:-1] + (h + 1,), dtype=complex)
-    out[..., :h] = _fft(fine, functools.reduce(operator.mul, factors))[..., :h]
+    if len(factors) > 1:
+        product = np.multiply(factors[0], factors[1], out=product)
+    else:
+        product = factors[0]
+    for f in factors[2:]:
+        product *= f
+    spec = np.fft.rfft(product, out=spec)
+    if out is None:
+        out = np.empty(factors[0].shape[:-1] + (h + 1,), dtype=complex)
+    # _fft's scaling, applied only to the band kept
+    np.multiply(spec[..., :h], fine.dx_phase[:h], out=out[..., :h])
+    out[..., h] = 0.0
     return out
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -224,6 +226,38 @@ class TestEvolve:
         for (ta, fa), (tb, fb) in zip(a.samples, b.samples):
             assert ta == tb
             assert np.array_equal(fa.samples, fb.samples)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_concurrent_runs_on_one_grid_match_serial_runs(self, coarse_grid, model):
+        # each evolve owns its work arrays: four runs on one grid (sharing its
+        # cached padded grid and multipliers) from four threads, switched
+        # every microsecond, must each give their serial trajectory to the bit
+        base = smooth_profile(coarse_grid)
+        data = [scale * base for scale in (1.0, 1.5, 2.0, 2.5)]
+        cfg = SolverConfig(sample_times=(0.05, 0.1), dt_max=0.005)
+        serial = [evolve(u0, model, cfg) for u0 in data]
+        threaded = [None] * len(data)
+        start = threading.Barrier(len(data))
+
+        def run(i):
+            start.wait()
+            threaded[i] = evolve(data[i], model, cfg)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(data))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert b is not None
+            assert [t for t, _ in a.samples] == [t for t, _ in b.samples]
+            for (_, fa), (_, fb) in zip(a.samples, b.samples):
+                assert np.array_equal(fa.samples, fb.samples)
 
     def test_blowup_detected(self, coarse_grid, monkeypatch):
         # steep front: the slope of exp(-2x^2) grows from 1.21 past 2.5

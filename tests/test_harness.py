@@ -124,25 +124,33 @@ class TestRunNonuniform:
         assert {r["n"] for r in report.rows} == {4}
         assert not report.passed
 
-    def test_invalid_field_isolated_per_member(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "failing, reported",
+        [(("perturbed",), "perturbed"), (("base",), "base"), (("perturbed", "base"), "perturbed")],
+        ids=["perturbed", "base", "both"],
+    )
+    def test_invalid_field_isolated_per_member(self, monkeypatch, failing, reported):
+        # with both data failing, the member reports the error it raises when
+        # run alone (perturbed before base), whichever thread raised first
         from besovlab import InvalidField, build_bump, make_packets
 
         real_evolve = harness.evolve
         cfg = ExperimentConfig(model=Model.CH, n_values=(4, 5), t_values=(0.05,),
                                grid_points=2**13)
         fam = make_packets(build_bump(cfg.make_grid()), 5)
-        # the n = 5 member's perturbed datum; members may run on any thread,
-        # in any order, so the fake recognises the datum, not the call count
-        target = (fam.packet + fam.perturbation(Model.CH)).samples
+        # the n = 5 member's data; trajectories may run on any thread, in any
+        # order, so the fake recognises the datum, not the call count
+        data = {"perturbed": fam.packet + fam.perturbation(Model.CH), "base": fam.packet}
 
         def evolve_failing_second_member(u0, model, config):
-            if np.array_equal(u0.samples, target):
-                raise InvalidField("injected")
+            for name in failing:
+                if np.array_equal(u0.samples, data[name].samples):
+                    raise InvalidField(f"injected into {name}")
             return real_evolve(u0, model, config)
 
         monkeypatch.setattr(harness, "evolve", evolve_failing_second_member)
         report = run_nonuniform(cfg)
-        assert report.per_n["5"] == {"error": "InvalidField: injected"}
+        assert report.per_n["5"] == {"error": f"InvalidField: injected into {reported}"}
         assert not report.checks["completed_n5"]["passed"]
         assert {r["n"] for r in report.rows} == {4}
 

@@ -80,3 +80,50 @@ def test_import_loads_no_executor_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def fft_access_faults(source: str, name: str) -> list:
+    """Places in source that reach numpy.fft other than by calling
+    np.fft.rfft(...) or np.fft.irfft(...): an import from numpy.fft, an alias
+    of the module or of a transform, or another transform."""
+    tree = ast.parse(source, filename=name)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.module.startswith("numpy.fft")
+            or (node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        ):
+            faults.append(f"{name}:{node.lineno}: from {node.module} import")
+        elif isinstance(node, ast.Import) and any(
+            a.name.startswith("numpy.fft") for a in node.names
+        ):
+            faults.append(f"{name}:{node.lineno}: import numpy.fft")
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name)):
+            transform = parents.get(node)
+            call = parents.get(transform)
+            ok = (
+                node.value.id == "np"
+                and isinstance(transform, ast.Attribute)
+                and transform.attr in ("rfft", "irfft")
+                and isinstance(call, ast.Call)
+                and call.func is transform
+            )
+            if not ok:
+                faults.append(f"{name}:{node.lineno}: {ast.unparse(transform or node)}")
+    return faults
+
+
+def test_transforms_are_called_through_np_fft():
+    # perfbench's tracer replaces np.fft.rfft/irfft to count and time every
+    # transform; an alias taken at import time would escape it
+    sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    faults = [f for path in sources for f in fft_access_faults(path.read_text(), path.name)]
+    assert faults == []
+    bad = ("from numpy.fft import rfft\n"
+           "import numpy.fft as nf\n"
+           "rfft = np.fft.rfft\n"
+           "y = np.fft.fft(x)\n"
+           "z = np.fft.irfft(x, 8, out=w)\n")
+    assert [f.split(":")[1] for f in fft_access_faults(bad, "probe")] == ["1", "2", "3", "4"]
