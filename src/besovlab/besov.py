@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, Grid, derivative, smooth_step, _apply, _coeffs, _power
+from .spectral import Field, Grid, derivative, smooth_step, _apply, _coeffs, _power, _same_grid
 
 INF = math.inf
 
@@ -74,45 +74,118 @@ class BesovIndex:
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """Tabulated Littlewood-Paley multipliers bound to one grid.
+    """Littlewood-Paley multipliers bound to one grid, each block stored on
+    its support.
 
-    chi is evaluable at arbitrary frequencies; table[j+1] holds the
-    multiplier of block j on the grid's half-spectrum k = 0 .. N/2 (row 0 is
-    the j = -1 cutoff).  ring_scale multiplies every ring; any value other
-    than 1.0 breaks the partition of unity on purpose (1.0 multiplies
-    exactly) and exists solely for fault injection in the validation suite.
-    table_sq is table**2, the weights of the L^2 block norms.
+    chi is evaluable at arbitrary frequencies.  Block j = -1 .. j_max sits
+    at position j + 1 of each tuple: starts holds the first half-spectrum
+    index of its support, values its multiplier from there up to its last
+    nonzero entry (zero elsewhere), squares those values squared, the
+    weights of the L^2 block norms, and windows the index range [lo, hi)
+    its block norm sums over (see _sum_window).  Every frequency lies in at
+    most two blocks (chi meets ring 0 only on [1, 4/3], and ring j never
+    meets ring j + 2), so values and squares hold at most 2(N/2 + 1)
+    numbers each.  ring_scale multiplies every ring; any value other than
+    1.0 breaks the partition of unity on purpose (1.0 multiplies exactly)
+    and exists solely for fault injection in the validation suite.
     """
 
     grid: Grid
     ring_scale: float
     j_max: int
-    table: np.ndarray = field(repr=False)
-    table_sq: np.ndarray = field(repr=False)
+    starts: tuple = field(repr=False)
+    values: tuple = field(repr=False)
+    squares: tuple = field(repr=False)
+    windows: tuple = field(repr=False)
 
     chi = staticmethod(transition_chi)
 
     def block_multiplier(self, j: int) -> np.ndarray:
+        """Multiplier of block j on the whole half-spectrum k = 0 .. N/2."""
         if j < -1 or j > self.j_max:
             raise IndexError(f"block index {j} outside -1..{self.j_max}")
-        return self.table[j + 1]
+        row = np.zeros(self.grid.xi.shape)
+        start, values = self.starts[j + 1], self.values[j + 1]
+        row[start : start + values.size] = values
+        return row
+
+
+def _cutoff_row(xi, j: int, ring_scale: float):
+    """Row j + 1 of _cutoff_rows(xi, ...), on its own."""
+    return transition_chi(xi) if j == -1 else ring_scale * transition_ring(xi / 2.0**j)
+
+
+def _sum_window(size: int, first: int, stop: int) -> tuple:
+    """Smallest node [lo, hi) of numpy's pairwise summation tree over size
+    entries that contains [first, stop).
+
+    np.sum of an array that vanishes outside [first, stop) only adds exact
+    zeros above that node, so the node's sum alone has the bits of the sum
+    over all size entries: a block norm does not depend on whether the
+    block is stored on its support or on the whole half-spectrum.  numpy
+    sums up to 128 entries directly and splits longer runs at a multiple of
+    8 near their middle.
+    """
+    lo, hi = 0, size
+    while hi - lo > 128:
+        half = (hi - lo) // 2
+        half -= half % 8
+        if stop <= lo + half:
+            hi = lo + half
+        elif first >= lo + half:
+            lo += half
+        else:
+            break
+    return lo, hi
 
 
 def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
-    """Construct the cutoff pair on a grid (see CutoffPair for ring_scale)."""
+    """Construct the cutoff pair on a grid (see CutoffPair for ring_scale).
+
+    Block j is evaluated only on the frequencies its support can reach: chi
+    vanishes from 4/3 on, ring j up to 2^j and from 2^{j+1} 4/3 on (scaling
+    by 2^j is exact).  The values equal _cutoff_rows(grid.xi, ...)'s to the
+    bit, since both evaluate the same elementwise formula.
+    """
     jm = grid_j_max(grid)
-    table = np.array(list(_cutoff_rows(grid.xi, jm, float(ring_scale))))
-    table_sq = table**2
-    for arr in (table, table_sq):
-        arr.flags.writeable = False
+    ring_scale = float(ring_scale)
+    starts, values, squares, windows = [], [], [], []
+    for j in range(-1, jm + 1):
+        reach = (0.0, 4.0 / 3.0) if j == -1 else (2.0**j, 2.0 ** (j + 1) * (4.0 / 3.0))
+        first = max(int(np.searchsorted(grid.xi, reach[0], side="right")) - 1, 0)
+        last = int(np.searchsorted(grid.xi, reach[1]))
+        row = _cutoff_row(grid.xi[first : last + 1], j, ring_scale)
+        nonzero = np.flatnonzero(row)
+        lead, end = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+        row = row[lead:end].copy()
+        first += lead
+        row_sq = row**2
+        for arr in (row, row_sq):
+            arr.flags.writeable = False
+        starts.append(first)
+        values.append(row)
+        squares.append(row_sq)
+        windows.append(_sum_window(grid.xi.size, first, first + row.size))
     return CutoffPair(
-        grid=grid, ring_scale=float(ring_scale), j_max=jm, table=table, table_sq=table_sq
+        grid=grid,
+        ring_scale=ring_scale,
+        j_max=jm,
+        starts=tuple(starts),
+        values=tuple(values),
+        squares=tuple(squares),
+        windows=tuple(windows),
     )
+
+
+def _check_grid(grid: Grid, cutoffs: CutoffPair) -> None:
+    if not _same_grid(grid, cutoffs.grid):
+        raise ValueError(f"field on {grid!r}, but cutoffs built for {cutoffs.grid!r}")
 
 
 def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
     """Frequency block of f: chi(D) f for j = -1, ring(2^{-j} D) f for j >= 0,
     zero for j <= -2 or beyond the grid's j_max."""
+    _check_grid(f.grid, cutoffs)
     if j <= -2 or j > cutoffs.j_max:
         return Field.zero(f.grid)
     return Field(f.grid, _apply(f.grid, cutoffs.block_multiplier(j), f.samples))
@@ -120,10 +193,19 @@ def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
 
 def _lp_profile(coeffs: np.ndarray, cutoffs: CutoffPair) -> np.ndarray:
     """||block_j||_{L^2}, j = -1 .. j_max, of each coefficient row on
-    cutoffs.grid (last axis j); the temporary holds rows x (j_max + 2) x
-    (N/2 + 1) doubles."""
-    power = _power(coeffs)[..., None, :]
-    return np.sqrt(np.sum(cutoffs.table_sq * power, axis=-1) / (2.0 * cutoffs.grid.half_length))
+    cutoffs.grid (last axis j).  Each block's weighted power is formed on
+    its support and summed over its window, so the work and the temporaries
+    are O(N) per row."""
+    power = _power(coeffs)
+    profile = np.empty(power.shape[:-1] + (cutoffs.j_max + 2,))
+    blocks = zip(cutoffs.starts, cutoffs.squares, cutoffs.windows)
+    for b, (start, square, (lo, hi)) in enumerate(blocks):
+        terms = np.zeros(power.shape[:-1] + (hi - lo,))
+        support = slice(start - lo, start - lo + square.size)
+        np.multiply(square, power[..., start : start + square.size], out=terms[..., support])
+        profile[..., b] = terms.sum(axis=-1)
+    profile /= 2.0 * cutoffs.grid.half_length
+    return np.sqrt(profile, out=profile)
 
 
 def _besov_norm(profile: np.ndarray, idx: BesovIndex) -> np.ndarray:
@@ -140,11 +222,13 @@ def _besov_norm(profile: np.ndarray, idx: BesovIndex) -> np.ndarray:
 def block_lp_profile(f: Field, cutoffs: CutoffPair) -> np.ndarray:
     """Array of ||block_j f||_{L^2} for j = -1 .. j_max, read off in spectral
     space via Parseval."""
+    _check_grid(f.grid, cutoffs)
     return _lp_profile(_coeffs(f), cutoffs)
 
 
 def besov_norm(f: Field, idx: BesovIndex, cutoffs: CutoffPair) -> float:
     """Nonhomogeneous Besov norm ||(2^{js} ||block_j f||_{L^2})_j||_{l^r}."""
+    _check_grid(f.grid, cutoffs)
     return float(_besov_norm(_lp_profile(_coeffs(f), cutoffs), idx))
 
 

@@ -264,7 +264,8 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
     decay violation) are recorded without aborting the remaining members.
     The members' trajectories run concurrently, one thread per usable CPU
     (_nonuniform_members); the report does not depend on how many threads
-    there are.
+    there are.  A member's samples are dropped as soon as its gaps are
+    taken, so the run holds only the trajectories of members in flight.
     """
     grid = config.make_grid()
     cutoffs = build_cutoffs(grid)
@@ -347,37 +348,50 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
 
     The work items are trajectories, not members, so three members keep two
     CPUs busy: every member's perturbed and base evolve, then each member's
-    decomposition pieces and perturbation norm, which fill the threads'
-    last gaps; once all of these are done, each member's gaps and H^1
-    drift.  A member's error is the first of its items in the order
-    perturbed, base, pieces: the one it raises when run alone.
+    decomposition pieces and perturbation norm, which fill the threads' last
+    gaps.  The item that lands a member's second trajectory takes that
+    member's gaps and H^1 drift, then empties both trajectories' samples
+    (their counters stay), so only the trajectories of members still in
+    flight hold samples.  A member's error is the first of its items in the
+    order perturbed, base, pieces, gaps: the one it raises when run alone.
     """
     model = config.model
     members = {
         n: _catching(functools.partial(_member_data, bump, model, n)) for n in config.n_values
     }
     live = [n for n, member in members.items() if not isinstance(member, BesovLabError)]
+    runs = {n: [None, None] for n in live}  # perturbed, base: Trajectory or error
+    finals: dict = {}
+    lock = threading.Lock()
+
+    def trajectory(n: int, i: int, datum: Field) -> None:
+        result = _catching(functools.partial(evolve, datum, model, solver))
+        with lock:
+            runs[n][i] = result
+            second = all(run is not None for run in runs[n])
+        if not second:
+            return
+        trajs = [run for run in runs[n] if not isinstance(run, BesovLabError)]
+        if len(trajs) == 2:
+            finals[n] = _catching(functools.partial(_member_gaps, config.t_values, cutoffs, *trajs))
+        for traj in trajs:
+            traj.samples.clear()
+
     jobs = [
-        functools.partial(evolve, datum, model, solver)
+        functools.partial(trajectory, n, i, datum)
         for n in live
-        for datum in (members[n][2], members[n][0].packet)
+        for i, datum in enumerate((members[n][2], members[n][0].packet))
     ]
     jobs += [functools.partial(_member_pieces, model, *members[n], cutoffs) for n in live]
-    done = _map_items(_catching, jobs)
-    runs = {n: (done[2 * i], done[2 * i + 1], done[2 * len(live) + i]) for i, n in enumerate(live)}
-    for n, run in runs.items():
-        members[n] = next((r for r in run if isinstance(r, BesovLabError)), members[n])
-    live = [n for n in live if not isinstance(members[n], BesovLabError)]
-    finals = _map_items(
-        _catching,
-        [functools.partial(_member_gaps, config.t_values, cutoffs, *runs[n][:2]) for n in live],
-    )
-    for n, final in zip(live, finals):
-        if isinstance(final, BesovLabError):
-            members[n] = final
+    pieces = _map_items(_catching, jobs)[2 * len(live) :]
+    for n, member_pieces in zip(live, pieces):
+        outcomes = (*runs[n], member_pieces, finals.get(n))
+        error = next((r for r in outcomes if isinstance(r, BesovLabError)), None)
+        if error is not None:
+            members[n] = error
             continue
-        drift, gaps = final
-        members[n] = _member_entry(n, members[n][0], *runs[n], drift), gaps
+        drift, gaps = finals[n]
+        members[n] = _member_entry(n, members[n][0], *runs[n], member_pieces, drift), gaps
     return [members[n] for n in config.n_values]
 
 
@@ -406,7 +420,8 @@ def _member_gaps(t_values, cutoffs: CutoffPair, traj_pert, traj_base) -> tuple:
 
 
 def _member_entry(n: int, fam, traj_pert, traj_base, pieces_and_norm, drift: float) -> dict:
-    """A member's per_n entry in the report."""
+    """A member's per_n entry in the report; only the trajectories' counters
+    are read."""
     pieces, pert_norm = pieces_and_norm
     entry = {
         "perturbation_norm": pert_norm,

@@ -123,6 +123,11 @@ class Grid:
         return self._cache[key]
 
 
+def _same_grid(a: Grid, b: Grid) -> bool:
+    """Whether a and b are one grid: the same object, or equal sizes and boxes."""
+    return a is b or (a.num_points == b.num_points and a.half_length == b.half_length)
+
+
 @dataclass(frozen=True)
 class Field:
     """Real-valued function sampled on a grid."""
@@ -164,10 +169,7 @@ class Field:
     __rmul__ = __mul__
 
     def _check_same_grid(self, other: "Field"):
-        if other.grid is not self.grid and (
-            other.grid.num_points != self.grid.num_points
-            or other.grid.half_length != self.grid.half_length
-        ):
+        if not _same_grid(self.grid, other.grid):
             raise ValueError("fields live on different grids")
 
     def max_abs(self) -> float:

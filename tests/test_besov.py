@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from besovlab import (
 )
 from besovlab.besov import (
     _besov_norm,
+    _cutoff_rows,
     _lp_profile,
     block_lp_profile,
     grid_j_max,
@@ -25,7 +28,7 @@ from besovlab.besov import (
 )
 from besovlab.corpus import _random_samples, random_field
 from besovlab.harness import EMBED_CONSTANT, PRODUCT_CSTAR
-from besovlab.spectral import _apply, _fft, dealias_product
+from besovlab.spectral import _apply, _fft, _power, dealias_product
 from besovlab.wavepackets import cubic_cross_product
 
 from conftest import rng
@@ -61,6 +64,76 @@ class TestCutoffs:
     def test_j_max_covers_grid(self, box_grid):
         jm = grid_j_max(box_grid)
         assert 2.0 ** (jm + 1) >= box_grid.xi_max
+
+
+class TestBandedBlocks:
+    """Each block is stored on its support; nothing may differ from the
+    dense (j_max + 2) x (N/2 + 1) table of _cutoff_rows."""
+
+    @pytest.mark.parametrize("ring_scale", [1.0, 1.01])
+    @pytest.mark.parametrize(
+        "num_points, half_length", [(1024, 16 * math.pi), (3 * 2**12, 32 * math.pi), (2**15, 32 * math.pi)]
+    )
+    def test_banded_blocks_match_dense_table(self, num_points, half_length, ring_scale):
+        grid = Grid(num_points, half_length)
+        cutoffs = build_cutoffs(grid, ring_scale)
+        dense = np.array(list(_cutoff_rows(grid.xi, cutoffs.j_max, ring_scale)))
+        for j in range(-1, cutoffs.j_max + 1):
+            assert np.array_equal(cutoffs.block_multiplier(j), dense[j + 1])
+        coeffs = _fft(grid, _random_samples(grid, rng(7), 3))
+        power = _power(coeffs)[:, None, :]
+        reference = np.sqrt(np.sum(dense**2 * power, axis=-1) / (2.0 * half_length))
+        np.testing.assert_allclose(_lp_profile(coeffs, cutoffs), reference, rtol=1e-14, atol=0)
+
+    def test_storage_and_norm_memory_linear_in_n(self):
+        grid = Grid(2**16, 32 * math.pi)
+        cutoffs = build_cutoffs(grid)
+        held = 0
+        for spec in dataclasses.fields(cutoffs):
+            value = getattr(cutoffs, spec.name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    held += item.nbytes
+        # dense tables would hold 2 (j_max + 2) (N/2 + 1) doubles: 7.0 MB here
+        assert held <= 4 * (grid.num_points // 2 + 1) * 8
+        f = random_field(grid, rng(8))
+        idx = BesovIndex(1.5, 2, 1)
+        besov_norm(f, idx, cutoffs)
+        tracemalloc.start()
+        try:
+            besov_norm(f, idx, cutoffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense (j_max + 2) x (N/2 + 1) temporary would peak at 4.4 MB
+        assert peak < 2e6
+
+
+class TestGridMismatch:
+    @pytest.mark.parametrize(
+        "other", [Grid(4096, 16 * math.pi), Grid(2048, 32 * math.pi)], ids=["box", "points"]
+    )
+    def test_cutoffs_of_another_grid_rejected(self, other):
+        # another box's cutoffs would give a silently wrong norm
+        grid = Grid(4096, 32 * math.pi)
+        f = Field(grid, np.exp(-(grid.x**2) / 2.0))
+        cutoffs = build_cutoffs(other)
+        calls = (
+            lambda: besov_norm(f, BesovIndex(1.5, 2, 1), cutoffs),
+            lambda: block_lp_profile(f, cutoffs),
+            lambda: dyadic_block(f, 0, cutoffs),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert repr(grid) in str(err.value) and repr(other) in str(err.value)
+
+    def test_equal_grid_accepted(self):
+        grid = Grid(4096, 32 * math.pi)
+        f = Field(grid, np.exp(-(grid.x**2) / 2.0))
+        twin = build_cutoffs(Grid(4096, 32 * math.pi))
+        idx = BesovIndex(1.5, 2, 1)
+        assert besov_norm(f, idx, twin) == besov_norm(f, idx, build_cutoffs(grid))
 
 
 class TestDyadicBlocks:

@@ -154,6 +154,53 @@ class TestRunNonuniform:
         assert not report.checks["completed_n5"]["passed"]
         assert {r["n"] for r in report.rows} == {4}
 
+    @pytest.mark.parametrize(
+        "failing, reported", [(("pieces", "gaps"), "pieces"), (("gaps",), "gaps")]
+    )
+    def test_pieces_error_before_gaps_error(self, monkeypatch, failing, reported):
+        from besovlab import InvalidField
+
+        def failing_in(name, real):
+            def wrapped(*args):
+                if name in failing:
+                    raise InvalidField(f"injected into {name}")
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(harness, "_member_pieces", failing_in("pieces", harness._member_pieces))
+        monkeypatch.setattr(harness, "_member_gaps", failing_in("gaps", harness._member_gaps))
+        cfg = ExperimentConfig(model=Model.CH, n_values=(4,), t_values=(0.05,),
+                               grid_points=2**13)
+        report = run_nonuniform(cfg)
+        assert report.per_n["4"] == {"error": f"InvalidField: injected into {reported}"}
+
+    def test_trajectories_released_once_gaps_taken(self, monkeypatch):
+        # on one thread a member's gaps are taken as soon as its base
+        # trajectory lands, so at most its own two still hold samples
+        real_evolve, real_gaps = harness.evolve, harness._member_gaps
+        trajectories, holding = [], []
+
+        def tracked_evolve(u0, model, config):
+            trajectories.append(real_evolve(u0, model, config))
+            return trajectories[-1]
+
+        def counted_gaps(*args):
+            holding.append(sum(1 for traj in trajectories if traj.samples))
+            return real_gaps(*args)
+
+        _forced_cpus(monkeypatch, 1)
+        monkeypatch.setattr(harness, "evolve", tracked_evolve)
+        monkeypatch.setattr(harness, "_member_gaps", counted_gaps)
+        cfg = ExperimentConfig(model=Model.CH, n_values=(1, 2, 3, 4, 5), t_values=(0.05,),
+                               grid_points=2**13)
+        report = run_nonuniform(cfg)
+        assert len(trajectories) == 10 and len(holding) == 5
+        assert max(holding) <= 2
+        assert not any(traj.samples for traj in trajectories)
+        for entry in report.per_n.values():
+            assert entry["solver"]["perturbed"]["steps"] >= 1
+
     @pytest.mark.parametrize("n_values", [(4.7,), (4, 4), (), (0, 5), (True,), 4])
     def test_bad_n_values_rejected(self, n_values):
         # a fractional n used to be truncated and a repeated one run twice
