@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,17 @@ class Model(enum.Enum):
     NOVIKOV = "novikov"
 
 
+def _times(values, name: str) -> tuple:
+    """values as a tuple of floats; ValueError naming name unless values is a
+    list, tuple, range or array of real numbers (a string such as "15" would
+    otherwise be read digit by digit as the times 1 and 5)."""
+    if not isinstance(values, (list, tuple, range, np.ndarray)) or not all(
+        isinstance(t, numbers.Real) and not isinstance(t, bool) for t in values
+    ):
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
+    return tuple(float(t) for t in values)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-integration parameters.
@@ -88,7 +100,8 @@ class SolverConfig:
     sample interval no longer than both bounds is one step, and the zero
     datum (rate zero) steps at dt_max.  A smaller dt_max serves to measure
     the time error by step refinement.  Negative, non-finite, repeated or
-    unsorted times raise ValueError.
+    unsorted times raise ValueError, and so does a value that is not a
+    sequence of numbers, such as a string.
     """
 
     sample_times: tuple
@@ -97,7 +110,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
-        times = tuple(float(t) for t in self.sample_times)
+        times = _times(self.sample_times, "sample_times")
         for t in times:
             if not math.isfinite(t):
                 raise ValueError(f"sample times must be finite, got {t}")
@@ -116,7 +129,7 @@ class Trajectory:
     SolverConfig."""
 
     model: Model
-    samples: list  # [(time, Field)]
+    samples: list  # [(time, Field)]; empty when evolve passed them to on_sample
     steps_taken: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
@@ -164,20 +177,25 @@ class _Workspace:
     and faults them in again on the next allocation.  Each evolve call
     builds its own set, and so does each Field-level operator call; threads
     share grids, so a set never lives in the grid's cache.
+
+    Both models hold one coarse spectrum per product of the RHS (the last
+    also holds u_x's coefficients until its product is transformed), the
+    padded spectrum fine_spec, and the fine samples u and ux.  CH squares u
+    and ux in place, as each is read once, so only Novikov, whose first two
+    products each need both factors later, holds a third fine array,
+    product; for CH it is None.
     """
 
     def __init__(self, grid: Grid, model: Model):
         self.fine = fine = _padded_grid(grid, 2 if model is Model.CH else 3)
         coarse = grid.xi.shape
-        self.Fx = np.empty(coarse, dtype=complex)
-        # one spectrum per product of the model's RHS
         count = 2 if model is Model.CH else 3
         self.products = [np.empty(coarse, dtype=complex) for _ in range(count)]
         # padded spectrum of u, then of u_x, then each product's spectrum
         self.fine_spec = np.empty(fine.xi.shape, dtype=complex)
         self.u = np.empty(fine.num_points)
         self.ux = np.empty(fine.num_points)
-        self.product = np.empty(fine.num_points)
+        self.product = None if model is Model.CH else np.empty(fine.num_points)
 
     def transform_product(self, grid: Grid, out: np.ndarray, *factors) -> np.ndarray:
         return _from_padded(
@@ -195,15 +213,17 @@ def _rhs_hat(grid: Grid, F: np.ndarray, model: Model, work: _Workspace) -> tuple
     """
     ixi = _derivative_multiplier(grid, 1)
     fine = work.fine
-    np.multiply(ixi, F, out=work.Fx)
+    # u_x's coefficients, in the last product's spectrum until it is formed
+    Fx = np.multiply(ixi, F, out=work.products[-1])
     a = _to_padded(grid, F, fine, work.fine_spec, work.u)
-    b = _to_padded(grid, work.Fx, fine, work.fine_spec, work.ux)
+    b = _to_padded(grid, Fx, fine, work.fine_spec, work.ux)
     if model is Model.CH:
         p_mult = grid.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
         # transport -u u_x written as -(u^2)'/2
         transport_mult = grid.multiplier("ch_transport", lambda _: -0.5 * ixi)
-        u2 = work.transform_product(grid, work.products[0], a, a)
-        ux2 = work.transform_product(grid, work.products[1], b, b)
+        # u and u_x are each read once: square them in place
+        u2 = work.transform_product(grid, work.products[0], np.multiply(a, a, out=a))
+        ux2 = work.transform_product(grid, work.products[1], np.multiply(b, b, out=b))
         # nonlocal: p_mult * (u2 + 0.5 * ux2)
         ux2 *= 0.5
         ux2 += u2
@@ -289,6 +309,7 @@ def evolve(
     model: Model,
     config: SolverConfig,
     decay_tol: float | None = DECAY_TOL,
+    on_sample=None,
 ) -> Trajectory:
     """Integrate one initial datum with classical RK4.
 
@@ -296,18 +317,27 @@ def evolve(
     on exactly); the run ends at the last sample time.  Raises BlowUp when
     ||u_x||_inf exceeds BLOWUP_SLOPE and InvalidField if the state goes
     non-finite.
+
+    on_sample, when given, is called as on_sample(t, u) with each recorded
+    sample as it lands, (0.0, u0) first, and the returned trajectory keeps
+    only the step counters (its samples list stays empty); a caller that
+    reduces each sample to a few numbers then holds one sample at a time
+    instead of the whole run.  The samples are the ones a call without it
+    records, to the bit.
     """
     check_decay(u0, decay_tol)
     grid = u0.grid
     ixi = _derivative_multiplier(grid, 1)
     work = _Workspace(grid, model)
     F0 = _coeffs(u0)
-    # the state, the argument of the next stage, the RK4 sum and the step
-    # check's samples, each updated in place
+    # the state, the argument of the next stage and the RK4 sum, each
+    # updated in place; coarse samples (the step check's and each recorded
+    # sample's) go to the first N entries of work.u, which the next stage
+    # overwrites
     F = F0.copy()
     stage = np.empty_like(F)
     acc = np.empty_like(F)
-    samples = np.empty(grid.num_points)
+    coarse = work.u[: grid.num_points]
 
     def step_rhs(G):
         transport, nonlocal_part = _rhs_hat(grid, G, model, work)
@@ -321,14 +351,16 @@ def evolve(
 
     targets = [t for t in config.sample_times if t > 0.0]
 
-    traj = Trajectory(model=model, samples=[(0.0, u0)])
+    traj = Trajectory(model=model, samples=[])
+    record = on_sample if on_sample is not None else lambda t, u: traj.samples.append((t, u))
+    record(0.0, u0)
     t = 0.0
     for target in targets:
         while t < target - 1e-13:
-            speed = _sup(_ifft(grid, F, out=samples, work=stage))
+            speed = _sup(_ifft(grid, F, out=coarse, work=stage))
             if not math.isfinite(speed):
                 raise InvalidField(f"solution became non-finite at t={t:.6f}")
-            slope = _sup(_ifft(grid, np.multiply(ixi, F, out=stage), out=samples, work=stage))
+            slope = _sup(_ifft(grid, np.multiply(ixi, F, out=stage), out=coarse, work=stage))
             if slope > BLOWUP_SLOPE:
                 raise BlowUp(t, slope)
             if model is Model.NOVIKOV:
@@ -357,5 +389,7 @@ def evolve(
                 t = target
         # u0 plus the change: transforming F back whole would add rounding
         # noise of u0's size at every frequency, the floor of small-t remainders
-        traj.samples.append((target, Field(grid, u0.samples + _ifft(grid, F - F0))))
+        change = _ifft(grid, np.subtract(F, F0, out=stage), out=coarse, work=stage)
+        change += u0.samples
+        record(target, Field(grid, change))
     return traj

@@ -32,7 +32,7 @@ from .besov import (
     _lp_profile,
 )
 from .corpus import _random_samples
-from .dynamics import CFL, Model, SolverConfig, evolve, p_operator, q_operator, rhs
+from .dynamics import CFL, Model, SolverConfig, _times, evolve, p_operator, q_operator, rhs
 from .errors import BesovLabError, ResolutionExceeded
 from .spectral import (
     Field,
@@ -106,7 +106,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
         object.__setattr__(self, "n_values", _family_members(self.n_values))
-        ts = tuple(sorted(float(t) for t in self.t_values))
+        ts = tuple(sorted(_times(self.t_values, "t_values")))
         if not ts or ts[0] < 0:
             raise ValueError("t_values must be nonnegative and nonempty")
         object.__setattr__(self, "t_values", ts)
@@ -593,18 +593,21 @@ def run_taylor_check(
 
 def _taylor_datum(model: Model, u0: Field, solver: SolverConfig, cutoffs: CutoffPair, ladder):
     """One datum of run_taylor_check: its remainder at every rung of ladder
-    (the solver's sample times), and its report entry."""
+    (the solver's sample times), and its report entry.  Each rung's norms
+    are taken as its sample lands, so the datum holds one sample at a time."""
     coeff = rhs(u0, model)
     norms = _datum_norms(u0, cutoffs)
     bound = _remainder_bound(model, norms)
-    traj = evolve(u0, model, solver)
     remainders = []
     first_order = []
-    for t, u in traj.samples:
+
+    def take_norms(t, u):
         if t == 0.0:
-            continue
+            return
         remainders.append(besov_norm(u - u0 - t * coeff, B321, cutoffs))
         first_order.append(besov_norm(u - u0, B321, cutoffs) / t)
+
+    traj = evolve(u0, model, solver, on_sample=take_norms)
     slope = float(np.polyfit(np.log(ladder), np.log(remainders), 1)[0])
     implied = max(r / (t**2 * bound) for r, t in zip(remainders, ladder))
     first_size = _first_order_size(model, norms)

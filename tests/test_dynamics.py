@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,35 @@ class TestEvolve:
             for (_, fa), (_, fb) in zip(a.samples, b.samples):
                 assert np.array_equal(fa.samples, fb.samples)
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_on_sample_receives_the_recorded_samples(self, coarse_grid, model):
+        u0 = smooth_profile(coarse_grid)
+        cfg = SolverConfig(sample_times=(0.0, 0.05, 0.1), dt_max=0.02)
+        plain = evolve(u0, model, cfg)
+        seen = []
+        streamed = evolve(u0, model, cfg, on_sample=lambda t, u: seen.append((t, u)))
+        assert streamed.samples == []
+        assert streamed.counters() == plain.counters()
+        assert [t for t, _ in seen] == [t for t, _ in plain.samples] == [0.0, 0.05, 0.1]
+        for (_, a), (_, b) in zip(seen, plain.samples):
+            assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("model, doubles", [(Model.CH, 14.5), (Model.NOVIKOV, 19.0)])
+    def test_work_array_footprint(self, model, doubles):
+        # one evolve holds its state, stage, RK4 sum, initial spectrum, the
+        # RHS's work arrays and the samples it keeps; peak in N doubles
+        grid = Grid(2**14, 32 * math.pi)
+        u0 = smooth_profile(grid)
+        cfg = SolverConfig(sample_times=(0.01, 0.02, 0.03))
+        evolve(u0, model, cfg, decay_tol=None)  # fills the grid's caches
+        tracemalloc.start()
+        try:
+            evolve(u0, model, cfg, decay_tol=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= doubles * grid.num_points * 8
+
     def test_blowup_detected(self, coarse_grid, monkeypatch):
         # steep front: the slope of exp(-2x^2) grows from 1.21 past 2.5
         # well before t=1.5 under the quadratic model
@@ -292,6 +322,10 @@ class TestEvolve:
             SolverConfig(sample_times=(0.5, math.nan))
         with pytest.raises(ValueError, match=r"increasing, got \(0.5, 0.5\)"):
             SolverConfig(sample_times=(0.5, 0.5))
+        # a string is not a list of times ("15" used to mean t = 1 and 5)
+        for times in ("15", "0.1", 0.1):
+            with pytest.raises(ValueError, match="sample_times must be a sequence of numbers"):
+                SolverConfig(sample_times=times)
 
 
 class TestStepSize:

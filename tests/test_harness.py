@@ -4,6 +4,7 @@ import pathlib
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,13 @@ class TestRunNonuniform:
         with pytest.raises(ValueError, match="n_values must be positive integers"):
             run_scaling_batch(n_values, grid_points=2**13)
 
+    @pytest.mark.parametrize("t_values", ["15", "0.1", 0.1, [0.1, "0.2"]],
+                             ids=["digits", "decimal-string", "number", "mixed-list"])
+    def test_bad_t_values_rejected(self, t_values):
+        # a string of digits used to run at one time per digit ("15": t = 1, 5)
+        with pytest.raises(ValueError, match="t_values must be a sequence of numbers"):
+            ExperimentConfig(t_values=t_values)
+
     def test_identical_solver_settings_give_zero_gap_without_perturbation(self):
         # determinism corollary: evolving the same datum twice gives bitwise
         # equal trajectories, so a vanished perturbation produces D == 0
@@ -247,6 +255,24 @@ class TestTaylorCheck:
             "model": "ch", "grid_points": 49152, "half_length": report.grid["half_length"],
             "cfl": 0.3, "t_min": 1e-3, "t_max": 2e-3, "points": 2, "packet_n": 8,
         }
+
+    def test_memory_independent_of_ladder_length(self, monkeypatch):
+        # each rung's norms are taken as its sample lands, so a datum holds
+        # one sample at a time: 32 rungs need about the memory of 4
+        _forced_cpus(monkeypatch, 1)
+        n = 2**12
+        cfg = ExperimentConfig(model=Model.NOVIKOV, grid_points=n)
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                run_taylor_check(cfg, t_min=1e-3, t_max=1e-2, points=points, packet_n=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # fills the grid's caches
+        assert peak(32) - peak(4) < 2 * n * 8
 
 
 def _forced_cpus(monkeypatch, cpus):
@@ -302,13 +328,13 @@ class TestConcurrency:
         lock = threading.Lock()
         calls = []
 
-        def evolve_failing_once(u0, model, config):
+        def evolve_failing_once(u0, model, config, **kwargs):
             with lock:
                 calls.append(None)
                 first = len(calls) == 1
             if first:
                 raise RuntimeError("injected")
-            return real_evolve(u0, model, config)
+            return real_evolve(u0, model, config, **kwargs)
 
         _forced_cpus(monkeypatch, 2)
         monkeypatch.setattr(harness, "evolve", evolve_failing_once)
@@ -514,6 +540,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command, settings, message", [
         ("nonuniform", {"n_values": [4], "t_values": [-0.1, 0.2]}, "t_values must be nonnegative"),
+        ("nonuniform", {"n_values": [4], "t_values": "15"}, "t_values must be a sequence"),
+        ("nonuniform", {"n_values": [4], "t_values": "0.1"}, "t_values must be a sequence"),
+        ("nonuniform", {"n_values": [4], "t_values": 0.1}, "t_values must be a sequence"),
         ("lemma31", {"n_min": 6, "n_max": 5, "output_dir": "unused"}, "n_min=6 exceeds n_max=5"),
         ("nonuniform", {"n_min": 0, "n_max": 1}, "n_values must be positive integers"),
         ("lemma31", {"n_min": 0, "n_max": 1, "output_dir": "unused"},
