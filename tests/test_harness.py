@@ -540,9 +540,6 @@ class TestCli:
 
     @pytest.mark.parametrize("command, settings, message", [
         ("nonuniform", {"n_values": [4], "t_values": [-0.1, 0.2]}, "t_values must be nonnegative"),
-        ("nonuniform", {"n_values": [4], "t_values": "15"}, "t_values must be a sequence"),
-        ("nonuniform", {"n_values": [4], "t_values": "0.1"}, "t_values must be a sequence"),
-        ("nonuniform", {"n_values": [4], "t_values": 0.1}, "t_values must be a sequence"),
         ("lemma31", {"n_min": 6, "n_max": 5, "output_dir": "unused"}, "n_min=6 exceeds n_max=5"),
         ("nonuniform", {"n_min": 0, "n_max": 1}, "n_values must be positive integers"),
         ("lemma31", {"n_min": 0, "n_max": 1, "output_dir": "unused"},
@@ -556,6 +553,9 @@ class TestCli:
         ("nonuniform", {"n_min": 4.5, "n_max": 6}, "n_min and n_max must be integers"),
         ("lemma31", {"n_min": "4", "n_max": 6, "output_dir": "unused"},
          "n_min and n_max must be integers"),
+        ("nonuniform", {"n_values": [4], "t_values": "15"}, "t_values must be a sequence"),
+        ("nonuniform", {"n_values": [4], "t_values": "0.1"}, "t_values must be a sequence"),
+        ("nonuniform", {"n_values": [4], "t_values": 0.1}, "t_values must be a sequence"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, settings, message):
         cfg_file = tmp_path / "cfg.json"
