@@ -80,14 +80,14 @@ class CutoffPair:
     chi is evaluable at arbitrary frequencies.  Block j = -1 .. j_max sits
     at position j + 1 of each tuple: starts holds the first half-spectrum
     index of its support, values its multiplier from there up to its last
-    nonzero entry (zero elsewhere), squares those values squared, the
-    weights of the L^2 block norms, and windows the index range [lo, hi)
-    its block norm sums over (see _sum_window).  Every frequency lies in at
-    most two blocks (chi meets ring 0 only on [1, 4/3], and ring j never
-    meets ring j + 2), so values and squares hold at most 2(N/2 + 1)
-    numbers each.  ring_scale multiplies every ring; any value other than
-    1.0 breaks the partition of unity on purpose (1.0 multiplies exactly)
-    and exists solely for fault injection in the validation suite.
+    nonzero entry (zero elsewhere), and squares those values squared, the
+    weights of the L^2 block norms, each summed over its support alone.
+    Every frequency lies in at most two blocks (chi meets ring 0 only on
+    [1, 4/3], and ring j never meets ring j + 2), so values and squares hold
+    at most 2(N/2 + 1) numbers each.  ring_scale multiplies every ring; any
+    value other than 1.0 breaks the partition of unity on purpose (1.0
+    multiplies exactly) and exists solely for fault injection in the
+    validation suite.
     """
 
     grid: Grid
@@ -96,7 +96,6 @@ class CutoffPair:
     starts: tuple = field(repr=False)
     values: tuple = field(repr=False)
     squares: tuple = field(repr=False)
-    windows: tuple = field(repr=False)
 
     chi = staticmethod(transition_chi)
 
@@ -115,30 +114,6 @@ def _cutoff_row(xi, j: int, ring_scale: float):
     return transition_chi(xi) if j == -1 else ring_scale * transition_ring(xi / 2.0**j)
 
 
-def _sum_window(size: int, first: int, stop: int) -> tuple:
-    """Smallest node [lo, hi) of numpy's pairwise summation tree over size
-    entries that contains [first, stop).
-
-    np.sum of an array that vanishes outside [first, stop) only adds exact
-    zeros above that node, so the node's sum alone has the bits of the sum
-    over all size entries: a block norm does not depend on whether the
-    block is stored on its support or on the whole half-spectrum.  numpy
-    sums up to 128 entries directly and splits longer runs at a multiple of
-    8 near their middle.
-    """
-    lo, hi = 0, size
-    while hi - lo > 128:
-        half = (hi - lo) // 2
-        half -= half % 8
-        if stop <= lo + half:
-            hi = lo + half
-        elif first >= lo + half:
-            lo += half
-        else:
-            break
-    return lo, hi
-
-
 def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
     """Construct the cutoff pair on a grid (see CutoffPair for ring_scale).
 
@@ -149,7 +124,7 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
     """
     jm = grid_j_max(grid)
     ring_scale = float(ring_scale)
-    starts, values, squares, windows = [], [], [], []
+    starts, values, squares = [], [], []
     for j in range(-1, jm + 1):
         reach = (0.0, 4.0 / 3.0) if j == -1 else (2.0**j, 2.0 ** (j + 1) * (4.0 / 3.0))
         first = max(int(np.searchsorted(grid.xi, reach[0], side="right")) - 1, 0)
@@ -165,7 +140,6 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
         starts.append(first)
         values.append(row)
         squares.append(row_sq)
-        windows.append(_sum_window(grid.xi.size, first, first + row.size))
     return CutoffPair(
         grid=grid,
         ring_scale=ring_scale,
@@ -173,7 +147,6 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
         starts=tuple(starts),
         values=tuple(values),
         squares=tuple(squares),
-        windows=tuple(windows),
     )
 
 
@@ -194,16 +167,16 @@ def dyadic_block(f: Field, j: int, cutoffs: CutoffPair) -> Field:
 def _lp_profile(coeffs: np.ndarray, cutoffs: CutoffPair) -> np.ndarray:
     """||block_j||_{L^2}, j = -1 .. j_max, of each coefficient row on
     cutoffs.grid (last axis j).  Each block's weighted power is formed on
-    its support and summed over its window, so the work and the temporaries
-    are O(N) per row."""
+    its support in one work buffer and summed there, so the work and the
+    temporaries are O(N) per row; row r of a batch equals the one-row call
+    to the bit."""
     power = _power(coeffs)
     profile = np.empty(power.shape[:-1] + (cutoffs.j_max + 2,))
-    blocks = zip(cutoffs.starts, cutoffs.squares, cutoffs.windows)
-    for b, (start, square, (lo, hi)) in enumerate(blocks):
-        terms = np.zeros(power.shape[:-1] + (hi - lo,))
-        support = slice(start - lo, start - lo + square.size)
-        np.multiply(square, power[..., start : start + square.size], out=terms[..., support])
-        profile[..., b] = terms.sum(axis=-1)
+    terms = np.empty_like(power)
+    for b, (start, square) in enumerate(zip(cutoffs.starts, cutoffs.squares)):
+        size = square.size
+        np.multiply(square, power[..., start : start + size], out=terms[..., :size])
+        profile[..., b] = terms[..., :size].sum(axis=-1)
     profile /= 2.0 * cutoffs.grid.half_length
     return np.sqrt(profile, out=profile)
 

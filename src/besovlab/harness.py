@@ -521,9 +521,21 @@ def run_taylor_check(
     at most 6.4e-14 on the default 2^15 points, 3.0e-14 on 12288).  Without
     config.grid_points the grid is the smallest that resolves packet_n, but
     no smaller than TAYLOR_MIN_POINTS.  The two data are evolved
-    concurrently as in run_nonuniform.  Raises ValueError unless
-    0 < t_min < t_max < inf and points >= 2.
+    concurrently as in run_nonuniform.  Raises ValueError naming the
+    setting unless points and packet_n are integers, t_min and t_max real
+    numbers (bool counts as neither), 0 < t_min < t_max < inf and
+    points >= 2.
     """
+    integer, real = (numbers.Integral, "an integer"), (numbers.Real, "a real number")
+    for name, value, (kind, what) in (
+        ("points", points, integer),
+        ("packet_n", packet_n, integer),
+        ("t_min", t_min, real),
+        ("t_max", t_max, real),
+    ):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+    t_min, t_max, points, packet_n = float(t_min), float(t_max), int(points), int(packet_n)
     if not t_min > 0.0:
         raise ValueError(f"t_min must be positive, got {t_min}")
     if not t_max > t_min:

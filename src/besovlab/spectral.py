@@ -21,6 +21,7 @@ over verbatim to the arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,6 @@ class Grid:
         self.num_points = int(num_points)
         self.half_length = float(half_length)
         self.dx = 2.0 * self.half_length / self.num_points
-        self.x = -self.half_length + self.dx * np.arange(self.num_points)
         n = self.num_points
         k = np.arange(n // 2 + 1)
         self.xi = (np.pi / self.half_length) * k
@@ -91,9 +91,17 @@ class Grid:
         self.alt_phase = np.where(k % 2 == 0, 1.0, -1.0)
         # _fft's scale dx * alt_phase, stored so no transform rebuilds it
         self.dx_phase = self.dx * self.alt_phase
-        for arr in (self.x, self.xi, self.alt_phase, self.dx_phase):
+        for arr in (self.xi, self.alt_phase, self.dx_phase):
             arr.flags.writeable = False
         self._cache: dict = {}
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        """Sample locations, built on first use: the solver's padded grids
+        never read them."""
+        x = -self.half_length + self.dx * np.arange(self.num_points)
+        x.flags.writeable = False
+        return x
 
     def __repr__(self):
         return f"Grid(num_points={self.num_points}, half_length={self.half_length!r})"

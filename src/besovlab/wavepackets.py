@@ -201,7 +201,7 @@ def product_limits(bump: BumpProfile) -> tuple[float, float]:
     return norm_sq / math.sqrt(2.0), (12.0 / 17.0) * norm_cu / math.sqrt(2.0)
 
 
-def ring_membership(grid: Grid, cutoffs: CutoffPair, center: float, width: float):
+def ring_membership(cutoffs: CutoffPair, center: float, width: float):
     """Block indices whose ring support intersects [center-width, center+width].
 
     The ring of block j is supported in [2^j, (8/3) 2^j]; block -1 covers
@@ -252,9 +252,9 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     b32inf = BesovIndex(1.5, 2, math.inf)
     b321 = BesovIndex(1.5, 2, 1)
 
-    members_quad = ring_membership(grid, cutoffs, fam.carrier, 1.0)
-    members_cub = ring_membership(grid, cutoffs, fam.carrier, 1.5)
-    members_packet = ring_membership(grid, cutoffs, fam.carrier, 0.5)
+    members_quad = ring_membership(cutoffs, fam.carrier, 1.0)
+    members_cub = ring_membership(cutoffs, fam.carrier, 1.5)
+    members_packet = ring_membership(cutoffs, fam.carrier, 0.5)
 
     phi_l2 = bump.phi.l2_norm()
     low_block_l2 = block_lp_profile(bump.phi, cutoffs)[0]

@@ -67,8 +67,9 @@ class TestCutoffs:
 
 
 class TestBandedBlocks:
-    """Each block is stored on its support; nothing may differ from the
-    dense (j_max + 2) x (N/2 + 1) table of _cutoff_rows."""
+    """Each block is stored on its support; multipliers equal the dense
+    (j_max + 2) x (N/2 + 1) table of _cutoff_rows to the bit, block norms
+    agree with it to 1e-14."""
 
     @pytest.mark.parametrize("ring_scale", [1.0, 1.01])
     @pytest.mark.parametrize(

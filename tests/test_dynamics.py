@@ -219,6 +219,16 @@ class TestEvolve:
         traj = evolve(u0, model, SolverConfig(sample_times=(0.25, 0.5)))
         assert traj.h1_drift() < 1e-6
 
+    def test_padded_grid_builds_no_sample_locations(self):
+        # the solver reads only a padded grid's spectral arrays; its x is
+        # built on first access, read-only like the grid's other arrays
+        grid = Grid(2**12, 32 * math.pi)
+        evolve(smooth_profile(grid), Model.NOVIKOV, SolverConfig(sample_times=(0.01,)))
+        fine = grid.padded(2, 1)
+        assert "x" not in vars(fine)
+        assert np.array_equal(fine.x, -fine.half_length + fine.dx * np.arange(fine.num_points))
+        assert not fine.x.flags.writeable
+
     def test_deterministic(self, coarse_grid):
         u0 = smooth_profile(coarse_grid)
         cfg = SolverConfig(sample_times=(0.1, 0.2))

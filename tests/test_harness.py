@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 import sys
 import threading
 import time
@@ -255,6 +256,31 @@ class TestTaylorCheck:
             "model": "ch", "grid_points": 49152, "half_length": report.grid["half_length"],
             "cfl": 0.3, "t_min": 1e-3, "t_max": 2e-3, "points": 2, "packet_n": 8,
         }
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("points", 8.0, "points must be an integer, got 8.0"),
+        ("points", True, "points must be an integer, got True"),
+        ("packet_n", 5.0, "packet_n must be an integer, got 5.0"),
+        ("packet_n", False, "packet_n must be an integer, got False"),
+        ("t_min", "0.001", "t_min must be a real number, got '0.001'"),
+        ("t_min", True, "t_min must be a real number, got True"),
+        ("t_max", "0.1", "t_max must be a real number, got '0.1'"),
+        ("t_max", None, "t_max must be a real number, got None"),
+    ])
+    def test_ladder_setting_types_checked(self, setting, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_taylor_check(ExperimentConfig(model=Model.CH, grid_points=2**12), **{setting: value})
+
+    def test_numpy_scalar_settings_accepted(self, tmp_path):
+        # they reach the report as Python numbers, so it can still be emitted
+        cfg = ExperimentConfig(model=Model.CH, grid_points=2**12)
+        report = run_taylor_check(cfg, t_min=np.float64(1e-3), t_max=np.float32(2e-3),
+                                  points=np.int64(2), packet_n=np.int32(4))
+        assert sorted(report.per_n) == ["packet_pair_n4", "smooth"]
+        emit_outputs(report, str(tmp_path))
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert [config[key] for key in ("t_min", "t_max", "points", "packet_n")] == [
+            1e-3, float(np.float32(2e-3)), 2, 4]
 
     def test_memory_independent_of_ladder_length(self, monkeypatch):
         # each rung's norms are taken as its sample lands, so a datum holds
@@ -556,6 +582,10 @@ class TestCli:
         ("nonuniform", {"n_values": [4], "t_values": "15"}, "t_values must be a sequence"),
         ("nonuniform", {"n_values": [4], "t_values": "0.1"}, "t_values must be a sequence"),
         ("nonuniform", {"n_values": [4], "t_values": 0.1}, "t_values must be a sequence"),
+        ("taylor", {"points": 8.0}, "points must be an integer, got 8.0"),
+        ("taylor", {"points": True}, "points must be an integer, got True"),
+        ("taylor", {"t_min": "0.001"}, "t_min must be a real number, got '0.001'"),
+        ("taylor", {"t_max": False}, "t_max must be a real number, got False"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, settings, message):
         cfg_file = tmp_path / "cfg.json"

@@ -127,3 +127,37 @@ def test_transforms_are_called_through_np_fft():
            "y = np.fft.fft(x)\n"
            "z = np.fft.irfft(x, 8, out=w)\n")
     assert [f.split(":")[1] for f in fft_access_faults(bad, "probe")] == ["1", "2", "3", "4"]
+
+
+EXEMPT_PARAMETERS = {"self", "cls", "_"}
+
+
+def unread_parameters(source: str, name: str) -> list:
+    """Parameters of a function or lambda in source that its body never reads
+    (self, cls and _ exempt); a read in a nested function or lambda counts."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        owner = getattr(node, "name", "<lambda>")
+        faults += [f"{name}:{node.lineno}: {owner}.{p.arg}" for p in params
+                   if p is not None and p.arg not in EXEMPT_PARAMETERS | read]
+    return faults
+
+
+def test_every_parameter_is_read():
+    # a parameter nothing reads is an API that misleads its callers
+    sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    faults = [f for path in sources for f in unread_parameters(path.read_text(), path.name)]
+    assert faults == []
+    probe = ("def f(self, a, b, *rest, c, **kw):\n"
+             "    b = a\n"
+             "    return lambda _, d: (lambda: c)\n"
+             "g = lambda x, y: x\n")
+    assert sorted(f.split(": ")[1] for f in unread_parameters(probe, "probe")) == [
+        "<lambda>.d", "<lambda>.y", "f.b", "f.kw", "f.rest"]

@@ -195,18 +195,18 @@ class TestProducts:
 
     def test_ring_membership_single_for_n5(self, box_bump, box_cutoffs):
         fam = make_packets(box_bump, 5)
-        assert ring_membership(box_bump.grid, box_cutoffs, fam.carrier, 1.5) == [5]
-        assert ring_membership(box_bump.grid, box_cutoffs, fam.carrier, 1.0) == [5]
+        assert ring_membership(box_cutoffs, fam.carrier, 1.5) == [5]
+        assert ring_membership(box_cutoffs, fam.carrier, 1.0) == [5]
 
     def test_ring_membership_pair_for_n4(self, box_bump, box_cutoffs):
         fam = make_packets(box_bump, 4)
-        assert ring_membership(box_bump.grid, box_cutoffs, fam.carrier, 1.5) == [3, 4]
+        assert ring_membership(box_cutoffs, fam.carrier, 1.5) == [3, 4]
 
     def test_localization_outside_membership(self, box_bump, box_cutoffs):
         for n in (4, 5):
             fam = make_packets(box_bump, n)
             prod = cubic_cross_product(fam)
-            members = ring_membership(box_bump.grid, box_cutoffs, fam.carrier, 1.5)
+            members = ring_membership(box_cutoffs, fam.carrier, 1.5)
             assert localization_residual(prod, box_cutoffs, members) <= 1e-12
 
     def test_rescaled_product_norms_approach_limits(self, box_bump, box_cutoffs):
