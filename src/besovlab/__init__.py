@@ -19,7 +19,6 @@ from .dynamics import (
     Trajectory,
     ch_rhs,
     evolve,
-    h1_energy,
     novikov_rhs,
     p_operator,
     q_operator,

@@ -98,8 +98,9 @@ def _load_config(parser, path: str | None) -> dict:
 
 
 def _settings(parser, command: str, flags: dict, given: dict, path: str | None) -> dict:
-    """The config file's settings overlaid by the flags given, checked once;
-    n_min/n_max become n_values.  Settings nobody gave are absent."""
+    """The config file's settings overlaid by the flags given, checked once
+    (by exact type: a JSON true is a bool, not the integer 1); n_min/n_max
+    become n_values.  Settings nobody gave are absent."""
     file_cfg = _load_config(parser, path)
     unknown = sorted(set(file_cfg) - set(flags) - EXTRA_KEYS.get(command, set()))
     if unknown:
@@ -113,16 +114,16 @@ def _settings(parser, command: str, flags: dict, given: dict, path: str | None) 
         parser.error(f"missing {needs}")
     if "n_min" in settings:
         n_min, n_max = settings.pop("n_min"), settings.pop("n_max")
-        if not (isinstance(n_min, int) and isinstance(n_max, int)):
+        if not (type(n_min) is int and type(n_max) is int):
             parser.error(f"n_min and n_max must be integers, got {n_min!r} and {n_max!r}")
         if n_min > n_max:
             parser.error(f"n_min={n_min} exceeds n_max={n_max}")
         settings["n_values"] = tuple(range(n_min, n_max + 1))
     seed = settings.get("seed", 0)
-    if not (isinstance(seed, int) and seed >= 0):
+    if not (type(seed) is int and seed >= 0):
         parser.error(f"seed must be a nonnegative integer, got {seed!r}")
     cutoff_scale = settings.get("cutoff_scale", 1.0)
-    if not (isinstance(cutoff_scale, (int, float)) and math.isfinite(cutoff_scale)):
+    if not (type(cutoff_scale) in (int, float) and math.isfinite(cutoff_scale)):
         parser.error(f"cutoff_scale must be a finite number, got {cutoff_scale!r}")
     return settings
 

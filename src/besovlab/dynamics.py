@@ -40,9 +40,9 @@ from .spectral import (
     _helmholtz_multiplier,
     _ifft,
     _padded_grid,
+    _power,
     _to_field,
     _to_padded,
-    derivative,
 )
 
 # Initial data must fall below this at |x| >= L/2 so that the periodic wrap
@@ -128,20 +128,20 @@ class Trajectory:
     largest CFL number dt * rate, where rate is the transport bound of
     SolverConfig."""
 
-    model: Model
-    samples: list  # [(time, Field)]; empty when evolve passed them to on_sample
+    grid: Grid
+    samples: list  # [(time, F)] (see evolve); empty when evolve passed them to on_sample
     steps_taken: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
     cfl_max: float = 0.0
 
     def final(self) -> Field:
-        return self.samples[-1][1]
+        return _to_field(self.grid, self.samples[-1][1])
 
     def h1_drift(self) -> float:
         """Largest change of the H^1 energy over the samples, relative to its
         initial value (absolute if that is zero)."""
-        energies = [h1_energy(u) for _, u in self.samples]
+        energies = [_h1_energy(self.grid, F) for _, F in self.samples]
         e0 = energies[0]
         if e0 == 0.0:
             return max(abs(e) for e in energies)
@@ -163,10 +163,10 @@ class Trajectory:
         self.cfl_max = max(self.cfl_max, cfl)
 
 
-def h1_energy(u: Field) -> float:
-    """Discrete H^1 energy dx * sum(u^2 + u_x^2)."""
-    ux = derivative(u, 1)
-    return float(u.grid.dx * np.sum(u.samples**2 + ux.samples**2))
+def _h1_energy(grid: Grid, F: np.ndarray) -> float:
+    """H^1 energy, the integral of u^2 + u_x^2, of half-spectrum F by Parseval."""
+    weight = grid.multiplier("h1", lambda xi: 1.0 + xi**2)
+    return float(np.sum(weight * _power(F)) / (2.0 * grid.half_length))
 
 
 class _Workspace:
@@ -266,8 +266,7 @@ def q_operator(u: Field) -> Field:
 
 def rhs(u: Field, model: Model) -> Field:
     """Full right-hand side: transport part plus nonlocal part."""
-    transport, nonlocal_part = _field_rhs(u, model)
-    return _to_field(u.grid, transport + nonlocal_part)
+    return _to_field(u.grid, np.add(*_field_rhs(u, model)))
 
 
 def ch_rhs(u: Field) -> Field:
@@ -313,27 +312,27 @@ def evolve(
 ) -> Trajectory:
     """Integrate one initial datum with classical RK4.
 
-    Samples are recorded at t = 0 and at every positive sample time (landed
-    on exactly); the run ends at the last sample time.  Raises BlowUp when
-    ||u_x||_inf exceeds BLOWUP_SLOPE and InvalidField if the state goes
-    non-finite.
+    Samples (t, F), F the read-only half-spectrum of the state, are recorded
+    at t = 0 and at every positive sample time (landed on exactly); the run
+    ends at the last sample time, and Trajectory.final() builds the last
+    sample's Field.  Raises BlowUp when ||u_x||_inf exceeds BLOWUP_SLOPE and
+    InvalidField if the state goes non-finite.
 
-    on_sample, when given, is called as on_sample(t, u) with each recorded
-    sample as it lands, (0.0, u0) first, and the returned trajectory keeps
-    only the step counters (its samples list stays empty); a caller that
-    reduces each sample to a few numbers then holds one sample at a time
-    instead of the whole run.  The samples are the ones a call without it
-    records, to the bit.
+    on_sample, when given, is called as on_sample(t, F) with each sample as
+    it lands, (0.0, F0) first, and the returned trajectory keeps only the
+    step counters (its samples list stays empty); a caller that reduces each
+    sample to a few numbers then holds one at a time instead of the whole
+    run.  The samples are the ones a call without it records, to the bit.
     """
     check_decay(u0, decay_tol)
     grid = u0.grid
     ixi = _derivative_multiplier(grid, 1)
     work = _Workspace(grid, model)
     F0 = _coeffs(u0)
+    F0.flags.writeable = False
     # the state, the argument of the next stage and the RK4 sum, each
-    # updated in place; coarse samples (the step check's and each recorded
-    # sample's) go to the first N entries of work.u, which the next stage
-    # overwrites
+    # updated in place; the step check's coarse samples go to the first N
+    # entries of work.u, which the next stage overwrites
     F = F0.copy()
     stage = np.empty_like(F)
     acc = np.empty_like(F)
@@ -351,9 +350,9 @@ def evolve(
 
     targets = [t for t in config.sample_times if t > 0.0]
 
-    traj = Trajectory(model=model, samples=[])
-    record = on_sample if on_sample is not None else lambda t, u: traj.samples.append((t, u))
-    record(0.0, u0)
+    traj = Trajectory(grid=grid, samples=[])
+    record = on_sample if on_sample is not None else lambda t, F_t: traj.samples.append((t, F_t))
+    record(0.0, F0)
     t = 0.0
     for target in targets:
         while t < target - 1e-13:
@@ -387,9 +386,7 @@ def evolve(
             traj._count_step(dt, dt * rate)
             if abs(t - target) < 1e-13:
                 t = target
-        # u0 plus the change: transforming F back whole would add rounding
-        # noise of u0's size at every frequency, the floor of small-t remainders
-        change = _ifft(grid, np.subtract(F, F0, out=stage), out=coarse, work=stage)
-        change += u0.samples
-        record(target, Field(grid, change))
+        sample = F.copy()
+        sample.flags.writeable = False
+        record(target, sample)
     return traj

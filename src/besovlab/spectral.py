@@ -74,6 +74,8 @@ class Grid:
     def __init__(self, num_points: int, half_length: float):
         if num_points < 16 or num_points % 2 != 0:
             raise ValueError(f"num_points must be even and >= 16, got {num_points}")
+        if isinstance(half_length, bool):
+            raise ValueError(f"half_length must be a number, got {half_length}")
         if not half_length > 0:
             raise ValueError(f"half_length must be positive, got {half_length}")
         if not np.isfinite(half_length):

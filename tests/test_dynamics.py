@@ -20,7 +20,6 @@ from besovlab import (
     ch_rhs,
     derivative,
     evolve,
-    h1_energy,
     make_packets,
     novikov_rhs,
     p_operator,
@@ -29,9 +28,14 @@ from besovlab import (
 )
 from besovlab import harness
 from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
-from besovlab.besov import lipschitz_norm
-from besovlab.dynamics import RK4_IMAGINARY_LIMIT
-from besovlab.spectral import _coeffs, _from_padded, _to_field, _to_padded
+from besovlab.besov import _besov_norm, _lp_profile, lipschitz_norm
+from besovlab.dynamics import RK4_IMAGINARY_LIMIT, _field_rhs, _h1_energy
+from besovlab.spectral import _coeffs, _from_padded, _ifft, _to_field, _to_padded
+
+
+def b321_hat(coeffs, cutoffs):
+    """B^{3/2}_{2,1} norm of the field with half-spectrum coeffs."""
+    return float(_besov_norm(_lp_profile(coeffs, cutoffs), B321))
 
 
 def kernel_quadrature(xs, w_fn, signed, refine_grid):
@@ -178,9 +182,9 @@ class TestEvolve:
         u0 = smooth_profile(coarse_grid)
         traj = evolve(u0, Model.CH, SolverConfig(sample_times=(0.0,)))
         assert len(traj.samples) == 1
-        t0, field0 = traj.samples[0]
+        t0, F0 = traj.samples[0]
         assert t0 == 0.0
-        assert np.array_equal(field0.samples, u0.samples)
+        assert np.array_equal(F0, _coeffs(u0))
 
     @pytest.mark.parametrize("model", list(Model))
     def test_constant_is_equilibrium(self, coarse_grid, model):
@@ -236,7 +240,7 @@ class TestEvolve:
         b = evolve(u0, Model.CH, cfg)
         for (ta, fa), (tb, fb) in zip(a.samples, b.samples):
             assert ta == tb
-            assert np.array_equal(fa.samples, fb.samples)
+            assert np.array_equal(fa, fb)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_concurrent_runs_on_one_grid_match_serial_runs(self, coarse_grid, model):
@@ -268,7 +272,7 @@ class TestEvolve:
             assert b is not None
             assert [t for t, _ in a.samples] == [t for t, _ in b.samples]
             for (_, fa), (_, fb) in zip(a.samples, b.samples):
-                assert np.array_equal(fa.samples, fb.samples)
+                assert np.array_equal(fa, fb)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_on_sample_receives_the_recorded_samples(self, coarse_grid, model):
@@ -276,12 +280,12 @@ class TestEvolve:
         cfg = SolverConfig(sample_times=(0.0, 0.05, 0.1), dt_max=0.02)
         plain = evolve(u0, model, cfg)
         seen = []
-        streamed = evolve(u0, model, cfg, on_sample=lambda t, u: seen.append((t, u)))
+        streamed = evolve(u0, model, cfg, on_sample=lambda t, F: seen.append((t, F)))
         assert streamed.samples == []
         assert streamed.counters() == plain.counters()
         assert [t for t, _ in seen] == [t for t, _ in plain.samples] == [0.0, 0.05, 0.1]
         for (_, a), (_, b) in zip(seen, plain.samples):
-            assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("model, doubles", [(Model.CH, 14.5), (Model.NOVIKOV, 19.0)])
     def test_work_array_footprint(self, model, doubles):
@@ -315,10 +319,9 @@ class TestEvolve:
         traj = evolve(
             u0, Model.CH, SolverConfig(sample_times=(0.025, 0.05, 0.1))
         )
-        for t, u in traj.samples:
-            if t == 0.0:
-                continue
-            gap = np.abs(u.samples - u0.samples).max()
+        (_, F0), *later = traj.samples
+        for t, F in later:
+            gap = np.abs(_ifft(coarse_grid, F - F0)).max()
             assert gap <= SMALL_TIME_CONSTANT * t * lip**2
 
     def test_config_validation(self):
@@ -383,14 +386,14 @@ class TestStepSize:
         cutoffs = build_cutoffs(coarse_grid)
         fam = make_packets(build_bump(coarse_grid), 4)
         u0 = fam.packet + fam.bump_fast
-        coeff = rhs(u0, model)
+        R = np.add(*_field_rhs(u0, model))
         ladder = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 8))
 
         def run(**cap):
             config = SolverConfig(sample_times=ladder, **cap)
             traj = evolve(u0, model, config)
-            remainders = [besov_norm(u - u0 - t * coeff, B321, cutoffs)
-                          for t, u in traj.samples[1:]]
+            (_, F0), *later = traj.samples
+            remainders = [b321_hat((F - F0) - t * R, cutoffs) for t, F in later]
             return traj, np.array(remainders)
 
         default, r_default = run()
@@ -403,19 +406,19 @@ class TestStepSize:
 def test_small_time_remainder_above_rounding_floor():
     # Novikov packet pair n = 7 on its 2^15 grid, the benchmark's hardest Taylor
     # datum: its remainder u(t) - u0 - t rhs(u0) at t = 1e-3 is about 1.2e-15 in
-    # B^{3/2}_{2,1}.  evolve records u0 plus the evolved change, which keeps
-    # transform rounding of u0's own size out of it, so the remainder still
-    # scales like t^2 from t = 1e-3 to 2e-3 (samples transformed back whole
-    # from the state gave a two-point slope of 1.1-1.2 here).
+    # B^{3/2}_{2,1}.  Taken on coefficients as (F - F0) - t R, it carries no
+    # transform rounding of u0's own size, so from t = 1e-3 to 2e-3 it scales
+    # like t^2 to within 0.01 in the exponent (real-space remainders
+    # u0 + ifft(F - F0) - u0 - t rhs(u0) gave a two-point slope of 1.92).
     grid = Grid(2**15, 32 * math.pi)
     fam = make_packets(build_bump(grid), 7)
     cutoffs = build_cutoffs(grid)
     u0 = fam.packet + fam.bump_fast
-    coeff = rhs(u0, Model.NOVIKOV)
+    R = np.add(*_field_rhs(u0, Model.NOVIKOV))
     config = SolverConfig(sample_times=(1e-3, 2e-3))
-    traj = evolve(u0, Model.NOVIKOV, config)
-    r1, r2 = (besov_norm(u - u0 - t * coeff, B321, cutoffs) for t, u in traj.samples[1:])
-    assert math.log2(r2 / r1) >= 1.8
+    (_, F0), *later = evolve(u0, Model.NOVIKOV, config).samples
+    r1, r2 = (b321_hat((F - F0) - t * R, cutoffs) for t, F in later)
+    assert abs(math.log2(r2 / r1) - 2.0) <= 0.01
 
 
 class TestGapPinned:
@@ -434,16 +437,18 @@ class TestGapPinned:
         config = SolverConfig(sample_times=(0.02, 0.1))
         pert = evolve(fam.packet + fam.perturbation(model), model, config)
         base = evolve(fam.packet, model, config)
-        for (t, u), (_, v) in zip(pert.samples[1:], base.samples[1:]):
-            gap = besov_norm(u - v, B321, box_cutoffs)
+        for (t, F), (_, G) in zip(pert.samples[1:], base.samples[1:]):
+            gap = b321_hat(F - G, box_cutoffs)
             assert gap == pytest.approx(self.RECORDED[model][t], rel=1e-10, abs=0.0)
 
 
 def test_h1_energy_formula(trig_grid):
+    # Parseval's form of the real-space energy dx * sum(u^2 + u_x^2)
     g = trig_grid
     u = Field(g, np.sin(3 * g.x))
     ux = derivative(u, 1)
     expected = g.dx * float(np.sum(u.samples**2 + ux.samples**2))
-    assert h1_energy(u) == pytest.approx(expected)
+    energy = _h1_energy(g, _coeffs(u))
+    assert energy == pytest.approx(expected)
     # sin(3x): integral of sin^2 + 9 cos^2 over [-pi, pi) is 10 pi
-    assert h1_energy(u) == pytest.approx(10 * math.pi, rel=1e-12)
+    assert energy == pytest.approx(10 * math.pi, rel=1e-12)
