@@ -20,8 +20,6 @@ from .dynamics import (
     ch_rhs,
     evolve,
     novikov_rhs,
-    p_operator,
-    q_operator,
     rhs,
 )
 from .errors import (
@@ -49,10 +47,8 @@ from .wavepackets import (
     PacketFamily,
     build_bump,
     carrier_frequency,
-    cubic_cross_product,
     make_packets,
     product_limits,
-    quadratic_cross_product,
     scaling_report,
 )
 

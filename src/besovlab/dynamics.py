@@ -3,7 +3,7 @@
 Two nonlocal transport equations are implemented on the periodic grid:
 
   quadratic model (CH):   u_t + u u_x     = P(u),
-      P(u) = p_operator(u) = -d/dx (1 - d2/dx2)^{-1} (u^2 + 0.5 u_x^2)
+      P(u) = -d/dx (1 - d2/dx2)^{-1} (u^2 + 0.5 u_x^2)
 
   cubic model (Novikov):  u_t + u^2 u_x   = Q(u),
       Q(u) = -(1 - d2/dx2)^{-1} (0.5 u_x^3 + d/dx (1.5 u u_x^2 + u^3))
@@ -15,10 +15,10 @@ classical RK4 with one step-size rule: RK4's stability bound on the transport
 term, capped at dt_max and cut short at each sample time (see SolverConfig).
 It aborts with BlowUp when the slope ||u_x||_inf passes BLOWUP_SLOPE = 1e6.
 
-One spectral right-hand side per model, _rhs_hat, returns the transport and
-nonlocal parts separately; evolve integrates their sum, and the Field-level
-operators (rhs, ch_rhs, novikov_rhs, p_operator, q_operator) wrap the same
-function, so the tested operators are the ones the solver runs.
+One spectral right-hand side per model, _rhs_hat, maps coefficients to the
+transport and nonlocal parts' coefficients; evolve integrates their sum, the
+harness reads the parts, and the Field-level operators (rhs, ch_rhs,
+novikov_rhs) wrap it, so the tested operators are the ones the solver runs.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class _Workspace:
     A step writes every array of the grid's size into one of these instead
     of allocating it: glibc hands freed arrays of that size back to the OS
     and faults them in again on the next allocation.  Each evolve call
-    builds its own set, and so does each Field-level operator call; threads
+    builds its own set, and so does every other _rhs_hat call site; threads
     share grids, so a set never lives in the grid's cache.
 
     Both models hold one coarse spectrum per product of the RHS (the last
@@ -252,16 +252,6 @@ def _rhs_hat(grid: Grid, F: np.ndarray, model: Model, work: _Workspace) -> tuple
 def _field_rhs(u: Field, model: Model) -> tuple:
     """_rhs_hat at a Field, with a workspace of its own."""
     return _rhs_hat(u.grid, _coeffs(u), model, _Workspace(u.grid, model))
-
-
-def p_operator(u: Field) -> Field:
-    """Nonlocal term P(u) of the quadratic model."""
-    return _to_field(u.grid, _field_rhs(u, Model.CH)[1])
-
-
-def q_operator(u: Field) -> Field:
-    """Nonlocal term Q(u) of the cubic model."""
-    return _to_field(u.grid, _field_rhs(u, Model.NOVIKOV)[1])
 
 
 def rhs(u: Field, model: Model) -> Field:

@@ -22,6 +22,7 @@ over verbatim to the arrays.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class Grid:
     """
 
     def __init__(self, num_points: int, half_length: float):
+        if isinstance(num_points, bool) or not isinstance(num_points, numbers.Integral):
+            raise ValueError(f"num_points must be an integer, got {num_points!r}")
         if num_points < 16 or num_points % 2 != 0:
             raise ValueError(f"num_points must be even and >= 16, got {num_points}")
         if isinstance(half_length, bool):
@@ -365,17 +368,17 @@ def _from_padded(
 
 
 def _dealias(grid: Grid, total_degree: int, *factors: np.ndarray) -> np.ndarray:
-    """Samples of the dealiased product of sample rows on grid."""
+    """Coefficients of the dealiased product of the fields whose coefficient
+    rows on grid are factors."""
     fine = _padded_grid(grid, total_degree)
-    padded = [_to_padded(grid, _fft(grid, f), fine) for f in factors]
-    return _ifft(grid, _from_padded(grid, fine, *padded))
+    return _from_padded(grid, fine, *(_to_padded(grid, F, fine) for F in factors))
 
 
 def _dealias_fields(total_degree: int, *factors: Field) -> Field:
     grid = factors[0].grid
     for other in factors[1:]:
         factors[0]._check_same_grid(other)
-    return Field(grid, _dealias(grid, total_degree, *(f.samples for f in factors)))
+    return _to_field(grid, _dealias(grid, total_degree, *(_coeffs(f) for f in factors)))
 
 
 def dealias_product(f: Field, g: Field, total_degree: int = 2) -> Field:

@@ -17,23 +17,24 @@ are what the non-uniform-dependence experiments compare against.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, CutoffPair, besov_norm, block_lp_profile
+from .besov import BesovIndex, CutoffPair, block_lp_profile, _besov_norm, _lp_profile
 from .dynamics import DECAY_TOL, Model, check_decay
 from .errors import ResolutionExceeded
 from .spectral import (
     Field,
     Grid,
     _coeffs,
+    _dealias,
+    _derivative_multiplier,
+    _ifft,
+    _max_abs,
+    _power,
     _to_field,
-    dealias_product,
-    dealias_triple,
-    derivative,
     smooth_step,
 )
 
@@ -92,11 +93,6 @@ class PacketFamily:
 
     def perturbation(self, model: Model) -> Field:
         return self.bump_fast if model is Model.CH else self.bump_slow
-
-    @functools.cached_property
-    def _packet_slope(self) -> Field:
-        """derivative(packet, 1), computed once per member."""
-        return derivative(self.packet, 1)
 
 
 def carrier_frequency(grid: Grid, n: int) -> tuple[float, float]:
@@ -177,14 +173,14 @@ def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
     )
 
 
-def quadratic_cross_product(family: PacketFamily) -> Field:
-    """bump_fast * packet' (dealiased): the term driving the quadratic model."""
-    return dealias_product(family.bump_fast, family._packet_slope, 2)
-
-
-def cubic_cross_product(family: PacketFamily) -> Field:
-    """bump_slow^2 * packet' (dealiased): the term driving the cubic model."""
-    return dealias_triple(family.bump_slow, family.bump_slow, family._packet_slope)
+def _driving_product(grid: Grid, model: Model, packet_hat, pert_hat) -> np.ndarray:
+    """Coefficients of the dealiased term driving the model's gap, from the
+    packet's and the model's perturbation's coefficients: bump_fast * packet'
+    for the quadratic model, bump_slow^2 * packet' for the cubic one."""
+    slope = _derivative_multiplier(grid, 1) * packet_hat
+    if model is Model.CH:
+        return _dealias(grid, 2, pert_hat, slope)
+    return _dealias(grid, 3, pert_hat, pert_hat, slope)
 
 
 def product_limits(bump: BumpProfile) -> tuple[float, float]:
@@ -218,10 +214,11 @@ def ring_membership(cutoffs: CutoffPair, center: float, width: float):
     return members
 
 
-def localization_residual(f: Field, cutoffs: CutoffPair, members) -> float:
-    """Largest relative block norm outside the expected membership set."""
-    profile = block_lp_profile(f, cutoffs)
-    total = f.l2_norm()
+def localization_residual(coeffs: np.ndarray, cutoffs: CutoffPair, members) -> float:
+    """Largest block norm outside the expected membership set, relative to
+    the L^2 norm (by Parseval) of the field with half-spectrum coeffs."""
+    profile = _lp_profile(coeffs, cutoffs)
+    total = math.sqrt(float(np.sum(_power(coeffs))) / (2.0 * cutoffs.grid.half_length))
     if total == 0.0:
         return 0.0
     worst = 0.0
@@ -244,10 +241,17 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     fam = make_packets(bump, n)
     grid = bump.grid
     two = 2.0
-    dp = fam._packet_slope
+    packet, fast, slow = (_coeffs(f) for f in (fam.packet, fam.bump_fast, fam.bump_slow))
+    ixi = _derivative_multiplier(grid, 1)
 
-    quad = quadratic_cross_product(fam)
-    cub = cubic_cross_product(fam)
+    def sup_slope(coeffs):
+        return float(_max_abs(_ifft(grid, ixi * coeffs)))
+
+    def norm(coeffs, idx):
+        return float(_besov_norm(_lp_profile(coeffs, cutoffs), idx))
+
+    quad = _driving_product(grid, Model.CH, packet, fast)
+    cub = _driving_product(grid, Model.NOVIKOV, packet, slow)
     lim_quad, lim_cub = product_limits(bump)
     b32inf = BesovIndex(1.5, 2, math.inf)
     b321 = BesovIndex(1.5, 2, 1)
@@ -267,34 +271,30 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
         "bump_center_value": bump.peak,
         "bump_sup": bump.phi.max_abs(),
         "sup_packet_scaled": fam.packet.max_abs() * two ** (1.5 * n),
-        "sup_packet_slope_scaled": dp.max_abs() * two ** (0.5 * n),
+        "sup_packet_slope_scaled": sup_slope(packet) * two ** (0.5 * n),
         "sup_bump_fast_scaled": fam.bump_fast.max_abs() * two**n,
-        "sup_bump_fast_slope_scaled": derivative(fam.bump_fast, 1).max_abs() * two**n,
+        "sup_bump_fast_slope_scaled": sup_slope(fast) * two**n,
         "sup_bump_slow_scaled": fam.bump_slow.max_abs() * two ** (0.5 * n),
-        "sup_bump_slow_slope_scaled": derivative(fam.bump_slow, 1).max_abs()
-        * two ** (0.5 * n),
-        "bump_fast_b32_norm": besov_norm(fam.bump_fast, b321, cutoffs),
+        "sup_bump_slow_slope_scaled": sup_slope(slow) * two ** (0.5 * n),
+        "bump_fast_b32_norm": norm(fast, b321),
         "bump_fast_b32_exact": (12.0 / 17.0) * two ** (-(n + 1.5)) * low_block_l2,
-        "bump_slow_b32_norm": besov_norm(fam.bump_slow, b321, cutoffs),
+        "bump_slow_b32_norm": norm(slow, b321),
         "bump_slow_b32_exact": (12.0 / 17.0) * two ** (-(0.5 * n + 1.5)) * low_block_l2,
         "phi_l2": phi_l2,
         "packet_besov_scaled": {
-            str(s): besov_norm(fam.packet, BesovIndex(s, 2, 1), cutoffs)
-            * two ** ((1.5 - s) * n)
+            str(s): norm(packet, BesovIndex(s, 2, 1)) * two ** ((1.5 - s) * n)
             for s in (1.5, 2.5, 3.5)
         },
-        "quad_product_b32inf": besov_norm(quad, b32inf, cutoffs),
-        "quad_product_b321": besov_norm(quad, b321, cutoffs),
+        "quad_product_b32inf": norm(quad, b32inf),
+        "quad_product_b321": norm(quad, b321),
         "quad_product_limit": lim_quad,
-        "cubic_product_b32inf": besov_norm(cub, b32inf, cutoffs),
-        "cubic_product_b321": besov_norm(cub, b321, cutoffs),
+        "cubic_product_b32inf": norm(cub, b32inf),
+        "cubic_product_b321": norm(cub, b321),
         "cubic_product_limit": lim_cub,
         "ring_membership_packet": members_packet,
         "ring_membership_quad": members_quad,
         "ring_membership_cubic": members_cub,
-        "localization_residual_packet": localization_residual(
-            fam.packet, cutoffs, members_packet
-        ),
+        "localization_residual_packet": localization_residual(packet, cutoffs, members_packet),
         "localization_residual_quad": localization_residual(quad, cutoffs, members_quad),
         "localization_residual_cubic": localization_residual(cub, cutoffs, members_cub),
     }

@@ -11,6 +11,7 @@ from besovlab import (
     BesovIndex,
     Field,
     Grid,
+    Model,
     besov_norm,
     build_cutoffs,
     dyadic_block,
@@ -28,8 +29,8 @@ from besovlab.besov import (
 )
 from besovlab.corpus import _random_samples, random_field
 from besovlab.harness import EMBED_CONSTANT, PRODUCT_CSTAR
-from besovlab.spectral import _apply, _fft, _power, dealias_product
-from besovlab.wavepackets import cubic_cross_product
+from besovlab.spectral import _apply, _coeffs, _fft, _power, _to_field, dealias_product
+from besovlab.wavepackets import _driving_product
 
 from conftest import rng
 
@@ -149,7 +150,10 @@ class TestDyadicBlocks:
 
     def test_modulated_product_occupies_single_block(self, box_bump, box_cutoffs):
         fam = make_packets(box_bump, 5)
-        prod = cubic_cross_product(fam)
+        g = box_bump.grid
+        prod = _to_field(
+            g, _driving_product(g, Model.NOVIKOV, _coeffs(fam.packet), _coeffs(fam.bump_slow))
+        )
         norm = prod.l2_norm()
         same = dyadic_block(prod, 5, box_cutoffs)
         assert np.abs(same.samples - prod.samples).max() <= 1e-12 * prod.max_abs()

@@ -22,8 +22,6 @@ from besovlab import (
     evolve,
     make_packets,
     novikov_rhs,
-    p_operator,
-    q_operator,
     rhs,
 )
 from besovlab import harness
@@ -36,6 +34,11 @@ from besovlab.spectral import _coeffs, _from_padded, _ifft, _to_field, _to_padde
 def b321_hat(coeffs, cutoffs):
     """B^{3/2}_{2,1} norm of the field with half-spectrum coeffs."""
     return float(_besov_norm(_lp_profile(coeffs, cutoffs), B321))
+
+
+def nonlocal_part(u, model):
+    """P(u) (CH) or Q(u) (Novikov): the nonlocal part of the model's RHS."""
+    return _to_field(u.grid, _field_rhs(u, model)[1])
 
 
 def kernel_quadrature(xs, w_fn, signed, refine_grid):
@@ -58,18 +61,18 @@ def kernel_quadrature(xs, w_fn, signed, refine_grid):
 
 class TestPOperator:
     def test_constant_maps_to_zero(self, trig_grid):
-        out = p_operator(Field.constant(trig_grid, 3.0))
+        out = nonlocal_part(Field.constant(trig_grid, 3.0), Model.CH)
         assert out.max_abs() <= 1e-13
 
     def test_sine_closed_form(self, trig_grid):
         g = trig_grid
-        out = p_operator(Field(g, np.sin(g.x)))
+        out = nonlocal_part(Field(g, np.sin(g.x)), Model.CH)
         assert np.abs(out.samples + np.sin(2 * g.x) / 10).max() <= 1e-12
 
     def test_odd_parity_preserved(self, trig_grid):
         g = trig_grid
         u = Field(g, np.sin(g.x) + 0.3 * np.sin(2 * g.x))
-        out = p_operator(u).samples
+        out = nonlocal_part(u, Model.CH).samples
         n = g.num_points
         # odd: value at -x equals -value at x (index 0 is x=-L, self-paired)
         flipped = -np.concatenate([out[:1], out[1:][::-1]])
@@ -78,7 +81,7 @@ class TestPOperator:
     def test_gaussian_matches_kernel_quadrature(self):
         g = Grid(2**12, 32.0)
         u = Field(g, np.exp(-(g.x**2) / 2))
-        out = p_operator(u).samples
+        out = nonlocal_part(u, Model.CH).samples
         fine = np.linspace(-32.0, 32.0, g.num_points * 64, endpoint=False)
         idx = np.arange(0, g.num_points, 256)
         oracle = kernel_quadrature(
@@ -119,7 +122,7 @@ class TestModelRhs:
         # Q(u) = -(3/4) cos x - (1/20) cos 3x and rhs = -cos x + (1/5) cos 3x
         g = trig_grid
         u = Field(g, np.sin(g.x))
-        q = q_operator(u)
+        q = nonlocal_part(u, Model.NOVIKOV)
         assert np.abs(q.samples + 0.75 * np.cos(g.x) + np.cos(3 * g.x) / 20).max() <= 1e-12
         out = novikov_rhs(u)
         assert np.abs(out.samples + np.cos(g.x) - np.cos(3 * g.x) / 5).max() <= 1e-12
@@ -128,7 +131,7 @@ class TestModelRhs:
         # for u = exp(-x^2/2) the cubic source reduces to -5 x^3 exp(-3x^2/2)
         g = Grid(2**12, 32.0)
         u = Field(g, np.exp(-(g.x**2) / 2))
-        out = q_operator(u).samples
+        out = nonlocal_part(u, Model.NOVIKOV).samples
         fine = np.linspace(-32.0, 32.0, g.num_points * 64, endpoint=False)
         idx = np.arange(0, g.num_points, 256)
         oracle = kernel_quadrature(
@@ -144,7 +147,7 @@ class TestModelRhs:
 
 
 def remainder_bound(u, model, cutoffs):
-    return harness._remainder_bound(model, harness._datum_norms(u, cutoffs))
+    return harness._remainder_bound(model, harness._datum_norms(u, _coeffs(u), cutoffs))
 
 
 class TestRemainderBound:

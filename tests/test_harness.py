@@ -38,7 +38,9 @@ def small_ch_report():
 # one-field-at-a-time suite before its loops were evaluated on row blocks; the
 # row blocks must reproduce each value to the bit, and the injected fault must
 # trip the same checks.  h1_drift_smoke and small_time_consistency are
-# recorded from the half-spectrum samples (Parseval and ifft(F - F0)).
+# recorded from the half-spectrum samples (Parseval and ifft(F - F0)), and
+# product_estimate, product_lower_bound and packet_scaling_reports from
+# products formed on coefficients.
 PINNED_VALIDATION = {
     1.0: {
         "block_almost_orthogonality": (6.778714192092638e-17, True),
@@ -52,12 +54,12 @@ PINNED_VALIDATION = {
         "helmholtz_self_adjoint": (3.7444245414340004e-14, True),
         "linearity": (4.698642932788333e-16, True),
         "modulation_identity": (3.630198172647881e-16, True),
-        "packet_scaling_reports": (1.3128522259721743e-15, True),
+        "packet_scaling_reports": (1.288086246637915e-15, True),
         "parseval": (5.642081172801245e-16, True),
         "partition_of_unity_1e6": (0.0, True),
         "perturbation_scaling_exact": (1.3783171134284327e-13, True),
-        "product_estimate": (0.33321816436992824, True),
-        "product_lower_bound": (0.02361106495183698, True),
+        "product_estimate": (0.3332181643699283, True),
+        "product_lower_bound": (0.023611064951836975, True),
         "r_monotonicity": (0.0, True),
         "reconstruction_1000": (6.298546132293788e-16, True),
         "round_trip_1000": (6.074394916184871e-16, True),
@@ -75,12 +77,12 @@ PINNED_VALIDATION = {
         "helmholtz_self_adjoint": (3.7444245414340004e-14, True),
         "linearity": (4.698642932788333e-16, True),
         "modulation_identity": (3.630198172647881e-16, True),
-        "packet_scaling_reports": (1.3128522259721743e-15, True),
+        "packet_scaling_reports": (1.288086246637915e-15, True),
         "parseval": (5.642081172801245e-16, True),
         "partition_of_unity_1e6": (0.010000000000000231, False),
         "perturbation_scaling_exact": (1.3783171134284327e-13, True),
-        "product_estimate": (0.3333534700424086, True),
-        "product_lower_bound": (0.02361106495183698, True),
+        "product_estimate": (0.3333534700424087, True),
+        "product_lower_bound": (0.023611064951836975, True),
         "r_monotonicity": (0.0, True),
         "reconstruction_1000": (0.008257748295723408, False),
         "round_trip_1000": (6.074394916184871e-16, True),
@@ -243,6 +245,52 @@ class TestRunNonuniform:
         assert [t for t, _ in gaps] == [0.0, 0.05]
         assert all(gap > 0.0 for _, gap in gaps)
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_pieces_split_the_transport_difference(self, monkeypatch, model):
+        # the transport part T of the RHS, -(u^2)'/2 or -(u^3)'/3, is a
+        # polynomial in u, so T(u0) - T(packet), u0 = packet + g, is exactly
+        # -(product + transport_cross [+ mixed_cross]); the pieces are built
+        # on coefficients, with no transform of the coarse grid's length
+        from besovlab import build_bump, build_cutoffs
+        from besovlab.besov import _besov_norm, _lp_profile
+        from besovlab.dynamics import _Workspace, _rhs_hat
+        from besovlab.spectral import Grid, _dealias, _derivative_multiplier, _fft
+        from besovlab.wavepackets import _driving_product, min_points_for
+
+        grid = Grid(min_points_for(7, 32 * math.pi), 32 * math.pi)
+        bump, cutoffs = build_bump(grid), build_cutoffs(grid)
+        ixi = _derivative_multiplier(grid, 1)
+        degree = 2 if model is Model.CH else 3
+        real_irfft = np.fft.irfft
+
+        def fine_irfft_only(a, n=None, *args, **kwargs):
+            if n == grid.num_points:
+                raise AssertionError("inverse transform on the coarse grid")
+            return real_irfft(a, n, *args, **kwargs)
+
+        def b321(coeffs):
+            return float(_besov_norm(_lp_profile(coeffs, cutoffs), harness.B321))
+
+        monkeypatch.setattr(np.fft, "irfft", fine_irfft_only)
+        for n in (5, 6, 7):
+            fam, pert, u0 = harness._member_data(bump, model, n)
+            pieces, g_norm = harness._member_pieces(model, fam, pert, u0, cutoffs)
+            packet, g, u = (_fft(grid, f.samples) for f in (fam.packet, pert, u0))
+            product = _driving_product(grid, model, packet, g)
+            cross = _dealias(grid, degree, *[u] * (degree - 1), ixi * g)
+            assert pieces["product_b321"] == pytest.approx(b321(product), rel=1e-14)
+            assert pieces["transport_cross"] == pytest.approx(b321(cross), rel=1e-14)
+            assert g_norm == b321(g)
+            split = product + cross
+            if model is Model.NOVIKOV:
+                mixed = 2.0 * _dealias(grid, 3, packet, g, ixi * packet)
+                assert pieces["mixed_cross"] == pytest.approx(b321(mixed), rel=1e-14)
+                split += mixed
+            work = _Workspace(grid, model)
+            delta = _rhs_hat(grid, u, model, work)[0].copy()
+            delta -= _rhs_hat(grid, packet, model, work)[0]
+            assert b321(delta + split) <= 1e-12 * b321(delta), n
+
     def test_identical_solver_settings_give_zero_gap_without_perturbation(self):
         # determinism corollary: evolving the same datum twice gives bitwise
         # equal trajectories, so a vanished perturbation produces D == 0
@@ -271,6 +319,27 @@ class TestTaylorCheck:
             assert entry["solver"]["dt_max"] == rungs.max(), label
         assert report.passed
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_datum_transformed_once_before_evolve(self, monkeypatch, model):
+        # one length-N rfft gives R, the datum's norms and its slope; the
+        # only other one is evolve's own
+        from besovlab import SolverConfig, build_cutoffs
+        from besovlab.spectral import Grid
+
+        grid = Grid(2**12, 32 * math.pi)
+        ladder = np.geomspace(1e-3, 1e-2, 3)
+        solver = SolverConfig(sample_times=tuple(ladder))
+        cutoffs = build_cutoffs(grid)
+        real_rfft, lengths = np.fft.rfft, []
+
+        def counted_rfft(a, *args, **kwargs):
+            lengths.append(np.shape(a)[-1])
+            return real_rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        harness._taylor_datum(model, harness.smooth_profile(grid), solver, cutoffs, ladder)
+        assert lengths.count(grid.num_points) == 2
+
     def test_grid_sized_from_packet_n(self):
         # without grid_points the grid is the smallest that resolves packet_n;
         # n = 8 needs 49152 = 3 * 2^14 at the default box
@@ -298,14 +367,14 @@ class TestTaylorCheck:
 
     def test_numpy_scalar_settings_accepted(self, tmp_path):
         # they reach the report as Python numbers, so it can still be emitted
-        cfg = ExperimentConfig(model=Model.CH, grid_points=2**12)
+        cfg = ExperimentConfig(model=Model.CH, grid_points=np.int64(2**12))
         report = run_taylor_check(cfg, t_min=np.float64(1e-3), t_max=np.float32(2e-3),
                                   points=np.int64(2), packet_n=np.int32(4))
         assert sorted(report.per_n) == ["packet_pair_n4", "smooth"]
         emit_outputs(report, str(tmp_path))
         config = json.loads((tmp_path / "report.json").read_text())["config"]
-        assert [config[key] for key in ("t_min", "t_max", "points", "packet_n")] == [
-            1e-3, float(np.float32(2e-3)), 2, 4]
+        keys = ("grid_points", "t_min", "t_max", "points", "packet_n")
+        assert [config[key] for key in keys] == [2**12, 1e-3, float(np.float32(2e-3)), 2, 4]
 
     def test_memory_independent_of_ladder_length(self, monkeypatch):
         # each rung's norms are taken as its sample lands, so a datum holds
@@ -622,6 +691,12 @@ class TestCli:
         ("validate", {"seed": 0, "half_length": True}, "half_length must be a number, got True"),
         ("nonuniform", {"n_values": [4], "half_length": True},
          "half_length must be a number, got True"),
+        # a float grid size used to run (and be echoed as 4096.0), a string
+        # to fail inside a comparison
+        ("nonuniform", {"n_values": [4], "grid_points": 4096.0},
+         "num_points must be an integer, got 4096.0"),
+        ("nonuniform", {"n_values": [4], "grid_points": "1024"},
+         "num_points must be an integer, got '1024'"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, settings, message):
         cfg_file = tmp_path / "cfg.json"

@@ -18,21 +18,33 @@ from besovlab import (
     make_packets,
     product_limits,
 )
+from besovlab.besov import _besov_norm, _lp_profile
 from besovlab.dynamics import DECAY_TOL
+from besovlab.spectral import _coeffs
 from besovlab.wavepackets import (
     CARRIER_RATIO,
+    _driving_product,
     bump_hat,
-    cubic_cross_product,
     localization_residual,
     min_points_for,
     modulation_identity_residual,
-    quadratic_cross_product,
     ring_membership,
     scaling_report,
 )
 
 B321 = BesovIndex(1.5, 2, 1)
 B32INF = BesovIndex(1.5, 2, math.inf)
+
+
+def driving_product(fam, model):
+    """Coefficients of family member fam's driving product for model."""
+    grid = fam.packet.grid
+    pert = fam.perturbation(model)
+    return _driving_product(grid, model, _coeffs(fam.packet), _coeffs(pert))
+
+
+def b32inf(coeffs, cutoffs):
+    return float(_besov_norm(_lp_profile(coeffs, cutoffs), B32INF))
 
 
 def pair_sum(values):
@@ -188,8 +200,7 @@ class TestProducts:
     def test_cubic_product_support_band(self, box_bump):
         g = box_bump.grid
         fam = make_packets(box_bump, 5)
-        prod = cubic_cross_product(fam)
-        F = forward_transform(prod).coeffs
+        F = driving_product(fam, Model.NOVIKOV)
         inside = np.abs(g.xi - fam.carrier) <= 1.5 + 1e-9
         assert np.abs(F[~inside]).max() <= 1e-12 * np.abs(F).max()
 
@@ -205,7 +216,7 @@ class TestProducts:
     def test_localization_outside_membership(self, box_bump, box_cutoffs):
         for n in (4, 5):
             fam = make_packets(box_bump, n)
-            prod = cubic_cross_product(fam)
+            prod = driving_product(fam, Model.NOVIKOV)
             members = ring_membership(box_cutoffs, fam.carrier, 1.5)
             assert localization_residual(prod, box_cutoffs, members) <= 1e-12
 
@@ -214,8 +225,8 @@ class TestProducts:
         gaps_q, gaps_c = [], []
         for n in (3, 4, 5):
             fam = make_packets(box_bump, n)
-            q = besov_norm(quadratic_cross_product(fam), B32INF, box_cutoffs)
-            c = besov_norm(cubic_cross_product(fam), B32INF, box_cutoffs)
+            q = b32inf(driving_product(fam, Model.CH), box_cutoffs)
+            c = b32inf(driving_product(fam, Model.NOVIKOV), box_cutoffs)
             gaps_q.append(abs(q - lim_quad) / lim_quad)
             gaps_c.append(abs(c - lim_cub) / lim_cub)
         assert gaps_q[-1] <= 0.05 and gaps_c[-1] <= 0.05
@@ -225,7 +236,7 @@ class TestProducts:
     def test_quadratic_product_above_half_limit(self, box_bump, box_cutoffs):
         lim_quad, _ = product_limits(box_bump)
         fam = make_packets(box_bump, 5)
-        q = besov_norm(quadratic_cross_product(fam), B32INF, box_cutoffs)
+        q = b32inf(driving_product(fam, Model.CH), box_cutoffs)
         assert q >= 0.5 * lim_quad
 
 
