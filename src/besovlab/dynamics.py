@@ -176,7 +176,8 @@ class _Workspace:
     of allocating it: glibc hands freed arrays of that size back to the OS
     and faults them in again on the next allocation.  Each evolve call
     builds its own set, and so does every other _rhs_hat call site; threads
-    share grids, so a set never lives in the grid's cache.
+    share grids, so a set never lives in the grid's cache.  numpy's own FFT
+    scratch cannot be held here (harness._map_items says what keeps it).
 
     Both models hold one coarse spectrum per product of the RHS (the last
     also holds u_x's coefficients until its product is transformed), the

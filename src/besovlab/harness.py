@@ -153,15 +153,15 @@ def _usable_cpus() -> int:
 
 
 def _map_items(fn, items) -> list:
-    """[fn(item) for item in items], with the items spread over the calling
-    thread plus one helper thread per further usable CPU (no more threads
-    than items; none with one CPU).
+    """[fn(item) for item in items] on one worker thread per usable CPU, at
+    most one per item; the caller only waits, as its FFTs would re-fault
+    their scratch after every call (glibc's main arena trims it; README).
 
-    Each item is evaluated on its own and the results come back in input
-    order, so they do not depend on the thread count.  numpy's FFTs release
-    the interpreter lock, which lets independent trajectories overlap.  If
-    an item raises, no further item is started; once the helpers have
-    finished, the first exception in input order is raised.
+    Items are evaluated independently and come back in input order, so the
+    results do not depend on the thread count; numpy's FFTs release the
+    interpreter lock, so trajectories overlap.  If an item raises or the
+    caller is interrupted, no further item starts; once the workers have
+    finished, the first exception in input order (or the caller's) is raised.
     """
     items = list(items)
     results: list = [None] * len(items)
@@ -185,17 +185,17 @@ def _map_items(fn, items) -> list:
                 stop = True
                 return
 
-    helpers = [
-        threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(items)) - 1)
-    ]
-    for helper in helpers:
-        helper.start()
+    workers = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(items)))]
     try:
-        work()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
     finally:
         stop = True
-        for helper in helpers:
-            helper.join()
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
     for err in errors:
         if err is not None:
             raise err
@@ -256,8 +256,8 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
 
     Per-n failures (any BesovLabError: blow-up, resolution, non-finite state,
     decay violation) are recorded without aborting the remaining members.
-    The members' trajectories run concurrently, one thread per usable CPU
-    (_nonuniform_members); the report does not depend on how many threads
+    The members' trajectories run concurrently on worker threads, one per
+    usable CPU (_nonuniform_members); the report does not depend on how many
     there are.  A member's samples are dropped as soon as its gaps are
     taken, so the run holds only the trajectories of members in flight.
     """
@@ -341,8 +341,8 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
     raised.
 
     The work items are trajectories, not members, so three members keep two
-    CPUs busy: every member's perturbed and base evolve, then each member's
-    decomposition pieces and perturbation norm, which fill the threads' last
+    workers busy: every member's perturbed and base evolve, then each member's
+    decomposition pieces and perturbation norm, which fill the workers' last
     gaps.  The item that lands a member's second trajectory takes that
     member's gaps and H^1 drift, then empties both trajectories' samples
     (their counters stay), so only the trajectories of members still in
@@ -514,7 +514,7 @@ def run_taylor_check(
     at most 6.4e-14 on the default 2^15 points, 3.0e-14 on 12288).  Without
     config.grid_points the grid is the smallest that resolves packet_n, but
     no smaller than TAYLOR_MIN_POINTS.  The two data are evolved
-    concurrently as in run_nonuniform.  Raises ValueError naming the
+    on worker threads as in run_nonuniform.  Raises ValueError naming the
     setting unless points and packet_n are integers, t_min and t_max real
     numbers (bool counts as neither), 0 < t_min < t_max < inf and
     points >= 2.

@@ -432,15 +432,37 @@ class TestConcurrency:
         assert reports[0] == reports[1]
         assert files[0] == files[1]
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        class NoThread:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a thread was started with one usable CPU")
+    def test_one_cpu_starts_one_worker(self, monkeypatch):
+        # the calling thread only waits: with one usable CPU a single worker
+        # thread runs every item
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
         _forced_cpus(monkeypatch, 1)
-        monkeypatch.setattr(threading, "Thread", NoThread)
+        monkeypatch.setattr(threading, "Thread", CountedThread)
         for runner in RUNNERS.values():
+            del started[:]
             runner()
+            assert len(started) == 1
+        del started[:]
+        ids = _map_items(lambda i: threading.get_ident(), range(5))
+        assert len(started) == 1
+        assert ids == [started[0].ident] * 5
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_no_item_runs_on_the_calling_thread(self, cpus, monkeypatch):
+        def item(i):
+            time.sleep(0.005)  # lets every worker claim items
+            return i, threading.get_ident()
+
+        _forced_cpus(monkeypatch, cpus)
+        out = _map_items(item, range(8))
+        assert [i for i, _ in out] == list(range(8))
+        assert threading.get_ident() not in {ident for _, ident in out}
 
     @pytest.mark.parametrize("runner", sorted(RUNNERS))
     def test_other_errors_propagate(self, runner, monkeypatch):
@@ -505,6 +527,46 @@ class TestConcurrency:
         with pytest.raises(ValueError):
             _map_items(fail_first_item, range(10))
         assert started in ([], [1])
+
+    def test_map_items_propagates_keyboard_interrupt(self, monkeypatch):
+        started = []
+
+        def interrupt_first_item(i):
+            if i == 0:
+                raise KeyboardInterrupt
+            started.append(i)
+            time.sleep(0.05)  # item 0 raises while this runs
+
+        _forced_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _map_items(interrupt_first_item, range(10))
+        assert started in ([], [1])
+        assert threading.active_count() == before
+
+    def test_interrupted_caller_leaves_no_thread(self, monkeypatch):
+        # Ctrl-C while the caller waits: the workers stop after their
+        # current items and are joined before the interrupt propagates
+        started, interrupted = [], []
+
+        class InterruptedWait(threading.Thread):
+            def join(self, timeout=None):
+                if not interrupted:
+                    interrupted.append(self)
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        def item(i):
+            started.append(i)
+            time.sleep(0.02)
+
+        _forced_cpus(monkeypatch, 2)
+        monkeypatch.setattr(threading, "Thread", InterruptedWait)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _map_items(item, range(50))
+        assert threading.active_count() == before
+        assert len(started) < 50
 
 
 class TestValidationSuite:
