@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, Grid, derivative, smooth_step, _apply, _coeffs, _power, _same_grid
+from .spectral import Field, Grid, smooth_step, _apply, _coeffs, _power, _same_grid, _slope_sup
 
 INF = math.inf
 
@@ -70,6 +70,9 @@ class BesovIndex:
             raise ValueError(f"only p = 2 is supported, got {self.p}")
         if not (self.r >= 1.0):
             raise ValueError(f"r must lie in [1, inf], got {self.r}")
+
+
+B321 = BesovIndex(1.5, 2, 1)  # the critical space of the paper's ill-posedness claim
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,12 @@ def _besov_norm(profile: np.ndarray, idx: BesovIndex) -> np.ndarray:
     return np.sum(weighted**idx.r, axis=-1) ** (1.0 / idx.r)
 
 
+def _coeff_norm(coeffs: np.ndarray, cutoffs: CutoffPair, idx: BesovIndex = B321) -> np.ndarray:
+    """Besov norm, B^{3/2}_{2,1} unless idx says otherwise, of each
+    coefficient row on cutoffs.grid."""
+    return _besov_norm(_lp_profile(coeffs, cutoffs), idx)
+
+
 def block_lp_profile(f: Field, cutoffs: CutoffPair) -> np.ndarray:
     """Array of ||block_j f||_{L^2} for j = -1 .. j_max, read off in spectral
     space via Parseval."""
@@ -202,9 +211,10 @@ def block_lp_profile(f: Field, cutoffs: CutoffPair) -> np.ndarray:
 def besov_norm(f: Field, idx: BesovIndex, cutoffs: CutoffPair) -> float:
     """Nonhomogeneous Besov norm ||(2^{js} ||block_j f||_{L^2})_j||_{l^r}."""
     _check_grid(f.grid, cutoffs)
-    return float(_besov_norm(_lp_profile(_coeffs(f), cutoffs), idx))
+    return float(_coeff_norm(_coeffs(f), cutoffs, idx))
 
 
 def lipschitz_norm(f: Field) -> float:
-    """C^{0,1} norm: ||f||_inf + ||f'||_inf with a spectral derivative."""
-    return f.max_abs() + derivative(f, 1).max_abs()
+    """C^{0,1} norm: ||f||_inf + ||f'||_inf, both read off the samples, f'
+    the spectral derivative (spectral._slope_sup)."""
+    return f.max_abs() + float(_slope_sup(f.grid, _coeffs(f)))

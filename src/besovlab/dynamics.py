@@ -15,8 +15,9 @@ classical RK4 with one step-size rule: RK4's stability bound on the transport
 term, capped at dt_max and cut short at each sample time (see SolverConfig).
 It aborts with BlowUp when the slope ||u_x||_inf passes BLOWUP_SLOPE = 1e6.
 
-One spectral right-hand side per model, _rhs_hat, maps coefficients to the
-transport and nonlocal parts' coefficients; evolve integrates their sum, the
+One spectral right-hand side per model, _rhs_hat(F, work), maps coefficients
+to the transport and nonlocal parts' coefficients on the grid and for the
+model its workspace was built for; evolve integrates their sum, the
 harness reads the parts, and the Field-level operators (rhs, ch_rhs,
 novikov_rhs) wrap it, so the tested operators are the ones the solver runs.
 """
@@ -136,12 +137,12 @@ class Trajectory:
     cfl_max: float = 0.0
 
     def final(self) -> Field:
-        return _to_field(self.grid, self.samples[-1][1])
+        return _to_field(self.grid, self._held()[-1][1])
 
     def h1_drift(self) -> float:
         """Largest change of the H^1 energy over the samples, relative to its
         initial value (absolute if that is zero)."""
-        energies = [_h1_energy(self.grid, F) for _, F in self.samples]
+        energies = [_h1_energy(self.grid, F) for _, F in self._held()]
         e0 = energies[0]
         if e0 == 0.0:
             return max(abs(e) for e in energies)
@@ -155,6 +156,11 @@ class Trajectory:
             "dt_max": self.dt_max,
             "cfl_max": self.cfl_max,
         }
+
+    def _held(self) -> list:
+        if not self.samples:
+            raise ValueError("the trajectory holds no samples (passed to on_sample, or cleared)")
+        return self.samples
 
     def _count_step(self, dt: float, cfl: float) -> None:
         self.steps_taken += 1
@@ -170,14 +176,17 @@ def _h1_energy(grid: Grid, F: np.ndarray) -> float:
 
 
 class _Workspace:
-    """Work arrays of _rhs_hat and the RK4 stages for one grid and model.
+    """The grid, the model and the work arrays of _rhs_hat and the RK4 stages.
 
     A step writes every array of the grid's size into one of these instead
     of allocating it: glibc hands freed arrays of that size back to the OS
-    and faults them in again on the next allocation.  Each evolve call
-    builds its own set, and so does every other _rhs_hat call site; threads
-    share grids, so a set never lives in the grid's cache.  numpy's own FFT
-    scratch cannot be held here (harness._map_items says what keeps it).
+    and faults them in again on the next allocation.  A worker thread's
+    arena keeps numpy's FFT scratch (harness._map_items) but not those
+    arrays: with an allocating RHS and RK4 a nonuniform-ch benchmark pass
+    took 49k-53k minor faults instead of 3.2k-5.1k (2-core host).
+    Each evolve call builds its own set, and so does every other _rhs_hat
+    call site; threads share grids, so a set never lives in the grid's
+    cache.
 
     Both models hold one coarse spectrum per product of the RHS (the last
     also holds u_x's coefficients until its product is transformed), the
@@ -188,6 +197,7 @@ class _Workspace:
     """
 
     def __init__(self, grid: Grid, model: Model):
+        self.grid, self.model = grid, model
         self.fine = fine = _padded_grid(grid, 2 if model is Model.CH else 3)
         coarse = grid.xi.shape
         count = 2 if model is Model.CH else 3
@@ -198,33 +208,33 @@ class _Workspace:
         self.ux = np.empty(fine.num_points)
         self.product = None if model is Model.CH else np.empty(fine.num_points)
 
-    def transform_product(self, grid: Grid, out: np.ndarray, *factors) -> np.ndarray:
+    def transform_product(self, out: np.ndarray, *factors) -> np.ndarray:
         return _from_padded(
-            grid, self.fine, *factors, product=self.product, spec=self.fine_spec, out=out
+            self.grid, self.fine, *factors, product=self.product, spec=self.fine_spec, out=out
         )
 
 
-def _rhs_hat(grid: Grid, F: np.ndarray, model: Model, work: _Workspace) -> tuple:
-    """(transport, nonlocal) parts of the model's right-hand side at the
-    half-spectrum coefficients F, as half-spectrum coefficients.  Both are
-    arrays of work, overwritten by its next use.
+def _rhs_hat(F: np.ndarray, work: _Workspace) -> tuple:
+    """(transport, nonlocal) parts of work.model's right-hand side at the
+    half-spectrum coefficients F on work.grid, as half-spectrum
+    coefficients.  Both are arrays of work, overwritten by its next use.
 
     The formulas are evaluated in place, each operation in the order of the
     expression in its comment, so the result does not depend on the buffers.
     """
+    grid, fine = work.grid, work.fine
     ixi = _derivative_multiplier(grid, 1)
-    fine = work.fine
     # u_x's coefficients, in the last product's spectrum until it is formed
     Fx = np.multiply(ixi, F, out=work.products[-1])
     a = _to_padded(grid, F, fine, work.fine_spec, work.u)
     b = _to_padded(grid, Fx, fine, work.fine_spec, work.ux)
-    if model is Model.CH:
+    if work.model is Model.CH:
         p_mult = grid.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
         # transport -u u_x written as -(u^2)'/2
         transport_mult = grid.multiplier("ch_transport", lambda _: -0.5 * ixi)
         # u and u_x are each read once: square them in place
-        u2 = work.transform_product(grid, work.products[0], np.multiply(a, a, out=a))
-        ux2 = work.transform_product(grid, work.products[1], np.multiply(b, b, out=b))
+        u2 = work.transform_product(work.products[0], np.multiply(a, a, out=a))
+        ux2 = work.transform_product(work.products[1], np.multiply(b, b, out=b))
         # nonlocal: p_mult * (u2 + 0.5 * ux2)
         ux2 *= 0.5
         ux2 += u2
@@ -235,9 +245,9 @@ def _rhs_hat(grid: Grid, F: np.ndarray, model: Model, work: _Workspace) -> tuple
     neg_helm = grid.multiplier("neg_helmholtz", lambda _: -_helmholtz_multiplier(grid))
     # transport -u^2 u_x written as -(u^3)'/3
     transport_mult = grid.multiplier("novikov_transport", lambda _: -(1.0 / 3.0) * ixi)
-    u3 = work.transform_product(grid, work.products[0], a, a, a)
-    uux2 = work.transform_product(grid, work.products[1], a, b, b)
-    ux3 = work.transform_product(grid, work.products[2], b, b, b)
+    u3 = work.transform_product(work.products[0], a, a, a)
+    uux2 = work.transform_product(work.products[1], a, b, b)
+    ux3 = work.transform_product(work.products[2], b, b, b)
     # nonlocal: -helm * (0.5 * ux3 + ixi * (1.5 * uux2 + u3))
     uux2 *= 1.5
     uux2 += u3
@@ -252,7 +262,7 @@ def _rhs_hat(grid: Grid, F: np.ndarray, model: Model, work: _Workspace) -> tuple
 
 def _field_rhs(u: Field, model: Model) -> tuple:
     """_rhs_hat at a Field, with a workspace of its own."""
-    return _rhs_hat(u.grid, _coeffs(u), model, _Workspace(u.grid, model))
+    return _rhs_hat(_coeffs(u), _Workspace(u.grid, model))
 
 
 def rhs(u: Field, model: Model) -> Field:
@@ -330,7 +340,7 @@ def evolve(
     coarse = work.u[: grid.num_points]
 
     def step_rhs(G):
-        transport, nonlocal_part = _rhs_hat(grid, G, model, work)
+        transport, nonlocal_part = _rhs_hat(G, work)
         transport += nonlocal_part
         return transport
 

@@ -14,18 +14,20 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .besov import (
+    B321,
     BesovIndex,
     CutoffPair,
     build_cutoffs,
     lipschitz_norm,
     transition_ring,
     _besov_norm,
+    _coeff_norm,
     _cutoff_rows,
     _lp_profile,
 )
@@ -47,6 +49,7 @@ from .spectral import (
     _parseval_residual,
     _power,
     _real_ifft,
+    _slope_sup,
 )
 from .wavepackets import (
     build_bump,
@@ -58,8 +61,6 @@ from .wavepackets import (
     scaling_report,
     _driving_product,
 )
-
-B321 = BesovIndex(1.5, 2, 1)
 
 DEFAULT_HALF_LENGTH = 32.0 * math.pi
 
@@ -107,9 +108,6 @@ class ExperimentConfig:
 
     def make_grid(self) -> Grid:
         return _grid(self.grid_points, max(self.n_values), self.half_length)
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(sample_times=self.t_values)
 
     def to_dict(self) -> dict:
         return {
@@ -228,17 +226,7 @@ class ExperimentReport:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "version": self.version,
-            "config": self.config,
-            "grid": self.grid,
-            "rows": self.rows,
-            "per_n": self.per_n,
-            "checks": self.checks,
-            "extras": self.extras,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _grid_dict(grid: Grid) -> dict:
@@ -266,7 +254,7 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
     bump = build_bump(grid)
     limit_quad, limit_cub = product_limits(bump)
     limit = limit_quad if config.model is Model.CH else limit_cub
-    solver = config.solver()
+    solver = SolverConfig(sample_times=config.t_values)
     report = ExperimentReport(
         kind="nonuniform",
         config=config.to_dict(),
@@ -405,10 +393,6 @@ def _member_pieces(model: Model, fam, pert: Field, u0: Field, cutoffs: CutoffPai
     grid = u0.grid
     packet, g, u = (_fft(grid, f.samples) for f in (fam.packet, pert, u0))
     ixi = _derivative_multiplier(grid, 1)
-
-    def b321(coeffs):
-        return float(_besov_norm(_lp_profile(coeffs, cutoffs), B321))
-
     profile = _lp_profile(_driving_product(grid, model, packet, g), cutoffs)
     pieces = {
         "product_b321": float(_besov_norm(profile, B321)),
@@ -416,25 +400,27 @@ def _member_pieces(model: Model, fam, pert: Field, u0: Field, cutoffs: CutoffPai
     }
     corrections = {}
     if model is Model.CH:
-        corrections["transport_cross"] = b321(_dealias(grid, 2, u, ixi * g))
+        cross = float(_coeff_norm(_dealias(grid, 2, u, ixi * g), cutoffs))
     else:
-        corrections["mixed_cross"] = 2.0 * b321(_dealias(grid, 3, packet, g, ixi * packet))
-        corrections["transport_cross"] = b321(_dealias(grid, 3, u, u, ixi * g))
+        mixed = float(_coeff_norm(_dealias(grid, 3, packet, g, ixi * packet), cutoffs))
+        corrections["mixed_cross"] = 2.0 * mixed
+        cross = float(_coeff_norm(_dealias(grid, 3, u, u, ixi * g), cutoffs))
+    corrections["transport_cross"] = cross
     work = _Workspace(grid, model)
     # the nonlocal parts at u0 and at the packet: P(u0) - P(packet) or Q(...)
-    nonlocal_diff = _rhs_hat(grid, u, model, work)[1].copy()
-    nonlocal_diff -= _rhs_hat(grid, packet, model, work)[1]
-    corrections["nonlocal_diff"] = b321(nonlocal_diff)
+    nonlocal_diff = _rhs_hat(u, work)[1].copy()
+    nonlocal_diff -= _rhs_hat(packet, work)[1]
+    corrections["nonlocal_diff"] = float(_coeff_norm(nonlocal_diff, cutoffs))
     pieces.update(corrections)
     pieces["correction_total"] = sum(corrections.values())
-    return pieces, b321(g)
+    return pieces, float(_coeff_norm(g, cutoffs))
 
 
 def _member_gaps(t_values, cutoffs: CutoffPair, traj_pert, traj_base) -> tuple:
     """A member's H^1 drift and its gaps [(t, D_n(t))] at the reported times."""
     drift = max(traj_pert.h1_drift(), traj_base.h1_drift())
     gaps = [
-        (t, float(_besov_norm(_lp_profile(F_pert - F_base, cutoffs), B321)))
+        (t, float(_coeff_norm(F_pert - F_base, cutoffs)))
         for (t, F_pert), (_, F_base) in zip(traj_pert.samples, traj_base.samples)
         if t > 0.0 or 0.0 in t_values
     ]
@@ -604,7 +590,7 @@ def _taylor_datum(model: Model, u0: Field, solver: SolverConfig, cutoffs: Cutoff
     evolve's equal t = 0 sample.  Each rung's norms are taken as its sample
     F lands, so the datum holds one sample at a time."""
     F0 = _fft(u0.grid, u0.samples)
-    R = np.add(*_rhs_hat(u0.grid, F0, model, _Workspace(u0.grid, model)))
+    R = np.add(*_rhs_hat(F0, _Workspace(u0.grid, model)))
     norms = _datum_norms(u0, F0, cutoffs)
     bound = _remainder_bound(model, norms)
     remainders = []
@@ -616,9 +602,9 @@ def _taylor_datum(model: Model, u0: Field, solver: SolverConfig, cutoffs: Cutoff
             F0 = F
             return
         change = F - F0
-        first_order.append(float(_besov_norm(_lp_profile(change, cutoffs), B321)) / t)
+        first_order.append(float(_coeff_norm(change, cutoffs)) / t)
         change -= t * R
-        remainders.append(float(_besov_norm(_lp_profile(change, cutoffs), B321)))
+        remainders.append(float(_coeff_norm(change, cutoffs)))
 
     traj = evolve(u0, model, solver, on_sample=take_norms)
     slope = float(np.polyfit(np.log(ladder), np.log(remainders), 1)[0])
@@ -640,9 +626,8 @@ def _datum_norms(u0: Field, F0: np.ndarray, cutoffs: CutoffPair) -> dict:
     s = 3/2, 5/2, 7/2, from one block profile)."""
     profile = _lp_profile(F0, cutoffs)
     sup = u0.max_abs()
-    slope = _ifft(u0.grid, _derivative_multiplier(u0.grid, 1) * F0)
     return {
-        "lip": sup + float(_max_abs(slope)),
+        "lip": sup + float(_slope_sup(u0.grid, F0)),
         "sup": sup,
         "b32": float(_besov_norm(profile, B321)),
         "b52": float(_besov_norm(profile, BesovIndex(2.5, 2, 1))),
@@ -851,17 +836,15 @@ def _check_besov_properties(report, grid, cutoffs, rng):
         f"<= {EMBED_CONSTANT} (< 2)",
     )
 
-    def b321(coeffs):
-        return _besov_norm(_lp_profile(coeffs, cutoffs), B321)
-
     worst_prod = 0.0
     for rows in _row_blocks(1000, grid):
         pairs = _random_samples(grid, rng, 2 * rows).reshape(rows, 2, -1)
         u, v = pairs[:, 0], pairs[:, 1]
         # each spectrum is taken where it is used: holding a block's two
         # through all three norms raised the suite's peak RSS from 52.5 to 57.3 MB
-        num = b321(_dealias(grid, 2, _fft(grid, u), _fft(grid, v)))
-        den = b321(_fft(grid, u)) * _max_abs(v) + b321(_fft(grid, v)) * _max_abs(u)
+        num = _coeff_norm(_dealias(grid, 2, _fft(grid, u), _fft(grid, v)), cutoffs)
+        den = _coeff_norm(_fft(grid, u), cutoffs) * _max_abs(v)
+        den += _coeff_norm(_fft(grid, v), cutoffs) * _max_abs(u)
         worst_prod = _worse(worst_prod, num / den)
     report.add_check(
         "product_estimate",
@@ -890,18 +873,19 @@ def _check_packets(report):
     reps = {n: scaling_report(bump, n, cutoffs) for n in (4, 5, 6)}
     fast = [rep["bump_fast_b32_norm"] * 2.0**n for n, rep in reps.items()]
     slow = [rep["bump_slow_b32_norm"] * 2.0 ** (n / 2.0) for n, rep in reps.items()]
-    spread = max((max(v) - min(v)) / max(v) for v in (fast, slow))
+    spread = _worse(0.0, *((np.max(v) - np.min(v)) / np.max(v) for v in (fast, slow)))
     report.add_check("perturbation_scaling_exact", spread <= 1e-10, spread, "<= 1e-10")
 
-    worst_mod = max(modulation_identity_residual(bump, make_packets(bump, n)) for n in reps)
+    residuals = (modulation_identity_residual(bump, make_packets(bump, n)) for n in reps)
+    worst_mod = _worse(0.0, *residuals)
     report.add_check("modulation_identity", worst_mod <= 1e-12, worst_mod, "<= 1e-12")
 
     loc_ok = all(all(rep["checks"].values()) for rep in reps.values())
-    worst_loc = max(rep["localization_residual_cubic"] for rep in reps.values())
+    worst_loc = _worse(0.0, *(rep["localization_residual_cubic"] for rep in reps.values()))
     report.add_check("packet_scaling_reports", loc_ok, worst_loc, "all member checks")
 
     lim_quad = reps[4]["quad_product_limit"]
-    low = min(reps[n]["quad_product_b32inf"] for n in (5, 6))
+    low = float(np.min([reps[n]["quad_product_b32inf"] for n in (5, 6)]))
     report.add_check("product_lower_bound", low >= 0.5 * lim_quad, low, f">= {0.5 * lim_quad}")
 
 
@@ -915,7 +899,7 @@ def _check_dynamics_smoke(report):
     for model in Model:
         const = Field.constant(grid, 0.7)
         traj = evolve(const, model, cfg, decay_tol=None)
-        worst_eq = max(worst_eq, float(np.abs(traj.final().samples - 0.7).max()))
+        worst_eq = _worse(worst_eq, np.abs(traj.final().samples - 0.7))
     report.add_check("constant_equilibrium", worst_eq <= 1e-12, worst_eq, "<= 1e-12")
 
     t1 = evolve(u0, Model.CH, cfg)
@@ -927,7 +911,7 @@ def _check_dynamics_smoke(report):
 
     lip = lipschitz_norm(u0)
     (_, F0), *later = t1.samples
-    worst_small = max(float(_max_abs(_ifft(grid, F - F0))) / (t * lip**2) for t, F in later)
+    worst_small = _worse(0.0, *(_max_abs(_ifft(grid, F - F0)) / (t * lip**2) for t, F in later))
     report.add_check(
         "small_time_consistency",
         worst_small <= SMALL_TIME_CONSTANT,

@@ -295,6 +295,12 @@ def _derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
     return grid.multiplier(("deriv", order), lambda xi: (1j * xi) ** order)
 
 
+def _slope_sup(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """max |u_x| over the samples of each coefficient row's field u, with
+    u_x the spectral derivative."""
+    return _max_abs(_ifft(grid, _derivative_multiplier(grid, 1) * coeffs))
+
+
 def _helmholtz_multiplier(grid: Grid) -> np.ndarray:
     return grid.multiplier("helmholtz", lambda xi: 1.0 / (1.0 + xi**2))
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, CutoffPair, block_lp_profile, _besov_norm, _lp_profile
-from .dynamics import DECAY_TOL, Model, check_decay
+from .besov import B321, BesovIndex, CutoffPair, block_lp_profile, _coeff_norm, _lp_profile
+from .dynamics import Model, check_decay
 from .errors import ResolutionExceeded
 from .spectral import (
     Field,
@@ -31,9 +31,8 @@ from .spectral import (
     _coeffs,
     _dealias,
     _derivative_multiplier,
-    _ifft,
-    _max_abs,
     _power,
+    _slope_sup,
     _to_field,
     smooth_step,
 )
@@ -62,7 +61,7 @@ class BumpProfile:
         return float(self.phi.samples[self.grid.num_points // 2])
 
 
-def build_bump(grid: Grid, decay_tol: float = DECAY_TOL) -> BumpProfile:
+def build_bump(grid: Grid) -> BumpProfile:
     """Tabulate the bump transform on the grid and invert it.
 
     Requires at least 32 frequencies pi k / L inside [-1/2, 1/2], counted as
@@ -76,7 +75,7 @@ def build_bump(grid: Grid, decay_tol: float = DECAY_TOL) -> BumpProfile:
             f"only {inside} frequency samples inside |xi| <= 1/2; need >= 32"
         )
     phi = _to_field(grid, bump_hat(grid.xi))
-    check_decay(phi, decay_tol)
+    check_decay(phi)
     return BumpProfile(grid=grid, phi=phi)
 
 
@@ -242,19 +241,14 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     grid = bump.grid
     two = 2.0
     packet, fast, slow = (_coeffs(f) for f in (fam.packet, fam.bump_fast, fam.bump_slow))
-    ixi = _derivative_multiplier(grid, 1)
 
-    def sup_slope(coeffs):
-        return float(_max_abs(_ifft(grid, ixi * coeffs)))
-
-    def norm(coeffs, idx):
-        return float(_besov_norm(_lp_profile(coeffs, cutoffs), idx))
+    def norm(coeffs, idx=B321):
+        return float(_coeff_norm(coeffs, cutoffs, idx))
 
     quad = _driving_product(grid, Model.CH, packet, fast)
     cub = _driving_product(grid, Model.NOVIKOV, packet, slow)
     lim_quad, lim_cub = product_limits(bump)
     b32inf = BesovIndex(1.5, 2, math.inf)
-    b321 = BesovIndex(1.5, 2, 1)
 
     members_quad = ring_membership(cutoffs, fam.carrier, 1.0)
     members_cub = ring_membership(cutoffs, fam.carrier, 1.5)
@@ -271,14 +265,14 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
         "bump_center_value": bump.peak,
         "bump_sup": bump.phi.max_abs(),
         "sup_packet_scaled": fam.packet.max_abs() * two ** (1.5 * n),
-        "sup_packet_slope_scaled": sup_slope(packet) * two ** (0.5 * n),
+        "sup_packet_slope_scaled": float(_slope_sup(grid, packet)) * two ** (0.5 * n),
         "sup_bump_fast_scaled": fam.bump_fast.max_abs() * two**n,
-        "sup_bump_fast_slope_scaled": sup_slope(fast) * two**n,
+        "sup_bump_fast_slope_scaled": float(_slope_sup(grid, fast)) * two**n,
         "sup_bump_slow_scaled": fam.bump_slow.max_abs() * two ** (0.5 * n),
-        "sup_bump_slow_slope_scaled": sup_slope(slow) * two ** (0.5 * n),
-        "bump_fast_b32_norm": norm(fast, b321),
+        "sup_bump_slow_slope_scaled": float(_slope_sup(grid, slow)) * two ** (0.5 * n),
+        "bump_fast_b32_norm": norm(fast),
         "bump_fast_b32_exact": (12.0 / 17.0) * two ** (-(n + 1.5)) * low_block_l2,
-        "bump_slow_b32_norm": norm(slow, b321),
+        "bump_slow_b32_norm": norm(slow),
         "bump_slow_b32_exact": (12.0 / 17.0) * two ** (-(0.5 * n + 1.5)) * low_block_l2,
         "phi_l2": phi_l2,
         "packet_besov_scaled": {
@@ -286,10 +280,10 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
             for s in (1.5, 2.5, 3.5)
         },
         "quad_product_b32inf": norm(quad, b32inf),
-        "quad_product_b321": norm(quad, b321),
+        "quad_product_b321": norm(quad),
         "quad_product_limit": lim_quad,
         "cubic_product_b32inf": norm(cub, b32inf),
-        "cubic_product_b321": norm(cub, b321),
+        "cubic_product_b321": norm(cub),
         "cubic_product_limit": lim_cub,
         "ring_membership_packet": members_packet,
         "ring_membership_quad": members_quad,

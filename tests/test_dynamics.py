@@ -290,6 +290,14 @@ class TestEvolve:
         for (_, a), (_, b) in zip(seen, plain.samples):
             assert np.array_equal(a, b)
 
+    def test_trajectory_without_samples_says_so(self, coarse_grid):
+        u0 = smooth_profile(coarse_grid)
+        cfg = SolverConfig(sample_times=(0.01,))
+        traj = evolve(u0, Model.CH, cfg, on_sample=lambda t, F: None)
+        for method in (traj.final, traj.h1_drift):
+            with pytest.raises(ValueError, match="no samples.*on_sample"):
+                method()
+
     @pytest.mark.parametrize("model, doubles", [(Model.CH, 14.5), (Model.NOVIKOV, 19.0)])
     def test_work_array_footprint(self, model, doubles):
         # one evolve holds its state, stage, RK4 sum, initial spectrum, the

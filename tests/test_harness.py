@@ -287,8 +287,8 @@ class TestRunNonuniform:
                 assert pieces["mixed_cross"] == pytest.approx(b321(mixed), rel=1e-14)
                 split += mixed
             work = _Workspace(grid, model)
-            delta = _rhs_hat(grid, u, model, work)[0].copy()
-            delta -= _rhs_hat(grid, packet, model, work)[0]
+            delta = _rhs_hat(u, work)[0].copy()
+            delta -= _rhs_hat(packet, work)[0]
             assert b321(delta + split) <= 1e-12 * b321(delta), n
 
     def test_identical_solver_settings_give_zero_gap_without_perturbation(self):
@@ -588,6 +588,18 @@ class TestValidationSuite:
                      "r_monotonicity", "embedding_constant", "product_estimate"):
             assert not report.checks[name]["passed"], name
             assert math.isnan(report.checks[name]["value"]), name
+
+    def test_nan_after_a_number_fails_its_check(self, monkeypatch):
+        # Python's max keeps the number when a NaN comes after it; the packet
+        # checks must not
+        real = harness.modulation_identity_residual
+        monkeypatch.setattr(harness, "modulation_identity_residual",
+                            lambda bump, fam: math.nan if fam.n == 5 else real(bump, fam))
+        report = harness.ExperimentReport(kind="validation", config={}, grid={})
+        harness._check_packets(report)
+        check = report.checks["modulation_identity"]
+        assert not check["passed"]
+        assert math.isnan(check["value"])
 
     def test_seed_variation_keeps_pass_set(self):
         outcomes = []

@@ -161,3 +161,46 @@ def test_every_parameter_is_read():
              "g = lambda x, y: x\n")
     assert sorted(f.split(": ")[1] for f in unread_parameters(probe, "probe")) == [
         "<lambda>.d", "<lambda>.y", "f.b", "f.kw", "f.rest"]
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def critical_norm_copies(source: str, name: str) -> list:
+    """Places in source that build the index B^{3/2}_{2,1} (BesovIndex with
+    constant arguments s = 1.5, p = 2, r = 1, defaults included) or take a
+    Besov norm of a block profile formed in the same expression."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = _called_name(node)
+        if called == "BesovIndex":
+            given = dict(zip(("s", "p", "r"), node.args))
+            given.update((kw.arg, kw.value) for kw in node.keywords)
+            values = [given.get(k, ast.Constant(d)) for k, d in (("s", None), ("p", 2), ("r", 1))]
+            constant = all(isinstance(v, ast.Constant) for v in values)
+            if constant and [v.value for v in values] == [1.5, 2, 1]:
+                faults.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+        elif called == "_besov_norm" and node.args and isinstance(node.args[0], ast.Call):
+            if _called_name(node.args[0]) == "_lp_profile":
+                faults.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    return faults
+
+
+def test_critical_norm_has_one_owner():
+    # besov owns B321 and _coeff_norm; a profile reused for several indices
+    # is not a copy
+    sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    faults = [f for path in sources if path.name != "besov.py"
+              for f in critical_norm_copies(path.read_text(), path.name)]
+    assert faults == []
+    probe = ("a = BesovIndex(1.5, 2, 1)\n"
+             "b = besov.BesovIndex(1.5, r=1.0)\n"
+             "c = BesovIndex(1.5, 2, math.inf)\n"
+             "d = float(_besov_norm(_lp_profile(x, cutoffs), idx))\n"
+             "profile = _lp_profile(x, cutoffs)\n"
+             "e = _besov_norm(profile, B321) + _besov_norm(profile, BesovIndex(2.5))\n")
+    assert [f.split(":")[1] for f in critical_norm_copies(probe, "probe")] == ["1", "2", "4"]

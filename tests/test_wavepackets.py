@@ -19,7 +19,7 @@ from besovlab import (
     product_limits,
 )
 from besovlab.besov import _besov_norm, _lp_profile
-from besovlab.dynamics import DECAY_TOL
+from besovlab.dynamics import DECAY_TOL, check_decay
 from besovlab.spectral import _coeffs
 from besovlab.wavepackets import (
     CARRIER_RATIO,
@@ -86,7 +86,7 @@ class TestBump:
         outer = np.abs(box_grid.x) >= box_grid.half_length / 2
         assert np.abs(bump.phi.samples[outer]).max() < DECAY_TOL
         with pytest.raises(DecayViolation):
-            build_bump(box_grid, decay_tol=1e-12)
+            check_decay(build_bump(box_grid).phi, 1e-12)
 
     def test_narrow_box_rejected(self):
         with pytest.raises(ResolutionExceeded):
