@@ -73,6 +73,7 @@ class BesovIndex:
 
 
 B321 = BesovIndex(1.5, 2, 1)  # the critical space of the paper's ill-posedness claim
+B32INF = BesovIndex(1.5, 2, INF)  # where the driving products are measured
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .spectral import (
     _derivative_multiplier,
     _from_padded,
     _helmholtz_multiplier,
-    _ifft,
     _padded_grid,
     _power,
     _to_field,
@@ -93,7 +92,10 @@ class SolverConfig:
     so steps land exactly on each sample time.  The denominator bounds the
     transport term's rate: speed is ||u||_inf (CH) or ||u||_inf^2 (Novikov),
     xi_max the grid's Nyquist frequency, and ||u_x||_inf the linearisation's
-    growth rate.  2.8 sits just inside RK4's imaginary-axis stability limit
+    growth rate.  Both sups are read on the padded grid of the RHS
+    (3/2 N points for CH, 2N for Novikov), whose samples the first RK4
+    stage forms anyway; they interpolate the state between its grid
+    points.  2.8 sits just inside RK4's imaginary-axis stability limit
     2*sqrt(2), and CFL = 0.3 is the fixed fraction of that limit a step may
     use.
     dt_max = 0.05 is the longest step: RK4's error grows like dt^4, and a
@@ -189,11 +191,11 @@ class _Workspace:
     cache.
 
     Both models hold one coarse spectrum per product of the RHS (the last
-    also holds u_x's coefficients until its product is transformed), the
-    padded spectrum fine_spec, and the fine samples u and ux.  CH squares u
-    and ux in place, as each is read once, so only Novikov, whose first two
-    products each need both factors later, holds a third fine array,
-    product; for CH it is None.
+    also phases u's and u_x's coefficients until its product is
+    transformed), the products' fine spectrum fine_spec, and the fine
+    samples u and ux.  CH squares u and ux in place, as each is read once,
+    so only Novikov, whose first two products each need both factors later,
+    holds a third fine array, product; for CH it is None.
     """
 
     def __init__(self, grid: Grid, model: Model):
@@ -202,7 +204,7 @@ class _Workspace:
         coarse = grid.xi.shape
         count = 2 if model is Model.CH else 3
         self.products = [np.empty(coarse, dtype=complex) for _ in range(count)]
-        # padded spectrum of u, then of u_x, then each product's spectrum
+        # each product's spectrum on the fine grid
         self.fine_spec = np.empty(fine.xi.shape, dtype=complex)
         self.u = np.empty(fine.num_points)
         self.ux = np.empty(fine.num_points)
@@ -217,17 +219,32 @@ class _Workspace:
 def _rhs_hat(F: np.ndarray, work: _Workspace) -> tuple:
     """(transport, nonlocal) parts of work.model's right-hand side at the
     half-spectrum coefficients F on work.grid, as half-spectrum
-    coefficients.  Both are arrays of work, overwritten by its next use.
+    coefficients.  Both are arrays of work, overwritten by its next use."""
+    _pad_factors(F, work)
+    return _padded_rhs(work)
+
+
+def _pad_factors(F: np.ndarray, work: _Workspace) -> None:
+    """The first half of _rhs_hat: the samples of u and u_x, F being u's
+    coefficients, on work.fine, into work.u and work.ux."""
+    grid, fine = work.grid, work.fine
+    # the last product's spectrum is free until that product is formed
+    scratch = work.products[-1]
+    _to_padded(grid, F, fine, scratch, work.u)
+    # u_x's coefficients, phased in place
+    np.multiply(_derivative_multiplier(grid, 1), F, out=scratch)
+    _to_padded(grid, scratch, fine, scratch, work.ux)
+
+
+def _padded_rhs(work: _Workspace) -> tuple:
+    """The second half of _rhs_hat: the right-hand side's parts from the
+    padded factors work.u and work.ux, which it overwrites.
 
     The formulas are evaluated in place, each operation in the order of the
     expression in its comment, so the result does not depend on the buffers.
     """
-    grid, fine = work.grid, work.fine
+    grid, a, b = work.grid, work.u, work.ux
     ixi = _derivative_multiplier(grid, 1)
-    # u_x's coefficients, in the last product's spectrum until it is formed
-    Fx = np.multiply(ixi, F, out=work.products[-1])
-    a = _to_padded(grid, F, fine, work.fine_spec, work.u)
-    b = _to_padded(grid, Fx, fine, work.fine_spec, work.ux)
     if work.model is Model.CH:
         p_mult = grid.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
         # transport -u u_x written as -(u^2)'/2
@@ -327,20 +344,17 @@ def evolve(
     """
     check_decay(u0, decay_tol)
     grid = u0.grid
-    ixi = _derivative_multiplier(grid, 1)
     work = _Workspace(grid, model)
     F0 = _coeffs(u0)
     F0.flags.writeable = False
     # the state, the argument of the next stage and the RK4 sum, each
-    # updated in place; the step check's coarse samples go to the first N
-    # entries of work.u, which the next stage overwrites
+    # updated in place
     F = F0.copy()
     stage = np.empty_like(F)
     acc = np.empty_like(F)
-    coarse = work.u[: grid.num_points]
 
-    def step_rhs(G):
-        transport, nonlocal_part = _rhs_hat(G, work)
+    def summed(parts):
+        transport, nonlocal_part = parts
         transport += nonlocal_part
         return transport
 
@@ -357,10 +371,13 @@ def evolve(
     t = 0.0
     for target in targets:
         while t < target - 1e-13:
-            speed = _sup(_ifft(grid, F, out=coarse, work=stage))
+            # the step check reads u and u_x on the padded grid, where the
+            # first stage puts them, before that stage's products overwrite them
+            _pad_factors(F, work)
+            speed = _sup(work.u)
             if not math.isfinite(speed):
                 raise InvalidField(f"solution became non-finite at t={t:.6f}")
-            slope = _sup(_ifft(grid, np.multiply(ixi, F, out=stage), out=coarse, work=stage))
+            slope = _sup(work.ux)
             if slope > BLOWUP_SLOPE:
                 raise BlowUp(t, slope)
             if model is Model.NOVIKOV:
@@ -371,15 +388,15 @@ def evolve(
                 dt = min(dt, CFL * RK4_IMAGINARY_LIMIT / rate)
             # k1 + 2 k2 + 2 k3 + k4 summed left to right as the stages come;
             # a stage k is doubled in place only after F + c dt k is built
-            k = step_rhs(F)
+            k = summed(_padded_rhs(work))
             np.copyto(acc, k)
-            k = step_rhs(stage_from(0.5 * dt, k))
+            k = summed(_rhs_hat(stage_from(0.5 * dt, k), work))
             stage_from(0.5 * dt, k)
             acc += np.multiply(k, 2.0, out=k)
-            k = step_rhs(stage)
+            k = summed(_rhs_hat(stage, work))
             stage_from(dt, k)
             acc += np.multiply(k, 2.0, out=k)
-            k = step_rhs(stage)
+            k = summed(_rhs_hat(stage, work))
             acc += k
             acc *= dt / 6.0
             F += acc

@@ -235,12 +235,10 @@ def _fft(grid: Grid, samples: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _ifft(grid: Grid, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
+def _ifft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples on grid of half-spectrum coefficients; the imaginary part
-    of the zero and Nyquist entries is discarded.  The samples go to out and
-    the phased coefficients to work (coeffs' shape; may be coeffs itself)."""
-    phased = np.multiply(grid.alt_phase, coeffs, out=work)
-    samples = np.fft.irfft(phased, grid.num_points, out=out)
+    of the zero and Nyquist entries is discarded."""
+    samples = np.fft.irfft(grid.alt_phase * coeffs, grid.num_points)
     samples /= grid.dx
     return samples
 
@@ -336,18 +334,21 @@ def _padded_grid(grid: Grid, total_degree: int) -> Grid:
     return grid.padded(2, 1)
 
 
-def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid, spec=None, out=None) -> np.ndarray:
+def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid, work=None, out=None) -> np.ndarray:
     """Samples on the finer grid of the zero-padded spectrum; the coarse
     Nyquist entry stands for both +-N/2 and is split evenly between them.
-    The padded spectrum is built in spec (fine's half-spectrum shape) and
-    the samples go to out."""
+    Only the coarse coefficients are phased, into work (coeffs' shape; may
+    be coeffs itself); irfft pads them with zeros to fine's length, and the
+    samples go to out."""
     h = grid.nyquist_index
-    if spec is None:
-        spec = np.empty(coeffs.shape[:-1] + (fine.nyquist_index + 1,), dtype=complex)
-    spec[..., :h] = coeffs[..., :h]
-    spec[..., h] = 0.5 * coeffs[..., h].real
-    spec[..., h + 1 :] = 0.0
-    return _ifft(fine, spec, out=out, work=spec)
+    # read before the phase lands: work may be coeffs
+    nyquist = 0.5 * coeffs[..., h].real
+    # fine's phase (-1)^k agrees with grid's on the coarse band
+    phased = np.multiply(grid.alt_phase, coeffs, out=work)
+    phased[..., h] = grid.alt_phase[h] * nyquist
+    samples = np.fft.irfft(phased, fine.num_points, out=out)
+    samples /= fine.dx
+    return samples
 
 
 def _from_padded(

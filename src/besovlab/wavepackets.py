@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import B321, BesovIndex, CutoffPair, block_lp_profile, _coeff_norm, _lp_profile
+from .besov import B32INF, B321, BesovIndex, CutoffPair, block_lp_profile, _coeff_norm, _lp_profile
 from .dynamics import Model, check_decay
 from .errors import ResolutionExceeded
 from .spectral import (
@@ -248,7 +248,6 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     quad = _driving_product(grid, Model.CH, packet, fast)
     cub = _driving_product(grid, Model.NOVIKOV, packet, slow)
     lim_quad, lim_cub = product_limits(bump)
-    b32inf = BesovIndex(1.5, 2, math.inf)
 
     members_quad = ring_membership(cutoffs, fam.carrier, 1.0)
     members_cub = ring_membership(cutoffs, fam.carrier, 1.5)
@@ -279,10 +278,10 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
             str(s): norm(packet, BesovIndex(s, 2, 1)) * two ** ((1.5 - s) * n)
             for s in (1.5, 2.5, 3.5)
         },
-        "quad_product_b32inf": norm(quad, b32inf),
+        "quad_product_b32inf": norm(quad, B32INF),
         "quad_product_b321": norm(quad),
         "quad_product_limit": lim_quad,
-        "cubic_product_b32inf": norm(cub, b32inf),
+        "cubic_product_b32inf": norm(cub, B32INF),
         "cubic_product_b321": norm(cub),
         "cubic_product_limit": lim_cub,
         "ring_membership_packet": members_packet,

@@ -314,6 +314,28 @@ class TestEvolve:
             tracemalloc.stop()
         assert peak <= doubles * grid.num_points * 8
 
+    @pytest.mark.parametrize("model, per_stage, pad", [(Model.CH, 4, 1.5), (Model.NOVIKOV, 5, 2)])
+    def test_step_check_reads_the_first_stage(self, coarse_grid, model, per_stage, pad,
+                                              monkeypatch):
+        # after u0's own transform every transform is an RK4 stage's on the
+        # padded grid: the step check takes its sups off the first stage's
+        # padded u and u_x
+        lengths = []
+
+        def counting(real, length):
+            def transform(*args, **kwargs):
+                lengths.append(length(*args))
+                return real(*args, **kwargs)
+            return transform
+
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, lambda a, *_: a.shape[-1]))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, lambda _, n, *__: n))
+        u0 = smooth_profile(coarse_grid)
+        traj = evolve(u0, model, SolverConfig(sample_times=(0.05, 0.1), dt_max=0.02))
+        n = coarse_grid.num_points
+        assert traj.steps_taken == 6
+        assert lengths == [n] + [int(pad * n)] * (4 * per_stage * traj.steps_taken)
+
     def test_blowup_detected(self, coarse_grid, monkeypatch):
         # steep front: the slope of exp(-2x^2) grows from 1.21 past 2.5
         # well before t=1.5 under the quadratic model

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import re
 import sys
@@ -412,12 +413,14 @@ RUNNERS = {
         ExperimentConfig(model=Model.NOVIKOV, grid_points=2**12),
         t_min=1e-3, t_max=1e-2, points=3, packet_n=4,
     ),
+    "validate": lambda: run_validation_suite(seed=0),
 }
 
 
 class TestConcurrency:
-    """Runners spread their members over one thread per usable CPU; the
-    report must not depend on how many there are."""
+    """Runners spread their members over one thread per usable CPU, and
+    validate runs its smoke phase on one worker; the report must not depend
+    on how many there are."""
 
     @pytest.mark.parametrize("runner", sorted(RUNNERS))
     def test_report_independent_of_thread_count(self, runner, monkeypatch, tmp_path):
@@ -433,8 +436,9 @@ class TestConcurrency:
         assert files[0] == files[1]
 
     def test_one_cpu_starts_one_worker(self, monkeypatch):
-        # the calling thread only waits: with one usable CPU a single worker
-        # thread runs every item
+        # with one usable CPU a runner starts one worker thread: it runs
+        # every _map_items item while the caller waits, or validate's smoke
+        # phase
         started = []
 
         class CountedThread(threading.Thread):
@@ -611,6 +615,85 @@ class TestValidationSuite:
         assert all(o == outcomes[0] for o in outcomes)
         assert all(passed for _, passed in outcomes[0])
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_report_independent_of_usable_cpus(self, tmp_path):
+        # the smoke phase overlaps the others under any affinity mask; the
+        # worker thread inherits the caller's
+        cpus = sorted(os.sched_getaffinity(0))
+        runs = []
+        try:
+            for allowed in (cpus[:1], cpus[:2]):
+                os.sched_setaffinity(0, allowed)
+                report = run_validation_suite(seed=0)
+                runs.append((list(report.checks), report.to_dict(),
+                             _emitted(report, tmp_path / str(len(allowed)))))
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert runs[0] == runs[1]
+        assert runs[0][0][-4:] == ["constant_equilibrium", "evolve_deterministic",
+                                   "h1_drift_smoke", "small_time_consistency"]
+
+    def test_smoke_phase_runs_off_the_calling_thread(self, monkeypatch):
+        threads = {}
+
+        def recorded(name):
+            real = getattr(harness, name)
+
+            def phase(*args):
+                threads[name] = threading.get_ident()
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, phase)
+
+        for name in ("_check_transforms", "_check_packets", "_check_dynamics_smoke"):
+            recorded(name)
+        before = threading.active_count()
+        assert run_validation_suite(seed=0).passed
+        assert threading.active_count() == before
+        caller = threading.get_ident()
+        assert threads["_check_transforms"] == threads["_check_packets"] == caller
+        assert threads["_check_dynamics_smoke"] != caller
+
+    def test_caller_error_wins_over_smoke_error(self, monkeypatch):
+        # the smoke phase fails first in time; the suite's order decides
+        smoke_failed = threading.Event()
+
+        def failing_evolve(*args, **kwargs):
+            smoke_failed.set()
+            raise RuntimeError("injected in the smoke phase")
+
+        def failing_packets(report):
+            assert smoke_failed.wait(10.0)
+            raise ValueError("injected in the packet phase")
+
+        monkeypatch.setattr(harness, "evolve", failing_evolve)
+        monkeypatch.setattr(harness, "_check_packets", failing_packets)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="packet phase"):
+            run_validation_suite(seed=0)
+        assert threading.active_count() == before
+
+    def test_interrupted_caller_leaves_no_thread(self, monkeypatch):
+        # Ctrl-C in the caller's phases: the smoke phase runs to its end and
+        # its thread is joined before the interrupt propagates
+        finished = []
+        real_smoke = harness._check_dynamics_smoke
+
+        def smoke(report):
+            real_smoke(report)
+            finished.append(report)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_check_dynamics_smoke", smoke)
+        monkeypatch.setattr(harness, "_check_cutoffs", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_validation_suite(seed=0)
+        assert threading.active_count() == before
+        assert len(finished) == 1
+
     @pytest.mark.parametrize("cutoff_scale", sorted(PINNED_VALIDATION))
     def test_values_pinned(self, cutoff_scale):
         report = run_validation_suite(seed=0, cutoff_scale=cutoff_scale)
@@ -619,6 +702,14 @@ class TestValidationSuite:
 
 
 class TestEmitOutputs:
+    def test_to_dict_lists_the_fields_without_copies(self, small_ch_report):
+        # emit_outputs only serialises it: a deep copy cost 0.5-0.9 ms per emit
+        d = small_ch_report.to_dict()
+        assert d["rows"] is small_ch_report.rows
+        assert d["per_n"] is small_ch_report.per_n
+        assert d.keys() == {"kind", "config", "grid", "rows", "per_n", "checks", "extras",
+                            "version", "passed"}
+
     def test_empty_report_valid_json_no_rows(self, tmp_path):
         report = ExperimentReport(kind="nonuniform", config={}, grid={})
         paths = emit_outputs(report, str(tmp_path))

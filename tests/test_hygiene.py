@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import math
 import os
 import pathlib
 import subprocess
@@ -168,10 +169,27 @@ def _called_name(call: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def _constant_value(node: ast.AST):
+    """node's value if it is a literal or an infinity (math.inf, np.inf,
+    INF), else None."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if (isinstance(node, ast.Attribute) and node.attr == "inf") or (
+        isinstance(node, ast.Name) and node.id == "INF"
+    ):
+        return math.inf
+    return None
+
+
+# B^{3/2}_{2,1} and B^{3/2}_{2,inf} as (s, p, r); besov owns B321 and B32INF
+CRITICAL_INDICES = ([1.5, 2, 1], [1.5, 2, math.inf])
+
+
 def critical_norm_copies(source: str, name: str) -> list:
-    """Places in source that build the index B^{3/2}_{2,1} (BesovIndex with
-    constant arguments s = 1.5, p = 2, r = 1, defaults included) or take a
-    Besov norm of a block profile formed in the same expression."""
+    """Places in source that build the index B^{3/2}_{2,1} or B^{3/2}_{2,inf}
+    (BesovIndex with constant arguments s = 1.5, p = 2 and r = 1 or an
+    infinity, defaults included) or take a Besov norm of a block profile
+    formed in the same expression."""
     faults = []
     for node in ast.walk(ast.parse(source, filename=name)):
         if not isinstance(node, ast.Call):
@@ -181,8 +199,7 @@ def critical_norm_copies(source: str, name: str) -> list:
             given = dict(zip(("s", "p", "r"), node.args))
             given.update((kw.arg, kw.value) for kw in node.keywords)
             values = [given.get(k, ast.Constant(d)) for k, d in (("s", None), ("p", 2), ("r", 1))]
-            constant = all(isinstance(v, ast.Constant) for v in values)
-            if constant and [v.value for v in values] == [1.5, 2, 1]:
+            if [_constant_value(v) for v in values] in CRITICAL_INDICES:
                 faults.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
         elif called == "_besov_norm" and node.args and isinstance(node.args[0], ast.Call):
             if _called_name(node.args[0]) == "_lp_profile":
@@ -191,8 +208,8 @@ def critical_norm_copies(source: str, name: str) -> list:
 
 
 def test_critical_norm_has_one_owner():
-    # besov owns B321 and _coeff_norm; a profile reused for several indices
-    # is not a copy
+    # besov owns B321, B32INF and _coeff_norm; a profile reused for several
+    # indices is not a copy
     sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
     faults = [f for path in sources if path.name != "besov.py"
               for f in critical_norm_copies(path.read_text(), path.name)]
@@ -202,5 +219,8 @@ def test_critical_norm_has_one_owner():
              "c = BesovIndex(1.5, 2, math.inf)\n"
              "d = float(_besov_norm(_lp_profile(x, cutoffs), idx))\n"
              "profile = _lp_profile(x, cutoffs)\n"
-             "e = _besov_norm(profile, B321) + _besov_norm(profile, BesovIndex(2.5))\n")
-    assert [f.split(":")[1] for f in critical_norm_copies(probe, "probe")] == ["1", "2", "4"]
+             "e = _besov_norm(profile, B321) + _besov_norm(profile, BesovIndex(2.5))\n"
+             "f = BesovIndex(s=1.5, r=INF), BesovIndex(1.5, 2, np.inf)\n"
+             "g = BesovIndex(1.5, 2, 2), BesovIndex(1.5, 2, r), BesovIndex(2.5, 2, math.inf)\n")
+    assert [f.split(":")[1] for f in critical_norm_copies(probe, "probe")] == [
+        "1", "2", "3", "4", "7", "7"]
