@@ -74,6 +74,9 @@ DOMINANCE_MIN_N = 6
 H1_DRIFT_TOL = 1e-6
 SLOPE_TARGET, SLOPE_TOL = 2.0, 0.1
 
+# Uniform draws of validate's partition-of-unity check.
+PARTITION_DRAWS = 1_000_000
+
 # Fewest points of run_taylor_check's default grid.  Its remainder bound
 # reads sup and Lipschitz norms off the samples, so it moves with the sample
 # points (8e-8 relative for the Novikov packet pair n = 6 between 2^15 and
@@ -714,9 +717,16 @@ def run_validation_suite(
     The solver smoke checks share no state with the others and draw no
     random numbers, so they run on a worker thread while the seeded phases
     and the packet checks run on the calling thread, in order; numpy's
-    large calls release the interpreter lock, so the two overlap.  The
-    smoke checks are added last, so the report does not depend on which
-    side finishes first.
+    large calls release the interpreter lock, so the two overlap.  After
+    the smoke checks the worker runs the partition-of-unity check on a fork
+    of the generator that the caller hands over once the transform checks
+    have drawn, while the caller skips the generator past the check's
+    draws.  Only this check can leave the seeded chain: each of its
+    PARTITION_DRAWS uniforms takes exactly one output of the bit generator,
+    while a normal draw takes a variable number, so advance() lands where
+    drawing them would.  Every drawn number is the one-thread suite's, and
+    the checks are merged in suite order, so the report does not depend on
+    which side finishes first.
     """
     rng = np.random.default_rng(seed)
     grid = Grid(grid_points, half_length)
@@ -732,17 +742,41 @@ def run_validation_suite(
         grid=_grid_dict(grid),
     )
 
-    smoke = ExperimentReport(kind="validation", config={}, grid={})
+    partition, rest, smoke = (ExperimentReport(kind="validation", config={}, grid={})
+                              for _ in range(3))
+    forks: list = []  # the partition check's generator, or None if none comes
+    handed = threading.Event()
+
+    def worker_phases():
+        _check_dynamics_smoke(smoke)
+        handed.wait()
+        if forks[0] is not None:
+            _check_partition(partition, forks[0], cutoffs.ring_scale)
 
     def caller_phases():
-        _check_transforms(report, grid, rng)
-        _check_cutoffs(report, grid, cutoffs, rng)
-        _check_besov_properties(report, grid, cutoffs, rng)
-        _check_packets(report)
+        fork = None
+        try:
+            _check_transforms(report, grid, rng)
+            fork = _fork(rng)
+        finally:  # also on an error or Ctrl-C, so the worker never blocks
+            forks.append(fork)
+            handed.set()
+        rng.bit_generator.advance(PARTITION_DRAWS)
+        _check_cutoffs(rest, grid, cutoffs, rng)
+        _check_besov_properties(rest, grid, cutoffs, rng)
+        _check_packets(rest)
 
-    _alongside(lambda: _check_dynamics_smoke(smoke), caller_phases)
-    report.checks.update(smoke.checks)
+    _alongside(worker_phases, caller_phases)
+    for part in (partition, rest, smoke):
+        report.checks.update(part.checks)
     return report
+
+
+def _fork(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator on a bit generator of rng's type, set to rng's state."""
+    bits = type(rng.bit_generator)()
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits)
 
 
 def _chunks(total: int, size: int):
@@ -811,18 +845,20 @@ def _check_transforms(report, grid, rng):
     report.add_check("helmholtz_self_adjoint", worst_sa <= 1e-10, worst_sa, "<= 1e-10")
 
 
-def _check_cutoffs(report, grid, cutoffs, rng):
+def _check_partition(report, rng, ring_scale):
     xi_band = 512.0
     jm = int(math.ceil(math.log2(xi_band * 4.0 / 3.0))) + 1
     worst = 0.0
-    # 1e6 uniform draws, 2^16 at a time: the same stream as one draw of 1e6
-    for size in _chunks(1_000_000, 2**16):
+    # 2^14 draws at a time, the same stream as one draw of them all; with
+    # 2^16 the worker's arena keeps more and a pass peaks at 56.9 MB, not 53.9
+    for size in _chunks(PARTITION_DRAWS, 2**14):
         xis = rng.uniform(-xi_band, xi_band, size=size)
-        # a running sum: one row of 2^16 values at a time
-        total = sum(_cutoff_rows(xis, jm, cutoffs.ring_scale))
+        total = sum(_cutoff_rows(xis, jm, ring_scale))  # a running sum, one row at a time
         worst = _worse(worst, np.abs(total - 1.0))
     report.add_check("partition_of_unity_1e6", worst <= 1e-12, worst, "<= 1e-12")
 
+
+def _check_cutoffs(report, grid, cutoffs, rng):
     probe = np.array([0.0, 0.74, 0.76, 1.0, 4.0 / 3.0 + 1e-9, 2.0, 8.0 / 3.0 + 1e-9, 5.0])
     chi_ok = (
         cutoffs.chi(np.array([0.0]))[0] == 1.0

@@ -51,6 +51,11 @@ def smooth_step(r):
     return out
 
 
+def _xi_max(num_points: int, half_length: float) -> float:
+    """Nyquist frequency pi N / (2L) of Grid(N, L), without building it."""
+    return np.pi * num_points / (2.0 * float(half_length))
+
+
 class Grid:
     """Uniform periodic grid on [-L, L) with its discrete frequency set.
 
@@ -89,7 +94,7 @@ class Grid:
         n = self.num_points
         k = np.arange(n // 2 + 1)
         self.xi = (np.pi / self.half_length) * k
-        self.xi_max = np.pi * n / (2.0 * self.half_length)
+        self.xi_max = _xi_max(n, self.half_length)
         self.nyquist_index = n // 2
         # e^{-i x_m xi_k} = (-1)^k e^{-2pi i mk/N}: the (-1)^k phase maps
         # numpy's 0-based FFT onto the grid whose first sample sits at -L.

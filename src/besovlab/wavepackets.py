@@ -34,6 +34,7 @@ from .spectral import (
     _power,
     _slope_sup,
     _to_field,
+    _xi_max,
     smooth_step,
 )
 
@@ -106,10 +107,20 @@ def carrier_frequency(grid: Grid, n: int) -> tuple[float, float]:
     return snapped, abs(snapped - target)
 
 
+def _band_top(n: int) -> float:
+    """(17/12) 2^n + 1/2, the highest frequency of family member n."""
+    return CARRIER_RATIO * 2.0**n + SUPPORT_EDGE
+
+
+def _resolves(n: int, xi_max: float) -> bool:
+    """The resolution rule (17/12) 2^n + 1/2 <= (2/3) xi_max: cubic products
+    of family member n stay inside the alias-free band."""
+    return _band_top(n) <= (2.0 / 3.0) * xi_max
+
+
 def min_points_for(n_max: int, half_length: float) -> int:
-    """Smallest N in {2^a, 3*2^a} (N >= 16) whose xi_max = pi N / (2L)
-    leaves family member n_max the 2/3 dealiasing headroom make_packets
-    requires.
+    """Smallest N in {2^a, 3*2^a} (N >= 16) whose Grid(N, half_length)
+    resolves family member n_max (_resolves).
 
     Both kinds of size are fast FFT lengths, and 3*2^a sits halfway between
     two powers of two.  Raises ValueError when the box needs more than
@@ -119,13 +130,12 @@ def min_points_for(n_max: int, half_length: float) -> int:
         raise ValueError(f"half_length must be positive, got {half_length}")
     if not math.isfinite(half_length):
         raise ValueError(f"half_length must be finite, got {half_length}")
-    top = CARRIER_RATIO * 2.0**n_max + SUPPORT_EDGE
     num = 16
-    while top > (2.0 / 3.0) * (math.pi * num / (2.0 * half_length)):
+    while not _resolves(n_max, _xi_max(num, half_length)):
         # 2^a -> 3*2^(a-1) -> 2^(a+1)
         num = num * 3 // 2 if num & (num - 1) == 0 else num * 4 // 3
         if num > MAX_GRID_POINTS:
-            need = 3.0 * half_length * top / math.pi
+            need = 3.0 * half_length * _band_top(n_max) / math.pi
             raise ValueError(
                 f"family member n={n_max} in a box of half length L={half_length!r} "
                 f"needs N >= {need:.4g} points, above the limit {MAX_GRID_POINTS}"
@@ -136,17 +146,16 @@ def min_points_for(n_max: int, half_length: float) -> int:
 def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
     """Construct family member n on the bump's grid.
 
-    Requires (17/12) 2^n + 1/2 <= (2/3) xi_max so cubic products of the
-    members stay inside the alias-free band; raises ResolutionExceeded
+    Requires the grid to resolve member n (_resolves), so cubic products of
+    the members stay inside the alias-free band; raises ResolutionExceeded
     otherwise.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     grid = bump.grid
-    top = CARRIER_RATIO * 2.0**n + SUPPORT_EDGE
-    if top > (2.0 / 3.0) * grid.xi_max:
+    if not _resolves(n, grid.xi_max):
         raise ResolutionExceeded(
-            f"family member n={n} needs frequencies up to {top:.1f}, "
+            f"family member n={n} needs frequencies up to {_band_top(n):.1f}, "
             f"beyond 2/3 of xi_max={grid.xi_max:.1f}"
         )
     omega, snap = carrier_frequency(grid, n)

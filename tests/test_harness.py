@@ -645,14 +645,56 @@ class TestValidationSuite:
 
             monkeypatch.setattr(harness, name, phase)
 
-        for name in ("_check_transforms", "_check_packets", "_check_dynamics_smoke"):
+        for name in ("_check_transforms", "_check_packets", "_check_dynamics_smoke",
+                     "_check_partition"):
             recorded(name)
         before = threading.active_count()
         assert run_validation_suite(seed=0).passed
         assert threading.active_count() == before
         caller = threading.get_ident()
         assert threads["_check_transforms"] == threads["_check_packets"] == caller
-        assert threads["_check_dynamics_smoke"] != caller
+        assert threads["_check_dynamics_smoke"] == threads["_check_partition"] != caller
+
+    def test_advance_skips_the_partition_draws(self):
+        # the caller advances past the draws the partition check takes from
+        # its fork, and lands where drawing them would
+        grid = harness.Grid(2**10, 16 * math.pi)
+        scratch = harness.ExperimentReport(kind="validation", config={}, grid={})
+        drawn = np.random.default_rng(3)
+        harness._check_transforms(scratch, grid, drawn)
+        fork = harness._fork(drawn)
+        drawn.bit_generator.advance(harness.PARTITION_DRAWS)
+        harness._check_partition(scratch, fork, 1.0)
+        assert type(fork.bit_generator) is type(drawn.bit_generator)
+        assert fork.bit_generator.state == drawn.bit_generator.state
+        assert np.array_equal(fork.standard_normal(9), drawn.standard_normal(9))
+        assert np.array_equal(fork.uniform(size=9), drawn.uniform(size=9))
+
+    @pytest.mark.parametrize("error", [RuntimeError("injected"), KeyboardInterrupt()])
+    def test_failed_transforms_release_the_worker(self, error, monkeypatch):
+        # the worker waits for the partition check's generator; a failure
+        # before the hand-over must not leave it waiting
+        def failing_transforms(*args):
+            raise error
+
+        partitions, raised = [], []
+
+        def suite():
+            try:
+                run_validation_suite(seed=0)
+            except BaseException as err:
+                raised.append(err)
+
+        monkeypatch.setattr(harness, "_check_transforms", failing_transforms)
+        monkeypatch.setattr(harness, "_check_partition", lambda *args: partitions.append(args))
+        before = threading.active_count()
+        runner = threading.Thread(target=suite, daemon=True)
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive()
+        assert raised == [error]
+        assert partitions == []
+        assert threading.active_count() == before
 
     def test_caller_error_wins_over_smoke_error(self, monkeypatch):
         # the smoke phase fails first in time; the suite's order decides

@@ -34,6 +34,23 @@ from besovlab.spectral import (
 from conftest import rng
 
 
+def _full_band_samples(grid, draws, rows):
+    """(rows, N) samples with random_field's spectrum on every mode, the
+    Nyquist mode included, drawn from draws as _random_samples draws them."""
+    n, h = grid.num_points, grid.nyquist_index
+    re, im = draws.standard_normal((rows, 2, n)).transpose(1, 0, 2)
+    mirror = -np.arange(h + 1)
+    weight = (1.0 + grid.xi) ** -1.5
+    coeffs = (0.5 * weight) * (
+        (re[:, : h + 1] + re[:, mirror]) + 1j * (im[:, : h + 1] - im[:, mirror])
+    )
+    return _ifft(grid, coeffs)
+
+
+def _full_band_field(grid, draws):
+    return Field(grid, _full_band_samples(grid, draws, 1)[0])
+
+
 class TestForwardTransform:
     def test_cosine_mass(self, trig_grid):
         g = trig_grid
@@ -79,7 +96,7 @@ class TestInverseTransform:
     def test_round_trip_from_spectrum(self, trig_grid):
         # full band, Nyquist mode included
         for seed in range(20):
-            F = forward_transform(random_field(trig_grid, rng(seed), band_fraction=1.0))
+            F = forward_transform(_full_band_field(trig_grid, rng(seed)))
             back = forward_transform(inverse_transform(F))
             scale = np.abs(F.coeffs).max()
             assert np.abs(back.coeffs - F.coeffs).max() <= 1e-12 * scale
@@ -87,7 +104,7 @@ class TestInverseTransform:
     def test_non_hermitian_rejected(self, trig_grid):
         # the k = 0 and Nyquist entries are their own conjugate partners, so
         # they must be real; every other entry stands for a conjugate pair
-        f = random_field(trig_grid, rng(17), band_fraction=1.0)
+        f = _full_band_field(trig_grid, rng(17))
         for entry in (0, -1):
             F = forward_transform(f).coeffs.copy()
             F[entry] = F[entry].real
@@ -260,8 +277,8 @@ class TestDealiasProduct:
     def test_full_band_matches_fine_grid(self, trig_grid):
         # reference: same product on a 4x finer grid, truncated to this band
         g = trig_grid
-        f = random_field(g, rng(14), band_fraction=1.0)
-        h = random_field(g, rng(15), band_fraction=1.0)
+        f = _full_band_field(g, rng(14))
+        h = _full_band_field(g, rng(15))
         out = dealias_product(f, h, 2)
 
         fine = Grid(4 * g.num_points, g.half_length)
@@ -286,7 +303,7 @@ class TestDealiasProduct:
 
     def test_row_block_matches_one_field_calls(self, trig_grid):
         g = trig_grid
-        u, v, w = _random_samples(g, rng(9), 12, band_fraction=1.0).reshape(3, 4, -1)
+        u, v, w = _full_band_samples(g, rng(9), 12).reshape(3, 4, -1)
         U, V, W = (_fft(g, rows) for rows in (u, v, w))
         quadratic = _dealias(g, 2, U, V)
         triple = _dealias(g, 3, U, V, W)
@@ -305,7 +322,7 @@ class TestNyquistMode:
 
         g = trig_grid
         fine = _padded_grid(g, 3)  # factor 2: the even fine points are the coarse ones
-        f = random_field(g, rng(16), band_fraction=1.0)
+        f = _full_band_field(g, rng(16))
         F = _coeffs(f)
         assert abs(F[-1]) > 1e-6 * np.abs(F).max()
         padded = _to_padded(g, F, fine)

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from besovlab import (
     make_packets,
     product_limits,
 )
+from besovlab import wavepackets
 from besovlab.besov import _besov_norm, _lp_profile
 from besovlab.dynamics import DECAY_TOL, check_decay
-from besovlab.spectral import _coeffs
+from besovlab.spectral import _coeffs, _xi_max
 from besovlab.wavepackets import (
     CARRIER_RATIO,
+    MAX_GRID_POINTS,
     _driving_product,
     bump_hat,
     localization_residual,
@@ -143,6 +146,38 @@ class TestPacketConstruction:
         assert top > (2 / 3) * Grid(smaller, half_length).xi_max
         fam = make_packets(build_bump(Grid(pts, half_length)), n)
         assert fam.n == n
+
+    @pytest.mark.parametrize("half_length", [32 * math.pi, 16 * math.pi])
+    def test_make_packets_and_min_points_share_one_rule(self, half_length, monkeypatch):
+        # make_packets reaches carrier_frequency only once its resolution
+        # check passes; a stand-in grid with Grid's xi_max (large grids
+        # would take gigabytes) shows the check's verdict without a packet
+        class Accepted(Exception):
+            pass
+
+        def accepted(grid, n):
+            raise Accepted
+
+        def verdict(n, points):
+            grid = types.SimpleNamespace(xi_max=_xi_max(points, half_length))
+            try:
+                make_packets(types.SimpleNamespace(grid=grid), n)
+            except Accepted:
+                return True
+            except ResolutionExceeded:
+                return False
+
+        monkeypatch.setattr(wavepackets, "carrier_frequency", accepted)
+        assert Grid(768, half_length).xi_max == _xi_max(768, half_length)
+        for n in range(1, 21):
+            try:
+                pts = min_points_for(n, half_length)
+            except ValueError:  # above the size limit: no grid resolves n
+                assert not verdict(n, MAX_GRID_POINTS)
+                continue
+            smaller = pts * 3 // 4 if pts & (pts - 1) == 0 else pts * 2 // 3
+            assert verdict(n, pts), n
+            assert not verdict(n, smaller), n
 
     def test_fourier_supports(self, box_bump, box_cutoffs):
         g = box_bump.grid
