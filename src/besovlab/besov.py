@@ -59,13 +59,16 @@ def grid_j_max(grid: Grid) -> int:
 
 @dataclass(frozen=True)
 class BesovIndex:
-    """Regularity/integrability/summation triple (s, p, r); p must be 2."""
+    """Regularity/integrability/summation triple (s, p, r); s must be finite
+    and p must be 2."""
 
     s: float
     p: float = 2.0
     r: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if self.p != 2.0:
             raise ValueError(f"only p = 2 is supported, got {self.p}")
         if not (self.r >= 1.0):

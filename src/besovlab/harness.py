@@ -371,10 +371,8 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
     order perturbed, base, pieces, gaps: the one it raises when run alone.
     """
     model = config.model
-    members = {
-        n: _catching(functools.partial(_member_data, bump, model, n)) for n in config.n_values
-    }
-    live = [n for n, member in members.items() if not isinstance(member, BesovLabError)]
+    members = {n: _catching(functools.partial(make_packets, bump, n)) for n in config.n_values}
+    live = {n: fam for n, fam in members.items() if not isinstance(fam, BesovLabError)}
     runs = {n: [None, None] for n in live}  # perturbed, base: Trajectory or error
     finals: dict = {}
     lock = threading.Lock()
@@ -394,10 +392,10 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
 
     jobs = [
         functools.partial(trajectory, n, i, datum)
-        for n in live
-        for i, datum in enumerate((members[n][2], members[n][0].packet))
+        for n, fam in live.items()
+        for i, datum in enumerate((fam.packet + fam.perturbation(model), fam.packet))
     ]
-    jobs += [functools.partial(_member_pieces, model, *members[n], cutoffs) for n in live]
+    jobs += [functools.partial(_member_pieces, model, fam, cutoffs) for fam in live.values()]
     pieces = _map_items(_catching, jobs)[2 * len(live) :]
     for n, member_pieces in zip(live, pieces):
         outcomes = (*runs[n], member_pieces, finals.get(n))
@@ -406,25 +404,19 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
             members[n] = error
             continue
         drift, gaps = finals[n]
-        members[n] = _member_entry(n, members[n][0], *runs[n], member_pieces, drift), gaps
+        members[n] = _member_entry(n, live[n], *runs[n], member_pieces, drift), gaps
     return [members[n] for n in config.n_values]
 
 
-def _member_data(bump, model: Model, n: int) -> tuple:
-    """Family member n's packets, its perturbation and its perturbed datum."""
-    fam = make_packets(bump, n)
-    pert = fam.perturbation(model)
-    return fam, pert, fam.packet + pert
-
-
-def _member_pieces(model: Model, fam, pert: Field, u0: Field, cutoffs: CutoffPair) -> tuple:
+def _member_pieces(model: Model, fam, cutoffs: CutoffPair) -> tuple:
     """A member's decomposition pieces, the norms of the first-order
     decomposition of its solution-map gap (the driving product and the
     corrections, which sum to correction_total), and its perturbation's
     B^{3/2}_{2,1} norm.  Each piece is formed on coefficients and reduced to
     its norm before the next is built; the RHS workspace comes last."""
-    grid = u0.grid
-    packet, g, u = (_fft(grid, f.samples) for f in (fam.packet, pert, u0))
+    grid = fam.packet.grid
+    packet, g = (_fft(grid, f.samples) for f in (fam.packet, fam.perturbation(model)))
+    u = packet + g
     ixi = _derivative_multiplier(grid, 1)
     profile = _lp_profile(_driving_product(grid, model, packet, g), cutoffs)
     pieces = {

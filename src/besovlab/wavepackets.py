@@ -18,6 +18,7 @@ are what the non-uniform-dependence experiments compare against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,14 +145,15 @@ def min_points_for(n_max: int, half_length: float) -> int:
 
 
 def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
-    """Construct family member n on the bump's grid.
+    """Construct family member n on the bump's grid, the packet from its
+    exact spectrum.
 
     Requires the grid to resolve member n (_resolves), so cubic products of
     the members stay inside the alias-free band; raises ResolutionExceeded
     otherwise.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     grid = bump.grid
     if not _resolves(n, grid.xi_max):
         raise ResolutionExceeded(
@@ -159,16 +161,11 @@ def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
             f"beyond 2/3 of xi_max={grid.xi_max:.1f}"
         )
     omega, snap = carrier_frequency(grid, n)
+    # phi(x) sin(omega x) transforms to (bump_hat(xi - omega) - bump_hat(xi + omega)) / 2i
+    xi = grid.xi
+    packet_hat = 2.0 ** (-1.5 * n) * (bump_hat(xi - omega) - bump_hat(xi + omega)) / 2j
+    packet = _to_field(grid, packet_hat)
     phi = bump.phi.samples
-    # omega*x_i = pi*k*(2i-N)/N exactly; reducing the integer phase mod 2N
-    # before the sine keeps the carrier exact to one ulp even at large n*x
-    # (naive np.sin(omega*x) loses ~eps*|omega x| and the spectral derivative
-    # amplifies that noise above the localization tolerances).
-    npts = grid.num_points
-    k = round(omega * grid.half_length / math.pi)
-    m = (k * (2 * np.arange(npts, dtype=np.int64) - npts)) % (2 * npts)
-    carrier = np.sin((math.pi / npts) * m)
-    packet = Field(grid, 2.0 ** (-1.5 * n) * phi * carrier)
     bump_fast = Field(grid, (12.0 / 17.0) * 2.0 ** (-float(n)) * phi)
     bump_slow = Field(grid, (12.0 / 17.0) * 2.0 ** (-0.5 * n) * phi)
     return PacketFamily(

@@ -236,6 +236,10 @@ class TestBesovNorm:
         for p in (0.5, 1.0, INF):
             with pytest.raises(ValueError):
                 BesovIndex(1.5, p, 1)
+        # a NaN s used to be accepted and make every norm NaN without an error
+        for s in (math.nan, INF, -INF):
+            with pytest.raises(ValueError, match="s must be finite"):
+                BesovIndex(s, 2, 1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,6 +13,7 @@ from besovlab import (
     ResolutionExceeded,
     besov_norm,
     build_bump,
+    build_cutoffs,
     carrier_frequency,
     derivative,
     forward_transform,
@@ -37,6 +38,14 @@ from besovlab.wavepackets import (
 
 B321 = BesovIndex(1.5, 2, 1)
 B32INF = BesovIndex(1.5, 2, math.inf)
+
+
+@pytest.fixture(scope="module")
+def member10_box():
+    """Bump and cutoffs on the smallest grid that resolves member n = 10
+    (196608 points), where the carrier phase omega x reaches ~1.5e5."""
+    grid = Grid(min_points_for(10, 32 * math.pi), 32 * math.pi)
+    return build_bump(grid), build_cutoffs(grid)
 
 
 def driving_product(fam, model):
@@ -127,6 +136,10 @@ class TestPacketConstruction:
     def test_resolution_precondition(self, box_bump):
         with pytest.raises(ResolutionExceeded):
             make_packets(box_bump, 9)
+        # 4.5 used to give a member with carrier 32.06, and True member 1
+        for n in (4.5, 5.0, True, 0):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                make_packets(box_bump, n)
 
     def test_min_points_helper(self):
         pts = min_points_for(8, 32 * math.pi)
@@ -179,21 +192,28 @@ class TestPacketConstruction:
             assert verdict(n, pts), n
             assert not verdict(n, smaller), n
 
-    def test_fourier_supports(self, box_bump, box_cutoffs):
+    def test_fourier_supports(self, box_bump, box_cutoffs, member10_box):
         g = box_bump.grid
         fam = make_packets(box_bump, 5)
         for low in (fam.bump_fast, fam.bump_slow):
             F = forward_transform(low).coeffs
             outside = g.xi > 0.5
             assert np.abs(F[outside]).max() <= 1e-12 * np.abs(F).max()
-        Fp = forward_transform(fam.packet).coeffs
-        band = np.abs(g.xi - fam.carrier) <= 0.5 + 1e-9
-        assert np.abs(Fp[~band]).max() <= 1e-12 * np.abs(Fp).max()
+        # carrier rounding at large n x would leak out of the packet's band,
+        # and the spectral derivative would amplify it
+        for bump, cutoffs, n in ((box_bump, box_cutoffs, 5), (*member10_box, 10)):
+            fam = make_packets(bump, n)
+            xi = bump.grid.xi
+            Fp = forward_transform(fam.packet).coeffs
+            band = np.abs(xi - fam.carrier) <= 0.5 + 1e-9
+            assert np.abs(Fp[~band]).max() <= 1e-12 * np.abs(Fp).max(), n
+            members = ring_membership(cutoffs, fam.carrier, 0.5)
+            assert localization_residual(1j * xi * Fp, cutoffs, members) < 1e-14, n
 
-    def test_modulation_identity(self, box_bump):
-        for n in (4, 5):
-            fam = make_packets(box_bump, n)
-            assert modulation_identity_residual(box_bump, fam) <= 1e-12
+    def test_modulation_identity(self, box_bump, member10_box):
+        for bump, n in ((box_bump, 4), (box_bump, 5), (member10_box[0], 10)):
+            fam = make_packets(bump, n)
+            assert modulation_identity_residual(bump, fam) <= 1e-12, n
 
     def test_perturbation_choice(self, box_bump):
         fam = make_packets(box_bump, 4)
