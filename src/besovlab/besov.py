@@ -51,10 +51,15 @@ def _cutoff_rows(xi, j_max: int, ring_scale: float):
         low = high
 
 
+def _j_max(xi_max: float) -> int:
+    """Largest block index kept in sums over frequencies |xi| <= xi_max;
+    rings beyond it are entirely above xi_max and vanish identically."""
+    return int(math.ceil(math.log2(xi_max * 4.0 / 3.0))) + 1
+
+
 def grid_j_max(grid: Grid) -> int:
-    """Largest block index kept in sums on this grid; rings beyond it are
-    entirely above xi_max and vanish identically."""
-    return int(math.ceil(math.log2(grid.xi_max * 4.0 / 3.0))) + 1
+    """Largest block index kept in sums on this grid (_j_max of its xi_max)."""
+    return _j_max(grid.xi_max)
 
 
 @dataclass(frozen=True)

@@ -71,12 +71,16 @@ class Model(enum.Enum):
 def _times(values, name: str) -> tuple:
     """values as a tuple of floats; ValueError naming name unless values is a
     list, tuple, range or array of real numbers (a string such as "15" would
-    otherwise be read digit by digit as the times 1 and 5)."""
+    otherwise be read digit by digit as the times 1 and 5), all finite."""
     if not isinstance(values, (list, tuple, range, np.ndarray)) or not all(
         isinstance(t, numbers.Real) and not isinstance(t, bool) for t in values
     ):
         raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
-    return tuple(float(t) for t in values)
+    times = tuple(float(t) for t in values)
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"sample times must be finite, got {t} in {name}")
+    return times
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,6 @@ class SolverConfig:
             raise ValueError("dt_max must be positive")
         times = _times(self.sample_times, "sample_times")
         for t in times:
-            if not math.isfinite(t):
-                raise ValueError(f"sample times must be finite, got {t}")
             if t < 0:
                 raise ValueError(f"sample times must be nonnegative, got {t}")
         if any(b <= a for a, b in zip(times, times[1:])):

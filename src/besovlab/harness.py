@@ -30,6 +30,7 @@ from .besov import (
     _besov_norm,
     _coeff_norm,
     _cutoff_rows,
+    _j_max,
     _lp_profile,
 )
 from .corpus import _random_samples
@@ -74,7 +75,9 @@ DOMINANCE_MIN_N = 6
 H1_DRIFT_TOL = 1e-6
 SLOPE_TARGET, SLOPE_TOL = 2.0, 0.1
 
-# Uniform draws of validate's partition-of-unity check.
+# Frequencies at which validate checks the partition of unity, evenly
+# spaced on [-512, 512]; its seeded checks skip as many uniform draws
+# (run_validation_suite).
 PARTITION_DRAWS = 1_000_000
 
 # Fewest points of run_taylor_check's default grid.  Its remainder bound
@@ -106,8 +109,10 @@ class ExperimentConfig:
         object.__setattr__(self, "model", Model(self.model))
         object.__setattr__(self, "n_values", _family_members(self.n_values))
         ts = tuple(sorted(_times(self.t_values, "t_values")))
-        if not ts or ts[0] < 0:
-            raise ValueError("t_values must be nonnegative and nonempty")
+        if not ts or ts[0] < 0 or len(set(ts)) < len(ts):
+            raise ValueError(
+                f"t_values must be nonnegative, at least one and none repeated, got {self.t_values!r}"
+            )
         object.__setattr__(self, "t_values", ts)
 
     def make_grid(self) -> Grid:
@@ -154,16 +159,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_items(fn, items) -> list:
+def _map_items(fn, items, caller=lambda: None) -> list:
     """[fn(item) for item in items] on one worker thread per usable CPU, at
-    most one per item; the caller only waits, as its FFTs would re-fault
-    their scratch after every call (glibc's main arena trims it; README).
+    most one per item, while the calling thread runs caller() and then
+    waits; it runs no item, as its FFTs would re-fault their scratch after
+    every call (glibc's main arena trims it; README).
 
     Items are evaluated independently and come back in input order, so the
     results do not depend on the thread count; numpy's FFTs release the
-    interpreter lock, so trajectories overlap.  If an item raises or the
-    caller is interrupted, no further item starts; once the workers have
-    finished, the first exception in input order (or the caller's) is raised.
+    interpreter lock, so trajectories overlap.  If an item or caller()
+    raises, or the caller is interrupted, no further item starts; once the
+    workers have finished, caller()'s exception is raised, else the first
+    item's in input order.
     """
     items = list(items)
     results: list = [None] * len(items)
@@ -191,6 +198,7 @@ def _map_items(fn, items) -> list:
     try:
         for worker in workers:
             worker.start()
+        caller()
         for worker in workers:
             worker.join()
     finally:
@@ -202,33 +210,6 @@ def _map_items(fn, items) -> list:
         if err is not None:
             raise err
     return results
-
-
-def _alongside(side, main) -> None:
-    """side() on one worker thread while main() runs on the calling thread.
-
-    Both run to the end even if the other raises; the worker is joined
-    before anything propagates, also on Ctrl-C, so no thread outlives the
-    call.  main's exception is raised before side's.
-    """
-    errors: list = []
-
-    def work():
-        try:
-            side()
-        except BaseException as err:  # re-raised by the caller below
-            errors.append(err)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        main()
-        worker.join()
-    finally:
-        if worker.is_alive():
-            worker.join()
-    if errors:
-        raise errors[0]
 
 
 @dataclass
@@ -706,18 +687,12 @@ def run_validation_suite(
     block with the same private core the one-field functions wrap, so every
     value equals the one-field-at-a-time result to the bit.
 
-    The solver smoke checks share no state with the others and draw no
-    random numbers, so they run on a worker thread while the seeded phases
-    and the packet checks run on the calling thread, in order; numpy's
-    large calls release the interpreter lock, so the two overlap.  After
-    the smoke checks the worker runs the partition-of-unity check on a fork
-    of the generator that the caller hands over once the transform checks
-    have drawn, while the caller skips the generator past the check's
-    draws.  Only this check can leave the seeded chain: each of its
-    PARTITION_DRAWS uniforms takes exactly one output of the bit generator,
-    while a normal draw takes a variable number, so advance() lands where
-    drawing them would.  Every drawn number is the one-thread suite's, and
-    the checks are merged in suite order, so the report does not depend on
+    The partition-of-unity check and the solver smoke checks draw no
+    random numbers and share no state with the others, so one worker
+    thread runs them, in that order, while the calling thread runs the
+    seeded checks (transforms, the other cutoff checks, Besov, packets);
+    numpy's large calls release the interpreter lock, so the two overlap.
+    The checks are merged in suite order, so the report does not depend on
     which side finishes first.
     """
     rng = np.random.default_rng(seed)
@@ -736,39 +711,25 @@ def run_validation_suite(
 
     partition, rest, smoke = (ExperimentReport(kind="validation", config={}, grid={})
                               for _ in range(3))
-    forks: list = []  # the partition check's generator, or None if none comes
-    handed = threading.Event()
 
-    def worker_phases():
+    def unseeded_phases():
+        _check_partition(partition, cutoffs.ring_scale)
         _check_dynamics_smoke(smoke)
-        handed.wait()
-        if forks[0] is not None:
-            _check_partition(partition, forks[0], cutoffs.ring_scale)
 
-    def caller_phases():
-        fork = None
-        try:
-            _check_transforms(report, grid, rng)
-            fork = _fork(rng)
-        finally:  # also on an error or Ctrl-C, so the worker never blocks
-            forks.append(fork)
-            handed.set()
+    def seeded_phases():
+        _check_transforms(report, grid, rng)
+        # only to keep every later draw, and with them embedding_constant,
+        # product_estimate and perfbench's seed-0 reference, at their
+        # recorded values (ROADMAP item 5's re-record may drop this)
         rng.bit_generator.advance(PARTITION_DRAWS)
         _check_cutoffs(rest, grid, cutoffs, rng)
         _check_besov_properties(rest, grid, cutoffs, rng)
         _check_packets(rest)
 
-    _alongside(worker_phases, caller_phases)
+    _map_items(lambda phases: phases(), [unseeded_phases], caller=seeded_phases)
     for part in (partition, rest, smoke):
         report.checks.update(part.checks)
     return report
-
-
-def _fork(rng: np.random.Generator) -> np.random.Generator:
-    """A new generator on a bit generator of rng's type, set to rng's state."""
-    bits = type(rng.bit_generator)()
-    bits.state = rng.bit_generator.state
-    return np.random.Generator(bits)
 
 
 def _chunks(total: int, size: int):
@@ -837,14 +798,16 @@ def _check_transforms(report, grid, rng):
     report.add_check("helmholtz_self_adjoint", worst_sa <= 1e-10, worst_sa, "<= 1e-10")
 
 
-def _check_partition(report, rng, ring_scale):
+def _check_partition(report, ring_scale):
     xi_band = 512.0
-    jm = int(math.ceil(math.log2(xi_band * 4.0 / 3.0))) + 1
+    jm = _j_max(xi_band)
     worst = 0.0
-    # 2^14 draws at a time, the same stream as one draw of them all; with
-    # 2^16 the worker's arena keeps more and a pass peaks at 56.9 MB, not 53.9
-    for size in _chunks(PARTITION_DRAWS, 2**14):
-        xis = rng.uniform(-xi_band, xi_band, size=size)
+    # 2^14 frequencies at a time: with 2^16 the worker's arena keeps more
+    # and a pass peaks at 58.4 MB, not 52.7-54.0
+    for start in range(0, PARTITION_DRAWS, 2**14):
+        xis = np.arange(start, min(start + 2**14, PARTITION_DRAWS), dtype=float)
+        xis *= 2.0 * xi_band / (PARTITION_DRAWS - 1)
+        xis -= xi_band
         total = sum(_cutoff_rows(xis, jm, ring_scale))  # a running sum, one row at a time
         worst = _worse(worst, np.abs(total - 1.0))
     report.add_check("partition_of_unity_1e6", worst <= 1e-12, worst, "<= 1e-12")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from besovlab import Model, harness
+from besovlab.besov import _cutoff_rows, _j_max
 from besovlab.cli import main as cli_main
 from besovlab.harness import (
     CSV_HEADER,
@@ -216,11 +217,18 @@ class TestRunNonuniform:
         with pytest.raises(ValueError, match="n_values must be positive integers"):
             run_scaling_batch(n_values, grid_points=2**13)
 
-    @pytest.mark.parametrize("t_values", ["15", "0.1", 0.1, [0.1, "0.2"]],
-                             ids=["digits", "decimal-string", "number", "mixed-list"])
-    def test_bad_t_values_rejected(self, t_values):
+    @pytest.mark.parametrize("t_values, message", [
+        ("15", "t_values must be a sequence of numbers"),
+        ("0.1", "t_values must be a sequence of numbers"),
+        (0.1, "t_values must be a sequence of numbers"),
+        ([0.1, "0.2"], "t_values must be a sequence of numbers"),
+        # both used to pass here and fail in run_nonuniform, naming sample_times
+        ((math.nan, 0.1), "sample times must be finite, got nan in t_values"),
+        ((0.05, 0.05), "t_values must be nonnegative, at least one and none repeated"),
+    ], ids=["digits", "decimal-string", "number", "mixed-list", "non-finite", "repeated"])
+    def test_bad_t_values_rejected(self, t_values, message):
         # a string of digits used to run at one time per digit ("15": t = 1, 5)
-        with pytest.raises(ValueError, match="t_values must be a sequence of numbers"):
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig(t_values=t_values)
 
     def test_nothing_downstream_of_evolve_transforms(self, monkeypatch):
@@ -551,6 +559,28 @@ class TestConcurrency:
         assert started in ([], [1])
         assert threading.active_count() == before
 
+    def test_map_items_caller_runs_here_and_its_error_wins(self, monkeypatch):
+        # caller() runs on the calling thread while the items run on the
+        # workers; its exception is raised before an item's that came first
+        item_failed = threading.Event()
+        callers = []
+
+        def failing_item(i):
+            item_failed.set()
+            raise ValueError(i)
+
+        def failing_caller():
+            callers.append(threading.get_ident())
+            assert item_failed.wait(10.0)
+            raise RuntimeError("caller")
+
+        _forced_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller"):
+            _map_items(failing_item, range(2), caller=failing_caller)
+        assert callers == [threading.get_ident()]
+        assert threading.active_count() == before
+
     def test_interrupted_caller_leaves_no_thread(self, monkeypatch):
         # Ctrl-C while the caller waits: the workers stop after their
         # current items and are joined before the interrupt propagates
@@ -658,46 +688,21 @@ class TestValidationSuite:
         assert threads["_check_transforms"] == threads["_check_packets"] == caller
         assert threads["_check_dynamics_smoke"] == threads["_check_partition"] != caller
 
-    def test_advance_skips_the_partition_draws(self):
-        # the caller advances past the draws the partition check takes from
-        # its fork, and lands where drawing them would
-        grid = harness.Grid(2**10, 16 * math.pi)
-        scratch = harness.ExperimentReport(kind="validation", config={}, grid={})
-        drawn = np.random.default_rng(3)
-        harness._check_transforms(scratch, grid, drawn)
-        fork = harness._fork(drawn)
-        drawn.bit_generator.advance(harness.PARTITION_DRAWS)
-        harness._check_partition(scratch, fork, 1.0)
-        assert type(fork.bit_generator) is type(drawn.bit_generator)
-        assert fork.bit_generator.state == drawn.bit_generator.state
-        assert np.array_equal(fork.standard_normal(9), drawn.standard_normal(9))
-        assert np.array_equal(fork.uniform(size=9), drawn.uniform(size=9))
-
-    @pytest.mark.parametrize("error", [RuntimeError("injected"), KeyboardInterrupt()])
-    def test_failed_transforms_release_the_worker(self, error, monkeypatch):
-        # the worker waits for the partition check's generator; a failure
-        # before the hand-over must not leave it waiting
-        def failing_transforms(*args):
-            raise error
-
-        partitions, raised = [], []
-
-        def suite():
-            try:
-                run_validation_suite(seed=0)
-            except BaseException as err:
-                raised.append(err)
-
-        monkeypatch.setattr(harness, "_check_transforms", failing_transforms)
-        monkeypatch.setattr(harness, "_check_partition", lambda *args: partitions.append(args))
-        before = threading.active_count()
-        runner = threading.Thread(target=suite, daemon=True)
-        runner.start()
-        runner.join(60.0)
-        assert not runner.is_alive()
-        assert raised == [error]
-        assert partitions == []
-        assert threading.active_count() == before
+    @pytest.mark.parametrize("ring_scale", [1.0, 1.01, math.nan])
+    def test_partition_lattice_matches_uniform_draws(self, ring_scale):
+        # the check's value is a sup over the frequencies, and the lattice
+        # reads what 10^6 uniform draws in 2^14 chunks read, NaN as NaN
+        lattice = harness.ExperimentReport(kind="validation", config={}, grid={})
+        harness._check_partition(lattice, ring_scale)
+        value = lattice.checks["partition_of_unity_1e6"]["value"]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            worst = 0.0
+            for size in harness._chunks(harness.PARTITION_DRAWS, 2**14):
+                xis = rng.uniform(-512.0, 512.0, size=size)
+                total = sum(_cutoff_rows(xis, _j_max(512.0), ring_scale))
+                worst = harness._worse(worst, np.abs(total - 1.0))
+            assert worst == value or (math.isnan(worst) and math.isnan(value)), seed
 
     def test_caller_error_wins_over_smoke_error(self, monkeypatch):
         # the smoke phase fails first in time; the suite's order decides
@@ -907,6 +912,10 @@ class TestCli:
          "num_points must be an integer, got 4096.0"),
         ("nonuniform", {"n_values": [4], "grid_points": "1024"},
          "num_points must be an integer, got '1024'"),
+        ("nonuniform", {"n_values": [4], "t_values": [math.nan, 0.1]},
+         "sample times must be finite, got nan in t_values"),
+        ("nonuniform", {"n_values": [4], "t_values": [0.05, 0.05]},
+         "t_values must be nonnegative, at least one and none repeated, got [0.05, 0.05]"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, command, settings, message):
         cfg_file = tmp_path / "cfg.json"
@@ -940,7 +949,8 @@ class TestCli:
         (["validate", "--seed", "0", "--cutoff-scale", "inf"], "cutoff_scale must be a finite number, got inf"),
         (["taylor", "--t-max", "inf"], "t_max must be finite, got inf"),
         (["nonuniform", "--t", "0.05,nan"], "sample times must be finite, got nan"),
-        (["nonuniform", "--t", "0.05,0.05"], "sample_times must be strictly increasing, got (0.05, 0.05)"),
+        (["nonuniform", "--t", "0.05,0.05"],
+         "t_values must be nonnegative, at least one and none repeated, got (0.05, 0.05)"),
         (["nonuniform", "--grid-l", "inf"], "half_length must be finite, got inf"),
         (["taylor", "--grid-l", "inf"], "half_length must be finite, got inf"),
         (["taylor", "--grid-l", "inf", "--grid-n", "1024"], "half_length must be finite, got inf"),
