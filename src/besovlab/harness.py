@@ -80,6 +80,13 @@ SLOPE_TARGET, SLOPE_TOL = 2.0, 0.1
 # (run_validation_suite).
 PARTITION_DRAWS = 1_000_000
 
+# Samples in one (rows, N) block of validate's random-field checks.  Each row
+# equals the one-field call to the bit, so the size moves no check value, only
+# the arrays held at once.  With 2^17 a seeded check traced 8.0-12.6 MiB and a
+# validate pass peaked at 52.5 MB; with 2^15 2.0-3.6 MiB and 43.4 MB.  Smaller
+# blocks save under 2 MB more and take 10-33% longer (BENCH_29.json).
+ROW_BLOCK_SAMPLES = 2**15
+
 # Fewest points of run_taylor_check's default grid.  Its remainder bound
 # reads sup and Lipschitz norms off the samples, so it moves with the sample
 # points (8e-8 relative for the Novikov packet pair n = 6 between 2^15 and
@@ -683,9 +690,10 @@ def run_validation_suite(
     grid_points and half_length set the grid of the transform, cutoff and
     Besov checks only; the packet checks always run on Grid(2^14, 32 pi) and
     the solver smoke checks on Grid(2^12, 32 pi).  The random-field checks
-    draw their fields in row blocks of about 2^17 samples and evaluate each
-    block with the same private core the one-field functions wrap, so every
-    value equals the one-field-at-a-time result to the bit.
+    draw their fields in row blocks of about ROW_BLOCK_SAMPLES samples and
+    evaluate each block with the same private core the one-field functions
+    wrap, so every value equals the one-field-at-a-time result to the bit,
+    whatever the block size.
 
     The partition-of-unity check and the solver smoke checks draw no
     random numbers and share no state with the others, so one worker
@@ -739,8 +747,9 @@ def _chunks(total: int, size: int):
 
 
 def _row_blocks(total: int, grid: Grid):
-    """Row-block sizes for total fields on grid: about 2^17 samples a block."""
-    return _chunks(total, max(1, 2**17 // grid.num_points))
+    """Row-block sizes for total fields on grid: about ROW_BLOCK_SAMPLES
+    samples a block, and at least one row."""
+    return _chunks(total, max(1, ROW_BLOCK_SAMPLES // grid.num_points))
 
 
 def _worse(worst: float, *blocks: np.ndarray) -> float:
@@ -829,7 +838,7 @@ def _check_cutoffs(report, grid, cutoffs, rng):
         coeffs = _fft(grid, f)
         total_field = np.zeros_like(f)
         for j in range(-1, cutoffs.j_max + 1):
-            total_field = total_field + _ifft(grid, cutoffs.block_multiplier(j) * coeffs)
+            total_field += _ifft(grid, cutoffs.block_multiplier(j) * coeffs)
         rec = _max_abs(total_field - f) / np.maximum(_max_abs(f), 1e-300)
         worst_rec = _worse(worst_rec, rec)
     report.add_check("reconstruction_1000", worst_rec <= 1e-10, worst_rec, "<= 1e-10")
@@ -873,11 +882,10 @@ def _check_besov_properties(report, grid, cutoffs, rng):
     for rows in _row_blocks(1000, grid):
         pairs = _random_samples(grid, rng, 2 * rows).reshape(rows, 2, -1)
         u, v = pairs[:, 0], pairs[:, 1]
-        # each spectrum is taken where it is used: holding a block's two
-        # through all three norms raised the suite's peak RSS from 52.5 to 57.3 MB
-        num = _coeff_norm(_dealias(grid, 2, _fft(grid, u), _fft(grid, v)), cutoffs)
-        den = _coeff_norm(_fft(grid, u), cutoffs) * _max_abs(v)
-        den += _coeff_norm(_fft(grid, v), cutoffs) * _max_abs(u)
+        U, V = _fft(grid, u), _fft(grid, v)
+        num = _coeff_norm(_dealias(grid, 2, U, V), cutoffs)
+        den = _coeff_norm(U, cutoffs) * _max_abs(v)
+        den += _coeff_norm(V, cutoffs) * _max_abs(u)
         worst_prod = _worse(worst_prod, num / den)
     report.add_check(
         "product_estimate",

@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from besovlab import Model, harness
-from besovlab.besov import _cutoff_rows, _j_max
+from besovlab import Grid, Model, harness
+from besovlab.besov import _cutoff_rows, _j_max, build_cutoffs
 from besovlab.cli import main as cli_main
 from besovlab.harness import (
     CSV_HEADER,
@@ -743,6 +743,36 @@ class TestValidationSuite:
             run_validation_suite(seed=0)
         assert threading.active_count() == before
         assert len(finished) == 1
+
+    @pytest.mark.parametrize("block_samples", [2**17, 2**12])
+    def test_checks_independent_of_row_block_size(self, block_samples, monkeypatch):
+        # each row of a block equals the one-field call to the bit, so the
+        # block size moves no value
+        default = run_validation_suite(seed=0).checks
+        monkeypatch.setattr(harness, "ROW_BLOCK_SAMPLES", block_samples)
+        assert run_validation_suite(seed=0).checks == default
+
+    @pytest.mark.parametrize("check", ["_check_transforms", "_check_cutoffs",
+                                       "_check_besov_properties"])
+    def test_seeded_check_working_set_small(self, check):
+        # run alone on the suite's default grid, after a first run has filled
+        # the grid's caches; with 2^17-sample blocks these read 8.0-12.6 MiB
+        grid = Grid(2**10, 16.0 * math.pi)
+        cutoffs = build_cutoffs(grid)
+        args = (grid,) if check == "_check_transforms" else (grid, cutoffs)
+
+        def run():
+            report = ExperimentReport(kind="validation", config={}, grid={})
+            getattr(harness, check)(report, *args, np.random.default_rng(0))
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
 
     @pytest.mark.parametrize("cutoff_scale", sorted(PINNED_VALIDATION))
     def test_values_pinned(self, cutoff_scale):
