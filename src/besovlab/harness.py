@@ -80,11 +80,11 @@ SLOPE_TARGET, SLOPE_TOL = 2.0, 0.1
 # (run_validation_suite).
 PARTITION_DRAWS = 1_000_000
 
-# Samples in one (rows, N) block of validate's random-field checks.  Each row
-# equals the one-field call to the bit, so the size moves no check value, only
-# the arrays held at once.  With 2^17 a seeded check traced 8.0-12.6 MiB and a
-# validate pass peaked at 52.5 MB; with 2^15 2.0-3.6 MiB and 43.4 MB.  Smaller
-# blocks save under 2 MB more and take 10-33% longer (BENCH_29.json).
+# Samples in one (rows, N) block of validate's random-field checks; the pair
+# checks (linearity, derivative/Helmholtz, product_estimate) draw two fields a
+# row, about 2^16 samples.  Rows equal one-field calls to the bit, so the size
+# moves no value, only memory: a seeded check traces 2.0-3.6 MiB (8.0-12.6 with
+# 2^17); smaller blocks save under 2 MB a pass and take 10-33% longer (BENCH_29.json).
 ROW_BLOCK_SAMPLES = 2**15
 
 # Fewest points of run_taylor_check's default grid.  Its remainder bound
@@ -166,18 +166,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_items(fn, items, caller=lambda: None) -> list:
+def _map_items(fn, items) -> list:
     """[fn(item) for item in items] on one worker thread per usable CPU, at
-    most one per item, while the calling thread runs caller() and then
-    waits; it runs no item, as its FFTs would re-fault their scratch after
-    every call (glibc's main arena trims it; README).
+    most one per item, while the calling thread waits; it runs no item, as
+    its FFTs would re-fault their scratch after every call (glibc's main
+    arena trims it; README).
 
     Items are evaluated independently and come back in input order, so the
     results do not depend on the thread count; numpy's FFTs release the
-    interpreter lock, so trajectories overlap.  If an item or caller()
-    raises, or the caller is interrupted, no further item starts; once the
-    workers have finished, caller()'s exception is raised, else the first
-    item's in input order.
+    interpreter lock, so trajectories overlap.  If an item raises, or the
+    caller is interrupted, no further item starts; once the workers have
+    finished, the first item's exception in input order is raised.
     """
     items = list(items)
     results: list = [None] * len(items)
@@ -196,7 +195,7 @@ def _map_items(fn, items, caller=lambda: None) -> list:
                 next_index += 1
             try:
                 results[i] = fn(items[i])
-            except BaseException as err:  # re-raised by the caller below
+            except BaseException as err:  # re-raised below
                 errors[i] = err
                 stop = True
                 return
@@ -205,7 +204,6 @@ def _map_items(fn, items, caller=lambda: None) -> list:
     try:
         for worker in workers:
             worker.start()
-        caller()
         for worker in workers:
             worker.join()
     finally:
@@ -690,18 +688,18 @@ def run_validation_suite(
     grid_points and half_length set the grid of the transform, cutoff and
     Besov checks only; the packet checks always run on Grid(2^14, 32 pi) and
     the solver smoke checks on Grid(2^12, 32 pi).  The random-field checks
-    draw their fields in row blocks of about ROW_BLOCK_SAMPLES samples and
-    evaluate each block with the same private core the one-field functions
+    draw their fields in row blocks of about ROW_BLOCK_SAMPLES samples, twice
+    that in the pair checks (linearity, derivative/Helmholtz, product_estimate),
+    and evaluate each block with the same private core the one-field functions
     wrap, so every value equals the one-field-at-a-time result to the bit,
     whatever the block size.
 
-    The partition-of-unity check and the solver smoke checks draw no
-    random numbers and share no state with the others, so one worker
-    thread runs them, in that order, while the calling thread runs the
-    seeded checks (transforms, the other cutoff checks, Besov, packets);
-    numpy's large calls release the interpreter lock, so the two overlap.
-    The checks are merged in suite order, so the report does not depend on
-    which side finishes first.
+    The checks run as two _map_items items: the seeded checks (transforms,
+    the other cutoff checks, Besov, packets), then the partition-of-unity and
+    solver smoke checks, which draw no random numbers.  numpy's large calls
+    release the interpreter lock, so the two overlap.  The checks are merged
+    in suite order, so the report does not depend on which item finishes
+    first, and the seeded item's error is raised before the other's.
     """
     rng = np.random.default_rng(seed)
     grid = Grid(grid_points, half_length)
@@ -720,10 +718,6 @@ def run_validation_suite(
     partition, rest, smoke = (ExperimentReport(kind="validation", config={}, grid={})
                               for _ in range(3))
 
-    def unseeded_phases():
-        _check_partition(partition, cutoffs.ring_scale)
-        _check_dynamics_smoke(smoke)
-
     def seeded_phases():
         _check_transforms(report, grid, rng)
         # only to keep every later draw, and with them embedding_constant,
@@ -734,7 +728,11 @@ def run_validation_suite(
         _check_besov_properties(rest, grid, cutoffs, rng)
         _check_packets(rest)
 
-    _map_items(lambda phases: phases(), [unseeded_phases], caller=seeded_phases)
+    def unseeded_phases():
+        _check_partition(partition, cutoffs.ring_scale)
+        _check_dynamics_smoke(smoke)
+
+    _map_items(lambda phases: phases(), [seeded_phases, unseeded_phases])
     for part in (partition, rest, smoke):
         report.checks.update(part.checks)
     return report

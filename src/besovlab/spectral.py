@@ -381,9 +381,11 @@ def _from_padded(
 
 def _dealias(grid: Grid, total_degree: int, *factors: np.ndarray) -> np.ndarray:
     """Coefficients of the dealiased product of the fields whose coefficient
-    rows on grid are factors."""
+    rows on grid are factors.  A factor passed twice is padded once."""
     fine = _padded_grid(grid, total_degree)
-    return _from_padded(grid, fine, *(_to_padded(grid, F, fine) for F in factors))
+    distinct = {id(F): F for F in factors}
+    padded = {key: _to_padded(grid, F, fine) for key, F in distinct.items()}
+    return _from_padded(grid, fine, *(padded[id(F)] for F in factors))
 
 
 def _dealias_fields(total_degree: int, *factors: Field) -> Field:

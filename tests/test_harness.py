@@ -427,11 +427,20 @@ RUNNERS = {
     "validate": lambda: run_validation_suite(seed=0),
 }
 
+SEEDED_PHASES = ("_check_transforms", "_check_cutoffs", "_check_besov_properties", "_check_packets")
+UNSEEDED_PHASES = ("_check_partition", "_check_dynamics_smoke")
+# the harness functions that do each runner's work
+RUNNER_WORK = {
+    "nonuniform_ch": ("evolve", "_member_pieces"),
+    "nonuniform_novikov": ("evolve", "_member_pieces"),
+    "taylor": ("_taylor_datum",),
+    "validate": SEEDED_PHASES + UNSEEDED_PHASES,
+}
+
 
 class TestConcurrency:
-    """Runners spread their members over one thread per usable CPU, and
-    validate runs its smoke phase on one worker; the report must not depend
-    on how many there are."""
+    """Runners spread their work over one thread per usable CPU, never the
+    calling thread; the report must not depend on how many there are."""
 
     @pytest.mark.parametrize("runner", sorted(RUNNERS))
     def test_report_independent_of_thread_count(self, runner, monkeypatch, tmp_path):
@@ -448,8 +457,7 @@ class TestConcurrency:
 
     def test_one_cpu_starts_one_worker(self, monkeypatch):
         # with one usable CPU a runner starts one worker thread: it runs
-        # every _map_items item while the caller waits, or validate's smoke
-        # phase
+        # every _map_items item while the caller waits
         started = []
 
         class CountedThread(threading.Thread):
@@ -478,6 +486,35 @@ class TestConcurrency:
         out = _map_items(item, range(8))
         assert [i for i, _ in out] == list(range(8))
         assert threading.get_ident() not in {ident for _, ident in out}
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_no_runner_work_on_the_calling_thread(self, runner, monkeypatch):
+        # every runner's work runs on workers; validate's four seeded phases
+        # share one, and its partition and smoke phases another
+        threads = {}
+
+        def recorded(name):
+            real = getattr(harness, name)
+
+            def work(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, work)
+
+        for name in RUNNER_WORK[runner]:
+            recorded(name)
+        _forced_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        RUNNERS[runner]()
+        assert threading.active_count() == before
+        assert sorted(threads) == sorted(RUNNER_WORK[runner])
+        assert threading.get_ident() not in set().union(*threads.values())
+        if runner == "validate":
+            seeded, unseeded = ({ident for name in phases for ident in threads[name]}
+                                for phases in (SEEDED_PHASES, UNSEEDED_PHASES))
+            assert len(seeded) == len(unseeded) == 1
+            assert seeded != unseeded
 
     @pytest.mark.parametrize("runner", sorted(RUNNERS))
     def test_other_errors_propagate(self, runner, monkeypatch):
@@ -557,28 +594,6 @@ class TestConcurrency:
         with pytest.raises(KeyboardInterrupt):
             _map_items(interrupt_first_item, range(10))
         assert started in ([], [1])
-        assert threading.active_count() == before
-
-    def test_map_items_caller_runs_here_and_its_error_wins(self, monkeypatch):
-        # caller() runs on the calling thread while the items run on the
-        # workers; its exception is raised before an item's that came first
-        item_failed = threading.Event()
-        callers = []
-
-        def failing_item(i):
-            item_failed.set()
-            raise ValueError(i)
-
-        def failing_caller():
-            callers.append(threading.get_ident())
-            assert item_failed.wait(10.0)
-            raise RuntimeError("caller")
-
-        _forced_cpus(monkeypatch, 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="caller"):
-            _map_items(failing_item, range(2), caller=failing_caller)
-        assert callers == [threading.get_ident()]
         assert threading.active_count() == before
 
     def test_interrupted_caller_leaves_no_thread(self, monkeypatch):
@@ -666,28 +681,6 @@ class TestValidationSuite:
         assert runs[0][0][-4:] == ["constant_equilibrium", "evolve_deterministic",
                                    "h1_drift_smoke", "small_time_consistency"]
 
-    def test_smoke_phase_runs_off_the_calling_thread(self, monkeypatch):
-        threads = {}
-
-        def recorded(name):
-            real = getattr(harness, name)
-
-            def phase(*args):
-                threads[name] = threading.get_ident()
-                return real(*args)
-
-            monkeypatch.setattr(harness, name, phase)
-
-        for name in ("_check_transforms", "_check_packets", "_check_dynamics_smoke",
-                     "_check_partition"):
-            recorded(name)
-        before = threading.active_count()
-        assert run_validation_suite(seed=0).passed
-        assert threading.active_count() == before
-        caller = threading.get_ident()
-        assert threads["_check_transforms"] == threads["_check_packets"] == caller
-        assert threads["_check_dynamics_smoke"] == threads["_check_partition"] != caller
-
     @pytest.mark.parametrize("ring_scale", [1.0, 1.01, math.nan])
     def test_partition_lattice_matches_uniform_draws(self, ring_scale):
         # the check's value is a sup over the frequencies, and the lattice
@@ -704,9 +697,10 @@ class TestValidationSuite:
                 worst = harness._worse(worst, np.abs(total - 1.0))
             assert worst == value or (math.isnan(worst) and math.isnan(value)), seed
 
-    def test_caller_error_wins_over_smoke_error(self, monkeypatch):
+    def test_seeded_phases_error_wins_over_smoke_error(self, monkeypatch):
         # the smoke phase fails first in time; the suite's order decides
         smoke_failed = threading.Event()
+        _forced_cpus(monkeypatch, 2)
 
         def failing_evolve(*args, **kwargs):
             smoke_failed.set()
@@ -723,10 +717,11 @@ class TestValidationSuite:
             run_validation_suite(seed=0)
         assert threading.active_count() == before
 
-    def test_interrupted_caller_leaves_no_thread(self, monkeypatch):
-        # Ctrl-C in the caller's phases: the smoke phase runs to its end and
+    def test_interrupted_seeded_phases_leave_no_thread(self, monkeypatch):
+        # Ctrl-C in the seeded phases: the smoke phase runs to its end and
         # its thread is joined before the interrupt propagates
         finished = []
+        _forced_cpus(monkeypatch, 2)
         real_smoke = harness._check_dynamics_smoke
 
         def smoke(report):

@@ -312,6 +312,20 @@ class TestDealiasProduct:
             assert np.array_equal(_ifft(g, quadratic[r]), dealias_product(f, h, 2).samples)
             assert np.array_equal(_ifft(g, triple[r]), dealias_triple(f, h, k).samples)
 
+    def test_repeated_factor_padded_once(self, trig_grid, monkeypatch):
+        from besovlab import spectral
+
+        g = trig_grid
+        a, b = (_fft(g, rows) for rows in _full_band_samples(g, rng(17), 2))
+        fine = spectral._padded_grid(g, 3)
+        pads = [spectral._to_padded(g, F, fine) for F in (a, a, b)]
+        explicit = spectral._from_padded(g, fine, *pads)
+        real = spectral._to_padded
+        calls = []
+        monkeypatch.setattr(spectral, "_to_padded", lambda *args: calls.append(None) or real(*args))
+        assert np.array_equal(_dealias(g, 3, a, a, b), explicit)
+        assert len(calls) == 2
+
 
 class TestNyquistMode:
     """The half-spectrum's last entry stands for both xi = +-xi_max.  Only
