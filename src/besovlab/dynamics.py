@@ -335,7 +335,8 @@ def evolve(
     Samples (t, F), F the read-only half-spectrum of the state, are recorded
     at t = 0 and at every positive sample time (landed on exactly); the run
     ends at the last sample time, and Trajectory.final() builds the last
-    sample's Field.  Raises BlowUp when ||u_x||_inf exceeds BLOWUP_SLOPE and
+    sample's Field.  Raises DecayViolation when u0 fails check_decay(u0,
+    decay_tol), BlowUp when ||u_x||_inf exceeds BLOWUP_SLOPE and
     InvalidField if the state goes non-finite.
 
     on_sample, when given, is called as on_sample(t, F) with each sample as
@@ -345,9 +346,15 @@ def evolve(
     run.  The samples are the ones a call without it records, to the bit.
     """
     check_decay(u0, decay_tol)
-    grid = u0.grid
+    return _evolve(u0.grid, _coeffs(u0), model, config, on_sample)
+
+
+def _evolve(grid: Grid, F0, model: Model, config: SolverConfig, on_sample=None) -> Trajectory:
+    """evolve from the half-spectrum F0 on grid (made read-only: it is the t = 0
+    sample), with no decay check.  The runners' data need none: each is the
+    Gaussian or a family sum bounded by (2^{-3n/2} + (12/17) 2^{-n/2}) |phi| < |phi|,
+    and build_bump checks phi's decay and needs L >= 32 pi."""
     work = _Workspace(grid, model)
-    F0 = _coeffs(u0)
     F0.flags.writeable = False
     # the state, the argument of the next stage and the RK4 sum, each
     # updated in place

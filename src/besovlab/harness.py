@@ -34,7 +34,7 @@ from .besov import (
     _lp_profile,
 )
 from .corpus import _random_samples
-from .dynamics import CFL, Model, SolverConfig, _Workspace, _rhs_hat, _times, evolve
+from .dynamics import CFL, Model, SolverConfig, _Workspace, _evolve, _rhs_hat, _times, evolve
 from .errors import BesovLabError, ResolutionExceeded
 from .spectral import (
     Field,
@@ -261,12 +261,13 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
     measure the solution-map gap D_n(t) = ||S_t(packet+pert) - S_t(packet)||
     in B^{3/2}_{2,1}, together with the decomposition pieces that explain it.
 
-    Per-n failures (any BesovLabError: blow-up, resolution, non-finite state,
-    decay violation) are recorded without aborting the remaining members.
-    The members' trajectories run concurrently on worker threads, one per
-    usable CPU (_nonuniform_members); the report does not depend on how many
-    there are.  A member's samples are dropped as soon as its gaps are
-    taken, so the run holds only the trajectories of members in flight.
+    Per-n failures (any BesovLabError: blow-up, resolution, non-finite
+    state) are recorded without aborting the remaining members.  Members
+    reach the solver as their spectra (make_packets), never as samples, and
+    run concurrently on worker threads, one per usable CPU
+    (_nonuniform_members); the report does not depend on how many there
+    are.  A member's samples are dropped as soon as its gaps are taken, so
+    the run holds only the trajectories of members in flight.
     """
     grid = config.make_grid()
     cutoffs = build_cutoffs(grid)
@@ -348,12 +349,13 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
     raised.
 
     The work items are trajectories, not members, so three members keep two
-    workers busy: every member's perturbed and base evolve, then each member's
-    decomposition pieces and perturbation norm, which fill the workers' last
-    gaps.  The item that lands a member's second trajectory takes that
-    member's gaps and H^1 drift, then empties both trajectories' samples
-    (their counters stay), so only the trajectories of members still in
-    flight hold samples.  A member's error is the first of its items in the
+    workers busy: every member's perturbed and base run (_evolve from the
+    spectra packet_hat + perturbation_hat(model) and packet_hat), then each
+    member's decomposition pieces and perturbation norm, which fill the
+    workers' last gaps.  The item that lands a member's second trajectory
+    takes that member's gaps and H^1 drift, then empties both trajectories'
+    samples (their counters stay), so only the trajectories of members still
+    in flight hold samples.  A member's error is the first of its items in the
     order perturbed, base, pieces, gaps: the one it raises when run alone.
     """
     model = config.model
@@ -363,8 +365,8 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
     finals: dict = {}
     lock = threading.Lock()
 
-    def trajectory(n: int, i: int, datum: Field) -> None:
-        result = _catching(functools.partial(evolve, datum, model, solver))
+    def trajectory(n: int, i: int, F0: np.ndarray) -> None:
+        result = _catching(functools.partial(_evolve, bump.grid, F0, model, solver))
         with lock:
             runs[n][i] = result
             second = all(run is not None for run in runs[n])
@@ -377,9 +379,9 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
             traj.samples.clear()
 
     jobs = [
-        functools.partial(trajectory, n, i, datum)
+        functools.partial(trajectory, n, i, F0)
         for n, fam in live.items()
-        for i, datum in enumerate((fam.packet + fam.perturbation(model), fam.packet))
+        for i, F0 in enumerate((fam.packet_hat + fam.perturbation_hat(model), fam.packet_hat))
     ]
     jobs += [functools.partial(_member_pieces, model, fam, cutoffs) for fam in live.values()]
     pieces = _map_items(_catching, jobs)[2 * len(live) :]
@@ -398,10 +400,10 @@ def _member_pieces(model: Model, fam, cutoffs: CutoffPair) -> tuple:
     """A member's decomposition pieces, the norms of the first-order
     decomposition of its solution-map gap (the driving product and the
     corrections, which sum to correction_total), and its perturbation's
-    B^{3/2}_{2,1} norm.  Each piece is formed on coefficients and reduced to
-    its norm before the next is built; the RHS workspace comes last."""
-    grid = fam.packet.grid
-    packet, g = (_fft(grid, f.samples) for f in (fam.packet, fam.perturbation(model)))
+    B^{3/2}_{2,1} norm, from the family's spectra.  Each piece is formed on
+    coefficients and reduced to its norm before the next is built; the RHS
+    workspace comes last."""
+    grid, packet, g = fam.grid, fam.packet_hat, fam.perturbation_hat(model)
     u = packet + g
     ixi = _derivative_multiplier(grid, 1)
     profile = _lp_profile(_driving_product(grid, model, packet, g), cutoffs)
@@ -560,11 +562,11 @@ def run_taylor_check(
     )
 
     data = [
-        ("smooth", smooth_profile(grid)),
-        (f"packet_pair_n{packet_n}", fam.packet + fam.bump_fast),
+        ("smooth", _fft(grid, smooth_profile(grid).samples)),
+        (f"packet_pair_n{packet_n}", fam.packet_hat + fam.fast_hat),
     ]
     results = _map_items(
-        lambda datum: _taylor_datum(config.model, datum[1], solver, cutoffs, ladder), data
+        lambda datum: _taylor_datum(config.model, grid, datum[1], solver, cutoffs, ladder), data
     )
     for (label, _), (remainders, entry) in zip(data, results):
         for t, r in zip(ladder, remainders):
@@ -593,31 +595,28 @@ def run_taylor_check(
     return report
 
 
-def _taylor_datum(model: Model, u0: Field, solver: SolverConfig, cutoffs: CutoffPair, ladder):
-    """One datum of run_taylor_check: its remainder (F - F0) - t R at every
-    rung of ladder (the solver's sample times), R the RHS spectrum at u0's
-    half-spectrum F0, and its report entry.  u0 is transformed once here;
-    R's workspace is freed before evolve starts, and F0 gives way to
-    evolve's equal t = 0 sample.  Each rung's norms are taken as its sample
-    F lands, so the datum holds one sample at a time."""
-    F0 = _fft(u0.grid, u0.samples)
-    R = np.add(*_rhs_hat(F0, _Workspace(u0.grid, model)))
-    norms = _datum_norms(u0, F0, cutoffs)
+def _taylor_datum(model: Model, grid: Grid, F0, solver: SolverConfig, cutoffs: CutoffPair, ladder):
+    """One datum of run_taylor_check, given by its half-spectrum F0 on grid:
+    its remainder (F - F0) - t R at every rung of ladder (the solver's sample
+    times), R the RHS spectrum at F0, and its report entry.  R's workspace
+    is freed before the run starts, and F0 is the run's t = 0 sample.  Each
+    rung's norms are taken as its sample F lands, so the datum holds one
+    sample at a time."""
+    R = np.add(*_rhs_hat(F0, _Workspace(grid, model)))
+    norms = _datum_norms(grid, F0, cutoffs)
     bound = _remainder_bound(model, norms)
     remainders = []
     first_order = []
 
     def take_norms(t, F):
-        nonlocal F0
         if t == 0.0:
-            F0 = F
             return
         change = F - F0
         first_order.append(float(_coeff_norm(change, cutoffs)) / t)
         change -= t * R
         remainders.append(float(_coeff_norm(change, cutoffs)))
 
-    traj = evolve(u0, model, solver, on_sample=take_norms)
+    traj = _evolve(grid, F0, model, solver, on_sample=take_norms)
     slope = float(np.polyfit(np.log(ladder), np.log(remainders), 1)[0])
     implied = max(r / (t**2 * bound) for r, t in zip(remainders, ladder))
     first_size = _first_order_size(model, norms)
@@ -631,14 +630,14 @@ def _taylor_datum(model: Model, u0: Field, solver: SolverConfig, cutoffs: Cutoff
     }
 
 
-def _datum_norms(u0: Field, F0: np.ndarray, cutoffs: CutoffPair) -> dict:
-    """The norms of a Taylor datum u0 with half-spectrum F0: "lip" (C^{0,1},
-    as lipschitz_norm), "sup", and "b32", "b52", "b72" (B^s_{2,1},
-    s = 3/2, 5/2, 7/2, from one block profile)."""
+def _datum_norms(grid: Grid, F0: np.ndarray, cutoffs: CutoffPair) -> dict:
+    """The norms of a Taylor datum with half-spectrum F0 on grid: "lip"
+    (C^{0,1}, as lipschitz_norm), "sup" (of its samples), and "b32", "b52",
+    "b72" (B^s_{2,1}, s = 3/2, 5/2, 7/2, from one block profile)."""
     profile = _lp_profile(F0, cutoffs)
-    sup = u0.max_abs()
+    sup = float(_max_abs(_ifft(grid, F0)))
     return {
-        "lip": sup + float(_slope_sup(u0.grid, F0)),
+        "lip": sup + float(_slope_sup(grid, F0)),
         "sup": sup,
         "b32": float(_besov_norm(profile, B321)),
         "b52": float(_besov_norm(profile, BesovIndex(2.5, 2, 1))),
@@ -915,7 +914,7 @@ def _check_packets(report):
     spread = _worse(0.0, *((np.max(v) - np.min(v)) / np.max(v) for v in (fast, slow)))
     report.add_check("perturbation_scaling_exact", spread <= 1e-10, spread, "<= 1e-10")
 
-    residuals = (modulation_identity_residual(bump, make_packets(bump, n)) for n in reps)
+    residuals = (modulation_identity_residual(make_packets(bump, n)) for n in reps)
     worst_mod = _worse(0.0, *residuals)
     report.add_check("modulation_identity", worst_mod <= 1e-12, worst_mod, "<= 1e-12")
 

@@ -69,7 +69,8 @@ def build_bump(grid: Grid) -> BumpProfile:
     Requires at least 32 frequencies pi k / L inside [-1/2, 1/2], counted as
     2 #{grid.xi <= 1/2} - 1 (i.e. L >= 32 pi), so the plateau and transition
     are resolved.  Raises DecayViolation when the periodized bump fails the
-    solver's decay contract (dynamics.check_decay).
+    solver's decay contract (dynamics.check_decay); every family member's
+    data are bounded by |phi|, so this is the family's only decay check.
     """
     inside = 2 * int(np.sum(grid.xi <= SUPPORT_EDGE)) - 1
     if inside < 32:
@@ -83,17 +84,27 @@ def build_bump(grid: Grid) -> BumpProfile:
 
 @dataclass(frozen=True)
 class PacketFamily:
-    """Member n of the family: the packet and the two vanishing bumps."""
+    """Member n of the family: the packet's and the two vanishing bumps'
+    exact read-only half-spectra on grid, and Field views built on demand."""
 
     n: int
-    packet: Field
-    bump_fast: Field  # amplitude (12/17) 2^{-n}; perturbs the quadratic model
-    bump_slow: Field  # amplitude (12/17) 2^{-n/2}; perturbs the cubic model
+    grid: Grid
+    packet_hat: np.ndarray
+    fast_hat: np.ndarray  # (12/17) 2^{-n} bump_hat; perturbs the quadratic model
+    slow_hat: np.ndarray  # (12/17) 2^{-n/2} bump_hat; perturbs the cubic model
     carrier: float  # snapped modulation frequency
     snap_error: float
 
-    def perturbation(self, model: Model) -> Field:
-        return self.bump_fast if model is Model.CH else self.bump_slow
+    @property
+    def packet(self) -> Field:
+        return _to_field(self.grid, self.packet_hat)
+
+    @property
+    def bump_fast(self) -> Field:
+        return _to_field(self.grid, self.fast_hat)
+
+    def perturbation_hat(self, model: Model) -> np.ndarray:
+        return self.fast_hat if model is Model.CH else self.slow_hat
 
 
 def carrier_frequency(grid: Grid, n: int) -> tuple[float, float]:
@@ -145,8 +156,8 @@ def min_points_for(n_max: int, half_length: float) -> int:
 
 
 def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
-    """Construct family member n on the bump's grid, the packet from its
-    exact spectrum.
+    """Construct family member n on the bump's grid from its exact spectra,
+    without a transform.
 
     Requires the grid to resolve member n (_resolves), so cubic products of
     the members stay inside the alias-free band; raises ResolutionExceeded
@@ -164,15 +175,17 @@ def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
     # phi(x) sin(omega x) transforms to (bump_hat(xi - omega) - bump_hat(xi + omega)) / 2i
     xi = grid.xi
     packet_hat = 2.0 ** (-1.5 * n) * (bump_hat(xi - omega) - bump_hat(xi + omega)) / 2j
-    packet = _to_field(grid, packet_hat)
-    phi = bump.phi.samples
-    bump_fast = Field(grid, (12.0 / 17.0) * 2.0 ** (-float(n)) * phi)
-    bump_slow = Field(grid, (12.0 / 17.0) * 2.0 ** (-0.5 * n) * phi)
+    hat = bump_hat(xi)
+    fast_hat = (12.0 / 17.0) * 2.0 ** (-float(n)) * hat
+    slow_hat = (12.0 / 17.0) * 2.0 ** (-0.5 * n) * hat
+    for arr in (packet_hat, fast_hat, slow_hat):
+        arr.flags.writeable = False
     return PacketFamily(
         n=n,
-        packet=packet,
-        bump_fast=bump_fast,
-        bump_slow=bump_slow,
+        grid=grid,
+        packet_hat=packet_hat,
+        fast_hat=fast_hat,
+        slow_hat=slow_hat,
         carrier=omega,
         snap_error=snap,
     )
@@ -246,7 +259,7 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     fam = make_packets(bump, n)
     grid = bump.grid
     two = 2.0
-    packet, fast, slow = (_coeffs(f) for f in (fam.packet, fam.bump_fast, fam.bump_slow))
+    packet, fast, slow = fam.packet_hat, fam.fast_hat, fam.slow_hat
 
     def norm(coeffs, idx=B321):
         return float(_coeff_norm(coeffs, cutoffs, idx))
@@ -273,7 +286,7 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
         "sup_packet_slope_scaled": float(_slope_sup(grid, packet)) * two ** (0.5 * n),
         "sup_bump_fast_scaled": fam.bump_fast.max_abs() * two**n,
         "sup_bump_fast_slope_scaled": float(_slope_sup(grid, fast)) * two**n,
-        "sup_bump_slow_scaled": fam.bump_slow.max_abs() * two ** (0.5 * n),
+        "sup_bump_slow_scaled": _to_field(grid, slow).max_abs() * two ** (0.5 * n),
         "sup_bump_slow_slope_scaled": float(_slope_sup(grid, slow)) * two ** (0.5 * n),
         "bump_fast_b32_norm": norm(fast),
         "bump_fast_b32_exact": (12.0 / 17.0) * two ** (-(n + 1.5)) * low_block_l2,
@@ -317,12 +330,12 @@ def _close(a: float, b: float, rtol: float) -> bool:
     return bool(scale == 0.0 or abs(a - b) <= rtol * scale)
 
 
-def modulation_identity_residual(bump: BumpProfile, family: PacketFamily) -> float:
-    """Coefficientwise check that the packet's spectrum is the bump transform
-    shifted to +-carrier with the sine phase: (hat(xi-w) - hat(xi+w)) / 2i
-    times the amplitude.  Returns the max absolute mismatch relative to the
-    packet's largest coefficient."""
-    xi = bump.grid.xi
+def modulation_identity_residual(family: PacketFamily) -> float:
+    """Coefficientwise check that the spectrum of the packet's samples is the
+    bump transform shifted to +-carrier with the sine phase:
+    (hat(xi-w) - hat(xi+w)) / 2i times the amplitude.  Returns the max
+    absolute mismatch relative to the packet's largest coefficient."""
+    xi = family.grid.xi
     F = _coeffs(family.packet)
     amp = 2.0 ** (-1.5 * family.n)
     expected = amp * (bump_hat(xi - family.carrier) - bump_hat(xi + family.carrier)) / 2j

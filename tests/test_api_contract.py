@@ -1,8 +1,10 @@
-"""The package names perfbench calls (perfbench/tracing.py:layer_probes and
-perfbench/setup_child.py); removing or re-signaturing one breaks the traced
-benchmark run."""
+"""The package names perfbench calls (perfbench/tracing.py:layer_probes,
+perfbench/setup_child.py, perfbench/workloads.py and
+perfbench/record_reference.py); removing or re-signaturing one breaks the
+traced benchmark run or the reference it is checked against."""
 
 import inspect
+import math
 
 import besovlab
 
@@ -20,6 +22,7 @@ PERFBENCH_NAMES = (
     "build_cutoffs",
     "BesovIndex",
     "build_bump",
+    "make_packets",
 )
 
 
@@ -55,3 +58,17 @@ def test_perfbench_runner_calls_bind():
     inspect.signature(ExperimentConfig(n_values=(5, 6, 7)).make_grid).bind()
     inspect.signature(run_validation_suite).bind(0, cutoff_scale=1.0)
     inspect.signature(emit_outputs).bind(None, "out")
+
+
+def test_record_reference_calls_run():
+    # perfbench/record_reference.py:taylor_datum_norms adds a member's packet
+    # and bump_fast Fields and takes the sum's B^{3/2}_{2,1} norm
+    from besovlab.harness import smooth_profile
+
+    grid = besovlab.Grid(2**12, 32 * math.pi)
+    cutoffs = besovlab.build_cutoffs(grid)
+    fam = besovlab.make_packets(besovlab.build_bump(grid), 4)
+    for f in (fam.packet, fam.bump_fast, smooth_profile(grid)):
+        assert isinstance(f, besovlab.Field) and f.grid is grid
+    norm = besovlab.besov_norm(fam.packet + fam.bump_fast, besovlab.BesovIndex(1.5, 2, 1), cutoffs)
+    assert norm > 0.0

@@ -29,7 +29,7 @@ from besovlab.besov import (
 )
 from besovlab.corpus import _random_samples, random_field
 from besovlab.harness import EMBED_CONSTANT, PRODUCT_CSTAR
-from besovlab.spectral import _apply, _coeffs, _fft, _power, _to_field, dealias_product
+from besovlab.spectral import _apply, _fft, _power, _to_field, dealias_product
 from besovlab.wavepackets import _driving_product
 
 from conftest import rng
@@ -152,7 +152,7 @@ class TestDyadicBlocks:
         fam = make_packets(box_bump, 5)
         g = box_bump.grid
         prod = _to_field(
-            g, _driving_product(g, Model.NOVIKOV, _coeffs(fam.packet), _coeffs(fam.bump_slow))
+            g, _driving_product(g, Model.NOVIKOV, fam.packet_hat, fam.slow_hat)
         )
         norm = prod.l2_norm()
         same = dyadic_block(prod, 5, box_cutoffs)

@@ -27,7 +27,7 @@ from besovlab import (
 from besovlab import harness
 from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import _besov_norm, _lp_profile, lipschitz_norm
-from besovlab.dynamics import RK4_IMAGINARY_LIMIT, _field_rhs, _h1_energy
+from besovlab.dynamics import RK4_IMAGINARY_LIMIT, _evolve, _field_rhs, _h1_energy
 from besovlab.spectral import _coeffs, _from_padded, _ifft, _to_field, _to_padded
 
 
@@ -147,7 +147,7 @@ class TestModelRhs:
 
 
 def remainder_bound(u, model, cutoffs):
-    return harness._remainder_bound(model, harness._datum_norms(u, _coeffs(u), cutoffs))
+    return harness._remainder_bound(model, harness._datum_norms(u.grid, _coeffs(u), cutoffs))
 
 
 class TestRemainderBound:
@@ -400,7 +400,7 @@ class TestStepSize:
         # dt_max = 5e-3 moves it by far less than the 1e-10 relative reference
         # tolerance
         fam = make_packets(box_bump, 5)
-        u0 = fam.packet + fam.perturbation(Model.CH)
+        u0 = fam.packet + fam.bump_fast
 
         def gap(config):
             pert = evolve(u0, Model.CH, config).final()
@@ -468,8 +468,8 @@ class TestGapPinned:
     def test_gap_matches_recorded_values(self, model, box_bump, box_cutoffs):
         fam = make_packets(box_bump, 5)
         config = SolverConfig(sample_times=(0.02, 0.1))
-        pert = evolve(fam.packet + fam.perturbation(model), model, config)
-        base = evolve(fam.packet, model, config)
+        pert = _evolve(fam.grid, fam.packet_hat + fam.perturbation_hat(model), model, config)
+        base = _evolve(fam.grid, fam.packet_hat, model, config)
         for (t, F), (_, G) in zip(pert.samples[1:], base.samples[1:]):
             gap = b321_hat(F - G, box_cutoffs)
             assert gap == pytest.approx(self.RECORDED[model][t], rel=1e-10, abs=0.0)

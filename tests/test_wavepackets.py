@@ -21,9 +21,9 @@ from besovlab import (
     product_limits,
 )
 from besovlab import wavepackets
-from besovlab.besov import _besov_norm, _lp_profile
+from besovlab.besov import _besov_norm, _coeff_norm, _lp_profile
 from besovlab.dynamics import DECAY_TOL, check_decay
-from besovlab.spectral import _coeffs, _xi_max
+from besovlab.spectral import _xi_max
 from besovlab.wavepackets import (
     CARRIER_RATIO,
     MAX_GRID_POINTS,
@@ -50,9 +50,7 @@ def member10_box():
 
 def driving_product(fam, model):
     """Coefficients of family member fam's driving product for model."""
-    grid = fam.packet.grid
-    pert = fam.perturbation(model)
-    return _driving_product(grid, model, _coeffs(fam.packet), _coeffs(pert))
+    return _driving_product(fam.grid, model, fam.packet_hat, fam.perturbation_hat(model))
 
 
 def b32inf(coeffs, cutoffs):
@@ -116,11 +114,10 @@ class TestPacketConstruction:
         g = box_bump.grid
         fam = make_packets(box_bump, 4)
         phi = box_bump.phi.samples
+        assert np.array_equal(fam.fast_hat, (12 / 17) * 2.0**-4 * bump_hat(g.xi))
+        assert np.array_equal(fam.slow_hat, (12 / 17) * 2.0**-2 * bump_hat(g.xi))
         assert np.abs(
             fam.bump_fast.samples - (12 / 17) * 2.0**-4 * phi
-        ).max() <= 1e-15
-        assert np.abs(
-            fam.bump_slow.samples - (12 / 17) * 2.0**-2 * phi
         ).max() <= 1e-15
         expected_packet = 2.0**-6 * phi * np.sin(fam.carrier * g.x)
         assert np.abs(fam.packet.samples - expected_packet).max() <= 1e-12
@@ -195,8 +192,7 @@ class TestPacketConstruction:
     def test_fourier_supports(self, box_bump, box_cutoffs, member10_box):
         g = box_bump.grid
         fam = make_packets(box_bump, 5)
-        for low in (fam.bump_fast, fam.bump_slow):
-            F = forward_transform(low).coeffs
+        for F in (forward_transform(fam.bump_fast).coeffs, fam.fast_hat, fam.slow_hat):
             outside = g.xi > 0.5
             assert np.abs(F[outside]).max() <= 1e-12 * np.abs(F).max()
         # carrier rounding at large n x would leak out of the packet's band,
@@ -213,12 +209,36 @@ class TestPacketConstruction:
     def test_modulation_identity(self, box_bump, member10_box):
         for bump, n in ((box_bump, 4), (box_bump, 5), (member10_box[0], 10)):
             fam = make_packets(bump, n)
-            assert modulation_identity_residual(bump, fam) <= 1e-12, n
+            assert modulation_identity_residual(fam) <= 1e-12, n
+
+    def test_make_packets_makes_no_transform(self, box_bump, monkeypatch):
+        # a member's spectra come from bump_hat, and nothing can write them
+        def forbidden(*args, **kwargs):
+            raise AssertionError("transform in make_packets")
+
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, forbidden)
+        fam = make_packets(box_bump, 5)
+        for spectrum in (fam.packet_hat, fam.fast_hat, fam.slow_hat):
+            assert not spectrum.flags.writeable
+
+    def test_bump_norm_independent_of_grid(self):
+        # exact spectra agree on every grid of the box at the bump's
+        # frequencies, so the rescaled critical norm is one number on 6144,
+        # 49152 and 786432 points; from samples it drifted by 8e-12
+        # (n = 8) and 5.3e-10 (n = 12) relative
+        values = []
+        for n in (5, 8, 12):
+            grid = Grid(min_points_for(n, 32 * math.pi), 32 * math.pi)
+            fam = make_packets(build_bump(grid), n)
+            values.append(float(_coeff_norm(fam.fast_hat, build_cutoffs(grid))) * 2.0**n)
+        assert values == [values[0]] * 3
+        assert values[0] == pytest.approx(0.08346907965213834, rel=1e-14)
 
     def test_perturbation_choice(self, box_bump):
         fam = make_packets(box_bump, 4)
-        assert fam.perturbation(Model.CH) is fam.bump_fast
-        assert fam.perturbation(Model.NOVIKOV) is fam.bump_slow
+        assert fam.perturbation_hat(Model.CH) is fam.fast_hat
+        assert fam.perturbation_hat(Model.NOVIKOV) is fam.slow_hat
 
 
 class TestScalings:
@@ -237,7 +257,7 @@ class TestScalings:
         for n in (3, 4, 5):
             fam = make_packets(box_bump, n)
             fast.append(besov_norm(fam.bump_fast, B321, box_cutoffs) * 2.0**n)
-            slow.append(besov_norm(fam.bump_slow, B321, box_cutoffs) * 2.0 ** (n / 2))
+            slow.append(_coeff_norm(fam.slow_hat, box_cutoffs) * 2.0 ** (n / 2))
         assert (max(fast) - min(fast)) / max(fast) <= 1e-10
         assert (max(slow) - min(slow)) / max(slow) <= 1e-10
 
