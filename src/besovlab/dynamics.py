@@ -134,7 +134,7 @@ class Trajectory:
     SolverConfig."""
 
     grid: Grid
-    samples: list  # [(time, F)] (see evolve); empty when evolve passed them to on_sample
+    samples: list  # [(time, F)] (see evolve); empty when _evolve passed them to on_sample
     steps_taken: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
@@ -328,7 +328,6 @@ def evolve(
     model: Model,
     config: SolverConfig,
     decay_tol: float | None = DECAY_TOL,
-    on_sample=None,
 ) -> Trajectory:
     """Integrate one initial datum with classical RK4.
 
@@ -338,6 +337,16 @@ def evolve(
     sample's Field.  Raises DecayViolation when u0 fails check_decay(u0,
     decay_tol), BlowUp when ||u_x||_inf exceeds BLOWUP_SLOPE and
     InvalidField if the state goes non-finite.
+    """
+    check_decay(u0, decay_tol)
+    return _evolve(u0.grid, _coeffs(u0), model, config)
+
+
+def _evolve(grid: Grid, F0, model: Model, config: SolverConfig, on_sample=None) -> Trajectory:
+    """evolve from the half-spectrum F0 on grid (made read-only: it is the t = 0
+    sample), with no decay check.  The runners' data need none: each is the
+    Gaussian or a family sum bounded by (2^{-3n/2} + (12/17) 2^{-n/2}) |phi| < |phi|,
+    and build_bump checks phi's decay and needs L >= 32 pi.
 
     on_sample, when given, is called as on_sample(t, F) with each sample as
     it lands, (0.0, F0) first, and the returned trajectory keeps only the
@@ -345,15 +354,6 @@ def evolve(
     sample to a few numbers then holds one at a time instead of the whole
     run.  The samples are the ones a call without it records, to the bit.
     """
-    check_decay(u0, decay_tol)
-    return _evolve(u0.grid, _coeffs(u0), model, config, on_sample)
-
-
-def _evolve(grid: Grid, F0, model: Model, config: SolverConfig, on_sample=None) -> Trajectory:
-    """evolve from the half-spectrum F0 on grid (made read-only: it is the t = 0
-    sample), with no decay check.  The runners' data need none: each is the
-    Gaussian or a family sum bounded by (2^{-3n/2} + (12/17) 2^{-n/2}) |phi| < |phi|,
-    and build_bump checks phi's decay and needs L >= 32 pi."""
     work = _Workspace(grid, model)
     F0.flags.writeable = False
     # the state, the argument of the next stage and the RK4 sum, each

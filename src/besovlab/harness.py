@@ -2,8 +2,9 @@
 the cross-module validation suite, and report/file emission.
 
 Every runner returns an ExperimentReport whose verdicts carry the measured
-value next to the threshold it was judged against, so the JSON output is a
-complete record of what was computed and why it passed or failed.
+value next to the threshold it was judged against, each threshold written
+from the bound that decides the verdict, so the JSON output is a complete
+record of what was computed and why it passed or failed.
 """
 
 from __future__ import annotations
@@ -219,7 +220,9 @@ def _map_items(fn, items) -> list:
 
 @dataclass
 class ExperimentReport:
-    """Structured results of one runner invocation."""
+    """Structured results of one runner invocation.  A verdict that is one
+    bound on its value goes through add_bound, which writes the threshold
+    from the bound it applies; add_check records the others as given."""
 
     kind: str
     config: dict
@@ -241,6 +244,20 @@ class ExperimentReport:
             "value": value,
             "threshold": threshold,
         }
+
+    def add_bound(self, name: str, value, *, at_most=None, at_least=None) -> bool:
+        """Check at_least <= value <= at_most, a side left None being open and
+        a NaN failing, under the threshold "<= b", ">= a" or "in [a, b]"
+        written from the same numbers; returns the verdict."""
+        passed = (at_least is None or value >= at_least) and (at_most is None or value <= at_most)
+        if at_least is None:
+            threshold = f"<= {at_most}"
+        elif at_most is None:
+            threshold = f">= {at_least}"
+        else:
+            threshold = f"in [{at_least}, {at_most}]"
+        self.add_check(name, passed, value, threshold)
+        return bool(passed)
 
     def to_dict(self) -> dict:
         """The fields and the verdict; the values are the report's own, not
@@ -294,12 +311,7 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
         report.per_n[str(n)] = entry
         if "dominance_factor" in entry:
             factor = entry["dominance_factor"]
-            report.add_check(
-                f"dominance_n{n}",
-                factor >= DOMINANCE_FACTOR,
-                factor,
-                f">= {DOMINANCE_FACTOR}",
-            )
+            report.add_bound(f"dominance_n{n}", factor, at_least=DOMINANCE_FACTOR)
         pert_norm = pert_norms[n] = entry["perturbation_norm"]
         drift = entry["h1_drift"]
         for t, gap in member_gaps:
@@ -316,14 +328,10 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
             if t > 0:
                 band = gap / (t * entry["product_b321"])
                 row["band_ratio"] = band
-                band_ok = BAND_LO <= band <= BAND_HI
-                lower_ok = gap / t >= LOWER_BOUND_FRACTION * limit
-                report.add_check(
-                    f"band_n{n}_t{t}",
-                    band_ok,
-                    band,
-                    f"in [{BAND_LO}, {BAND_HI}]",
+                band_ok = report.add_bound(
+                    f"band_n{n}_t{t}", band, at_least=BAND_LO, at_most=BAND_HI
                 )
+                lower_ok = gap / t >= LOWER_BOUND_FRACTION * limit
                 cell_ok = band_ok and lower_ok and drift < H1_DRIFT_TOL
             else:
                 cell_ok = abs(gap - pert_norm) <= 1e-12 * pert_norm
@@ -467,23 +475,14 @@ def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, limit):
             step = pert_norms[b] / pert_norms[a]
             target = expected ** (b - a)
             worst = max(worst, abs(step - target) / target)
-        report.add_check(
-            "perturbation_decay_geometric",
-            worst <= DECAY_RATIO_RTOL,
-            worst,
-            f"<= {DECAY_RATIO_RTOL}",
-        )
+        report.add_bound("perturbation_decay_geometric", worst, at_most=DECAY_RATIO_RTOL)
+    floor = LOWER_BOUND_FRACTION * limit
     for t in config.t_values:
         if t == 0.0:
             continue
         values = [gaps[(n, t)] / t for n in ns if (n, t) in gaps]
         if values:
-            report.add_check(
-                f"lower_bound_t{t}",
-                min(values) >= LOWER_BOUND_FRACTION * limit,
-                min(values),
-                f">= {LOWER_BOUND_FRACTION * limit}",
-            )
+            report.add_bound(f"lower_bound_t{t}", min(values), at_least=floor)
 
 
 def smooth_profile(grid: Grid) -> Field:
@@ -586,12 +585,8 @@ def run_taylor_check(
             entry["slope"],
             f"{SLOPE_TARGET} +- {SLOPE_TOL}",
         )
-        report.add_check(
-            f"first_order_{label}",
-            entry["first_order_ratio"] <= FIRST_ORDER_CONSTANT,
-            entry["first_order_ratio"],
-            f"<= {FIRST_ORDER_CONSTANT}",
-        )
+        ratio = entry["first_order_ratio"]
+        report.add_bound(f"first_order_{label}", ratio, at_most=FIRST_ORDER_CONSTANT)
     return report
 
 
@@ -767,8 +762,8 @@ def _check_transforms(report, grid, rng):
         rt = _max_abs(back - f) / np.maximum(_max_abs(f), 1e-300)
         worst_rt = _worse(worst_rt, rt)
         worst_pars = _worse(worst_pars, _parseval_residual(grid, f))
-    report.add_check("round_trip_1000", worst_rt <= 1e-12, worst_rt, "<= 1e-12")
-    report.add_check("parseval", worst_pars <= 1e-10, worst_pars, "<= 1e-10")
+    report.add_bound("round_trip_1000", worst_rt, at_most=1e-12)
+    report.add_bound("parseval", worst_pars, at_most=1e-10)
 
     worst_lin = 0.0
     for rows in _row_blocks(100, grid):
@@ -784,7 +779,7 @@ def _check_transforms(report, grid, rng):
         rhs_ = a * _fft(grid, f) + b * _fft(grid, g)
         scale = np.maximum(_max_abs(rhs_), 1e-300)
         worst_lin = _worse(worst_lin, _max_abs(lhs - rhs_) / scale)
-    report.add_check("linearity", worst_lin <= 1e-12, worst_lin, "<= 1e-12")
+    report.add_bound("linearity", worst_lin, at_most=1e-12)
 
     worst_d = 0.0
     worst_sa = 0.0
@@ -800,8 +795,8 @@ def _check_transforms(report, grid, rng):
         a = _inner(grid, _apply(grid, helmholtz, f), g)
         b = _inner(grid, f, _apply(grid, helmholtz, g))
         worst_sa = _worse(worst_sa, np.abs(a - b) / np.maximum(np.abs(a), 1e-300))
-    report.add_check("derivative_composition", worst_d <= 1e-10, worst_d, "<= 1e-10")
-    report.add_check("helmholtz_self_adjoint", worst_sa <= 1e-10, worst_sa, "<= 1e-10")
+    report.add_bound("derivative_composition", worst_d, at_most=1e-10)
+    report.add_bound("helmholtz_self_adjoint", worst_sa, at_most=1e-10)
 
 
 def _check_partition(report, ring_scale):
@@ -816,7 +811,7 @@ def _check_partition(report, ring_scale):
         xis -= xi_band
         total = sum(_cutoff_rows(xis, jm, ring_scale))  # a running sum, one row at a time
         worst = _worse(worst, np.abs(total - 1.0))
-    report.add_check("partition_of_unity_1e6", worst <= 1e-12, worst, "<= 1e-12")
+    report.add_bound("partition_of_unity_1e6", worst, at_most=1e-12)
 
 
 def _check_cutoffs(report, grid, cutoffs, rng):
@@ -838,7 +833,7 @@ def _check_cutoffs(report, grid, cutoffs, rng):
             total_field += _ifft(grid, cutoffs.block_multiplier(j) * coeffs)
         rec = _max_abs(total_field - f) / np.maximum(_max_abs(f), 1e-300)
         worst_rec = _worse(worst_rec, rec)
-    report.add_check("reconstruction_1000", worst_rec <= 1e-10, worst_rec, "<= 1e-10")
+    report.add_bound("reconstruction_1000", worst_rec, at_most=1e-10)
 
     worst_orth = 0.0
     for rows in _row_blocks(50, grid):
@@ -853,7 +848,7 @@ def _check_cutoffs(report, grid, cutoffs, rng):
                 twice = _apply(grid, cutoffs.block_multiplier(k), once)
                 ratio = _l2_norm(grid, twice) / norm
                 worst_orth = _worse(worst_orth, ratio)
-    report.add_check("block_almost_orthogonality", worst_orth <= 1e-12, worst_orth, "<= 1e-12")
+    report.add_bound("block_almost_orthogonality", worst_orth, at_most=1e-12)
 
 
 def _check_besov_properties(report, grid, cutoffs, rng):
@@ -867,7 +862,7 @@ def _check_besov_properties(report, grid, cutoffs, rng):
         ninf = _besov_norm(profile, BesovIndex(0.5, 2, math.inf))
         worst_mono = _worse(worst_mono, n2 - n1, ninf - n2)
         worst_embed = _worse(worst_embed, _max_abs(f) / n1)
-    report.add_check("r_monotonicity", worst_mono <= 1e-12, worst_mono, "<= 1e-12")
+    report.add_bound("r_monotonicity", worst_mono, at_most=1e-12)
     report.add_check(
         "embedding_constant",
         worst_embed <= EMBED_CONSTANT and EMBED_CONSTANT < 2.0,
@@ -884,12 +879,7 @@ def _check_besov_properties(report, grid, cutoffs, rng):
         den = _coeff_norm(U, cutoffs) * _max_abs(v)
         den += _coeff_norm(V, cutoffs) * _max_abs(u)
         worst_prod = _worse(worst_prod, num / den)
-    report.add_check(
-        "product_estimate",
-        worst_prod <= 2.0 * PRODUCT_CSTAR,
-        worst_prod,
-        f"<= {2.0 * PRODUCT_CSTAR}",
-    )
+    report.add_bound("product_estimate", worst_prod, at_most=2.0 * PRODUCT_CSTAR)
 
 
 def _check_packets(report):
@@ -912,11 +902,11 @@ def _check_packets(report):
     fast = [rep["bump_fast_b32_norm"] * 2.0**n for n, rep in reps.items()]
     slow = [rep["bump_slow_b32_norm"] * 2.0 ** (n / 2.0) for n, rep in reps.items()]
     spread = _worse(0.0, *((np.max(v) - np.min(v)) / np.max(v) for v in (fast, slow)))
-    report.add_check("perturbation_scaling_exact", spread <= 1e-10, spread, "<= 1e-10")
+    report.add_bound("perturbation_scaling_exact", spread, at_most=1e-10)
 
     residuals = (modulation_identity_residual(make_packets(bump, n)) for n in reps)
     worst_mod = _worse(0.0, *residuals)
-    report.add_check("modulation_identity", worst_mod <= 1e-12, worst_mod, "<= 1e-12")
+    report.add_bound("modulation_identity", worst_mod, at_most=1e-12)
 
     loc_ok = all(all(rep["checks"].values()) for rep in reps.values())
     worst_loc = _worse(0.0, *(rep["localization_residual_cubic"] for rep in reps.values()))
@@ -924,7 +914,7 @@ def _check_packets(report):
 
     lim_quad = reps[4]["quad_product_limit"]
     low = float(np.min([reps[n]["quad_product_b32inf"] for n in (5, 6)]))
-    report.add_check("product_lower_bound", low >= 0.5 * lim_quad, low, f">= {0.5 * lim_quad}")
+    report.add_bound("product_lower_bound", low, at_least=0.5 * lim_quad)
 
 
 def _check_dynamics_smoke(report):
@@ -938,24 +928,19 @@ def _check_dynamics_smoke(report):
         const = Field.constant(grid, 0.7)
         traj = evolve(const, model, cfg, decay_tol=None)
         worst_eq = _worse(worst_eq, np.abs(traj.final().samples - 0.7))
-    report.add_check("constant_equilibrium", worst_eq <= 1e-12, worst_eq, "<= 1e-12")
+    report.add_bound("constant_equilibrium", worst_eq, at_most=1e-12)
 
     t1 = evolve(u0, Model.CH, cfg)
     t2 = evolve(u0, Model.CH, cfg)
     identical = all(np.array_equal(a[1], b[1]) for a, b in zip(t1.samples, t2.samples))
     report.add_check("evolve_deterministic", identical, identical, "bit-identical")
     drift = t1.h1_drift()
-    report.add_check("h1_drift_smoke", drift <= 1e-10, drift, "<= 1e-10")
+    report.add_bound("h1_drift_smoke", drift, at_most=1e-10)
 
     lip = lipschitz_norm(u0)
     (_, F0), *later = t1.samples
     worst_small = _worse(0.0, *(_max_abs(_ifft(grid, F - F0)) / (t * lip**2) for t, F in later))
-    report.add_check(
-        "small_time_consistency",
-        worst_small <= SMALL_TIME_CONSTANT,
-        worst_small,
-        f"<= {SMALL_TIME_CONSTANT}",
-    )
+    report.add_bound("small_time_consistency", worst_small, at_most=SMALL_TIME_CONSTANT)
 
 
 # --- output emission --------------------------------------------------------
@@ -1070,5 +1055,5 @@ def run_scaling_batch(
         ("cubic_product_b32inf", "cubic_product_limit"),
     ):
         rel = abs(top[key] - top[limit_key]) / top[limit_key]
-        report.add_check(f"limit_match_{key}_n{n_top}", rel <= 0.05, rel, "<= 0.05")
+        report.add_bound(f"limit_match_{key}_n{n_top}", rel, at_most=0.05)
     return report

@@ -29,9 +29,10 @@ from .errors import ResolutionExceeded
 from .spectral import (
     Field,
     Grid,
-    _coeffs,
     _dealias,
     _derivative_multiplier,
+    _fft,
+    _ifft,
     _power,
     _slope_sup,
     _to_field,
@@ -331,13 +332,15 @@ def _close(a: float, b: float, rtol: float) -> bool:
 
 
 def modulation_identity_residual(family: PacketFamily) -> float:
-    """Coefficientwise check that the spectrum of the packet's samples is the
-    bump transform shifted to +-carrier with the sine phase:
-    (hat(xi-w) - hat(xi+w)) / 2i times the amplitude.  Returns the max
-    absolute mismatch relative to the packet's largest coefficient."""
-    xi = family.grid.xi
-    F = _coeffs(family.packet)
-    amp = 2.0 ** (-1.5 * family.n)
-    expected = amp * (bump_hat(xi - family.carrier) - bump_hat(xi + family.carrier)) / 2j
-    scale = float(np.abs(F).max())
-    return float(np.abs(F - expected).max() / scale)
+    """Coefficientwise check that packet_hat is the transform of the packet's
+    real-space formula 2^{-3n/2} phi(x) sin(omega x), phi's samples being
+    build_bump's; returns the max mismatch relative to packet_hat's largest
+    entry.  The carrier omega = pi k / L is taken on the integer lattice,
+    sin(omega x_m) = (-1)^k sin(2 pi (k m mod N) / N) at x_m = -L + m dx:
+    np.sin(omega * x) would round the phase (1e-11 at n = 10)."""
+    grid, N = family.grid, family.grid.num_points
+    k = round(family.carrier * grid.half_length / math.pi)
+    carrier = (-1.0) ** k * np.sin((2.0 * math.pi / N) * ((k * np.arange(N)) % N))
+    packet = 2.0 ** (-1.5 * family.n) * _ifft(grid, bump_hat(grid.xi)) * carrier
+    mismatch = np.abs(_fft(grid, packet) - family.packet_hat).max()
+    return float(mismatch / np.abs(family.packet_hat).max())

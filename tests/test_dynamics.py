@@ -283,7 +283,8 @@ class TestEvolve:
         cfg = SolverConfig(sample_times=(0.0, 0.05, 0.1), dt_max=0.02)
         plain = evolve(u0, model, cfg)
         seen = []
-        streamed = evolve(u0, model, cfg, on_sample=lambda t, F: seen.append((t, F)))
+        streamed = _evolve(u0.grid, _coeffs(u0), model, cfg,
+                           on_sample=lambda t, F: seen.append((t, F)))
         assert streamed.samples == []
         assert streamed.counters() == plain.counters()
         assert [t for t, _ in seen] == [t for t, _ in plain.samples] == [0.0, 0.05, 0.1]
@@ -293,7 +294,7 @@ class TestEvolve:
     def test_trajectory_without_samples_says_so(self, coarse_grid):
         u0 = smooth_profile(coarse_grid)
         cfg = SolverConfig(sample_times=(0.01,))
-        traj = evolve(u0, Model.CH, cfg, on_sample=lambda t, F: None)
+        traj = _evolve(u0.grid, _coeffs(u0), Model.CH, cfg, on_sample=lambda t, F: None)
         for method in (traj.final, traj.h1_drift):
             with pytest.raises(ValueError, match="no samples.*on_sample"):
                 method()

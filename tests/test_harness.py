@@ -42,8 +42,10 @@ def small_ch_report():
 # trip the same checks.  h1_drift_smoke and small_time_consistency are
 # recorded from the half-spectrum samples (Parseval and ifft(F - F0)), and
 # product_estimate, product_lower_bound and packet_scaling_reports from
-# products formed on coefficients; modulation_identity and
-# packet_scaling_reports from packets built from their spectrum, and
+# products formed on coefficients; packet_scaling_reports from packets built
+# from their spectrum, modulation_identity from the packets' real-space
+# formula on the integer carrier lattice (3.186396821454072e-16 when it
+# round-tripped packet_hat through irfft and rfft), and
 # perturbation_scaling_exact and packet_scaling_reports from the bumps' exact
 # spectra (from their samples they read 1.3783171134284327e-13 and
 # 7.073174023440374e-16).
@@ -59,7 +61,7 @@ PINNED_VALIDATION = {
         "h1_drift_smoke": (6.681346836356238e-16, True),
         "helmholtz_self_adjoint": (3.7444245414340004e-14, True),
         "linearity": (4.698642932788333e-16, True),
-        "modulation_identity": (3.186396821454072e-16, True),
+        "modulation_identity": (3.6513615591266287e-16, True),
         "packet_scaling_reports": (1.5813355481154556e-16, True),
         "parseval": (5.642081172801245e-16, True),
         "partition_of_unity_1e6": (0.0, True),
@@ -82,7 +84,7 @@ PINNED_VALIDATION = {
         "h1_drift_smoke": (6.681346836356238e-16, True),
         "helmholtz_self_adjoint": (3.7444245414340004e-14, True),
         "linearity": (4.698642932788333e-16, True),
-        "modulation_identity": (3.186396821454072e-16, True),
+        "modulation_identity": (3.6513615591266287e-16, True),
         "packet_scaling_reports": (1.5813355481154556e-16, True),
         "parseval": (5.642081172801245e-16, True),
         "partition_of_unity_1e6": (0.010000000000000231, False),
@@ -817,6 +819,61 @@ class TestValidationSuite:
         report = run_validation_suite(seed=0, cutoff_scale=cutoff_scale)
         got = {name: (entry["value"], entry["passed"]) for name, entry in report.checks.items()}
         assert got == PINNED_VALIDATION[cutoff_scale]
+
+
+# The threshold forms the runners print, each with the verdict it states.
+NUMBER = r"([-+\w.]+)"
+THRESHOLD_FORMS = {
+    f"<= {NUMBER}": lambda v, b: v <= b,
+    f">= {NUMBER}": lambda v, a: v >= a,
+    f"< {NUMBER}": lambda v, b: v < b,
+    rf"in \[{NUMBER}, {NUMBER}\]": lambda v, a, b: a <= v <= b,
+    rf"{NUMBER} \+- {NUMBER}": lambda v, t, d: abs(v - t) <= d,
+}
+
+
+class TestBounds:
+    def test_add_bound_writes_the_threshold_it_applies(self):
+        report = ExperimentReport(kind="probe", config={}, grid={})
+        assert report.add_bound("below", 1e-13, at_most=1e-12)
+        assert not report.add_bound("above", 0.5, at_least=0.6)
+        assert report.add_bound("inside", 2.0, at_least=0.5, at_most=2.0)
+        assert not report.add_bound("nan", math.nan, at_most=math.inf)
+        assert report.add_bound("inf", math.inf, at_least=4.0)
+        assert {name: (c["passed"], c["threshold"]) for name, c in report.checks.items()} == {
+            "below": (True, "<= 1e-12"),
+            "above": (False, ">= 0.6"),
+            "inside": (True, "in [0.5, 2.0]"),
+            "nan": (False, "<= inf"),
+            "inf": (True, ">= 4.0"),
+        }
+
+    def test_every_verdict_agrees_with_its_threshold(self, small_ch_report):
+        # add_bound writes both from one bound; the hand-written add_check
+        # sites must keep them in step too
+        taylor_cfg = ExperimentConfig(model=Model.CH, grid_points=2**12)
+        reports = [
+            run_validation_suite(0),
+            run_validation_suite(0, cutoff_scale=1.01),
+            small_ch_report,
+            run_taylor_check(taylor_cfg, t_min=1e-3, t_max=5e-2, points=6, packet_n=4),
+            run_scaling_batch((4, 5), grid_points=2**13),
+        ]
+        forms, verdicts = set(), set()
+        for report in reports:
+            for name, check in report.checks.items():
+                value = check["value"]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    continue
+                for form, verdict in THRESHOLD_FORMS.items():
+                    match = re.fullmatch(form, check["threshold"])
+                    if match:
+                        expected = verdict(value, *map(float, match.groups()))
+                        assert check["passed"] == expected, (report.kind, name, check)
+                        forms.add(form)
+                        verdicts.add(expected)
+        assert forms == set(THRESHOLD_FORMS)
+        assert verdicts == {True, False}
 
 
 class TestEmitOutputs:

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import inspect
 import math
 import os
 import pathlib
@@ -224,3 +225,52 @@ def test_critical_norm_has_one_owner():
              "g = BesovIndex(1.5, 2, 2), BesovIndex(1.5, 2, r), BesovIndex(2.5, 2, math.inf)\n")
     assert [f.split(":")[1] for f in critical_norm_copies(probe, "probe")] == [
         "1", "2", "3", "4", "7", "7"]
+
+
+
+def unpassed_defaults(functions, sources) -> list:
+    """Parameters with a default of functions that no call in sources (source
+    texts) passes, by keyword or positionally at the parameter's index; a
+    call is matched by the called name, and a starred argument passes every
+    position."""
+    keywords, positional = {}, {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            called = isinstance(node, ast.Call) and _called_name(node)
+            if not called:
+                continue
+            keywords.setdefault(called, set()).update(kw.arg for kw in node.keywords)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = math.inf if starred else len(node.args)
+            positional[called] = max(positional.get(called, 0), count)
+    faults = []
+    for fn in functions:
+        name = fn.__name__
+        for index, param in enumerate(inspect.signature(fn).parameters.values()):
+            by_position = param.kind is not inspect.Parameter.KEYWORD_ONLY
+            if param.default is inspect.Parameter.empty or param.name in keywords.get(name, ()):
+                continue
+            if not (by_position and index < positional.get(name, 0)):
+                faults.append(f"{name}({param.name}=)")
+    return faults
+
+
+def test_every_default_is_passed():
+    # a defaulted parameter that neither the package nor the benchmark passes
+    # is an option only tests use
+    import besovlab
+
+    functions = [getattr(besovlab, name) for name in sorted(besovlab.__all__)]
+    functions = [fn for fn in functions if inspect.isfunction(fn)]
+    paths = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    assert unpassed_defaults(functions, [path.read_text() for path in paths]) == []
+
+    def f(a, b=1, *, c=2):
+        return a, b, c
+
+    def g(a, b=1, c=2, d=3):
+        return a, b, c, d
+
+    probe = "f(0, 1)\nobj.g(0, c=3, **kw)\nh(*args)\n"
+    assert unpassed_defaults([f, g], [probe]) == ["f(c=)", "g(b=)", "g(d=)"]
