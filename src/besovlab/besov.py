@@ -1,16 +1,17 @@
 """Littlewood-Paley dyadic blocks and nonhomogeneous Besov norms.
 
-A pair of smooth cutoffs (chi, phi_ring) with
+Smooth cutoffs chi = transition_chi and phi_ring = transition_ring with
 
     supp chi      in {|xi| <= 4/3},
-    supp phi_ring in {3/4 <= |xi| <= 8/3},
+    supp phi_ring in {1 <= |xi| <= 8/3},
     chi(xi) + sum_{j>=0} phi_ring(2^{-j} xi) = 1,
 
-defines the blocks: block(-1) = chi(D) f, block(j) = phi_ring(2^{-j} D) f.
-The Besov norm B^s_{2,r} is the l^r norm over j of 2^{js} ||block_j f||_{L^2};
-only p = 2 is implemented, and the L^2 block norms are read off the spectrum
-by Parseval.  On a grid with top frequency xi_max only finitely many blocks
-are nonzero; the sum runs over j = -1 .. j_max(grid).
+define the blocks: block(-1) = chi(D) f, block(j) = phi_ring(2^{-j} D) f.
+_cutoff_row evaluates block j's multiplier and _block_reach states where it
+lives.  The Besov norm B^s_{2,r} is the l^r norm over j of 2^{js}
+||block_j f||_{L^2}; only p = 2 is implemented, and the L^2 block norms are
+read off the spectrum by Parseval.  On a grid with top frequency xi_max
+only finitely many blocks are nonzero; the sum runs over j = -1 .. j_max(grid).
 """
 
 from __future__ import annotations
@@ -33,22 +34,6 @@ def transition_chi(xi):
 def transition_ring(xi):
     """Ring cutoff chi(xi/2) - chi(xi); supported in {1 <= |xi| <= 8/3}."""
     return transition_chi(np.asarray(xi) / 2.0) - transition_chi(xi)
-
-
-def _cutoff_rows(xi, j_max: int, ring_scale: float):
-    """chi(xi), then ring_scale * ring(xi / 2^j) for j = 0 .. j_max, one row
-    at a time.
-
-    Each level chi(xi / 2^j) is evaluated once and shared by the two rings
-    next to it; xi / 2^j / 2 == xi / 2^(j+1) exactly, so every row equals
-    ring_scale * transition_ring(xi / 2^j) to the bit.
-    """
-    low = transition_chi(xi)
-    yield low
-    for j in range(j_max + 1):
-        high = transition_chi(xi / 2.0 ** (j + 1))
-        yield ring_scale * (high - low)
-        low = high
 
 
 def _j_max(xi_max: float) -> int:
@@ -89,11 +74,11 @@ class CutoffPair:
     """Littlewood-Paley multipliers bound to one grid, each block stored on
     its support.
 
-    chi is evaluable at arbitrary frequencies.  Block j = -1 .. j_max sits
-    at position j + 1 of each tuple: starts holds the first half-spectrum
-    index of its support, values its multiplier from there up to its last
-    nonzero entry (zero elsewhere), and squares those values squared, the
-    weights of the L^2 block norms, each summed over its support alone.
+    Block j = -1 .. j_max sits at position j + 1 of each tuple: starts
+    holds the first half-spectrum index of its support, values its
+    multiplier from there up to its last nonzero entry (zero elsewhere),
+    and squares those values squared, the weights of the L^2 block norms,
+    each summed over its support alone.
     Every frequency lies in at most two blocks (chi meets ring 0 only on
     [1, 4/3], and ring j never meets ring j + 2), so values and squares hold
     at most 2(N/2 + 1) numbers each.  ring_scale multiplies every ring; any
@@ -109,8 +94,6 @@ class CutoffPair:
     values: tuple = field(repr=False)
     squares: tuple = field(repr=False)
 
-    chi = staticmethod(transition_chi)
-
     def block_multiplier(self, j: int) -> np.ndarray:
         """Multiplier of block j on the whole half-spectrum k = 0 .. N/2."""
         if j < -1 or j > self.j_max:
@@ -122,25 +105,31 @@ class CutoffPair:
 
 
 def _cutoff_row(xi, j: int, ring_scale: float):
-    """Row j + 1 of _cutoff_rows(xi, ...), on its own."""
+    """Multiplier of block j at the frequencies xi: chi for j = -1,
+    ring_scale * ring(xi / 2^j) for j >= 0."""
     return transition_chi(xi) if j == -1 else ring_scale * transition_ring(xi / 2.0**j)
+
+
+def _block_reach(j: int) -> tuple:
+    """(lo, hi) with block j vanishing at every |xi| outside [lo, hi]:
+    [0, 4/3] for chi, [2^j, 2^{j+1} 4/3] for ring j (scaling by 2^j is
+    exact)."""
+    return (0.0, 4.0 / 3.0) if j == -1 else (2.0**j, 2.0 ** (j + 1) * (4.0 / 3.0))
 
 
 def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
     """Construct the cutoff pair on a grid (see CutoffPair for ring_scale).
 
-    Block j is evaluated only on the frequencies its support can reach: chi
-    vanishes from 4/3 on, ring j up to 2^j and from 2^{j+1} 4/3 on (scaling
-    by 2^j is exact).  The values equal _cutoff_rows(grid.xi, ...)'s to the
-    bit, since both evaluate the same elementwise formula.
+    Block j is evaluated by _cutoff_row only on the frequencies of its
+    reach (_block_reach), and trimmed to its nonzero values.
     """
     jm = grid_j_max(grid)
     ring_scale = float(ring_scale)
     starts, values, squares = [], [], []
     for j in range(-1, jm + 1):
-        reach = (0.0, 4.0 / 3.0) if j == -1 else (2.0**j, 2.0 ** (j + 1) * (4.0 / 3.0))
-        first = max(int(np.searchsorted(grid.xi, reach[0], side="right")) - 1, 0)
-        last = int(np.searchsorted(grid.xi, reach[1]))
+        lo, hi = _block_reach(j)
+        first = max(int(np.searchsorted(grid.xi, lo, side="right")) - 1, 0)
+        last = int(np.searchsorted(grid.xi, hi))
         row = _cutoff_row(grid.xi[first : last + 1], j, ring_scale)
         nonzero = np.flatnonzero(row)
         lead, end = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)

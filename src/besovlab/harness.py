@@ -27,10 +27,11 @@ from .besov import (
     CutoffPair,
     build_cutoffs,
     lipschitz_norm,
+    transition_chi,
     transition_ring,
     _besov_norm,
     _coeff_norm,
-    _cutoff_rows,
+    _cutoff_row,
     _j_max,
     _lp_profile,
 )
@@ -291,6 +292,7 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
     bump = build_bump(grid)
     limit_quad, limit_cub = product_limits(bump)
     limit = limit_quad if config.model is Model.CH else limit_cub
+    floor = LOWER_BOUND_FRACTION * limit  # of every D_n(t) / t, t > 0
     solver = SolverConfig(sample_times=config.t_values)
     report = ExperimentReport(
         kind="nonuniform",
@@ -331,14 +333,14 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
                 band_ok = report.add_bound(
                     f"band_n{n}_t{t}", band, at_least=BAND_LO, at_most=BAND_HI
                 )
-                lower_ok = gap / t >= LOWER_BOUND_FRACTION * limit
+                lower_ok = gap / t >= floor
                 cell_ok = band_ok and lower_ok and drift < H1_DRIFT_TOL
             else:
                 cell_ok = abs(gap - pert_norm) <= 1e-12 * pert_norm
             row["verdict"] = "pass" if cell_ok else "fail"
             report.rows.append(row)
 
-    _aggregate_nonuniform_checks(report, config, gaps, pert_norms, limit)
+    _aggregate_nonuniform_checks(report, config, gaps, pert_norms, floor)
     return report
 
 
@@ -466,7 +468,7 @@ def _member_entry(n: int, fam, traj_pert, traj_base, pieces_and_norm, drift: flo
     return entry
 
 
-def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, limit):
+def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, floor):
     ns = sorted(pert_norms)
     expected = 0.5 if config.model is Model.CH else 2.0**-0.5
     if len(ns) >= 2:
@@ -476,7 +478,6 @@ def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, limit):
             target = expected ** (b - a)
             worst = max(worst, abs(step - target) / target)
         report.add_bound("perturbation_decay_geometric", worst, at_most=DECAY_RATIO_RTOL)
-    floor = LOWER_BOUND_FRACTION * limit
     for t in config.t_values:
         if t == 0.0:
             continue
@@ -803,13 +804,13 @@ def _check_partition(report, ring_scale):
     xi_band = 512.0
     jm = _j_max(xi_band)
     worst = 0.0
-    # 2^14 frequencies at a time: with 2^16 the worker's arena keeps more
-    # and a pass peaks at 58.4 MB, not 52.7-54.0
+    # 2^14 frequencies at a time: a validate pass peaks at 44.4 MB (2^15:
+    # 44.2-44.6 MB), but with 2^16 the worker's arena keeps more (58.4 MB)
     for start in range(0, PARTITION_DRAWS, 2**14):
         xis = np.arange(start, min(start + 2**14, PARTITION_DRAWS), dtype=float)
         xis *= 2.0 * xi_band / (PARTITION_DRAWS - 1)
         xis -= xi_band
-        total = sum(_cutoff_rows(xis, jm, ring_scale))  # a running sum, one row at a time
+        total = sum(_cutoff_row(xis, j, ring_scale) for j in range(-1, jm + 1))
         worst = _worse(worst, np.abs(total - 1.0))
     report.add_bound("partition_of_unity_1e6", worst, at_most=1e-12)
 
@@ -817,8 +818,8 @@ def _check_partition(report, ring_scale):
 def _check_cutoffs(report, grid, cutoffs, rng):
     probe = np.array([0.0, 0.74, 0.76, 1.0, 4.0 / 3.0 + 1e-9, 2.0, 8.0 / 3.0 + 1e-9, 5.0])
     chi_ok = (
-        cutoffs.chi(np.array([0.0]))[0] == 1.0
-        and float(np.abs(cutoffs.chi(probe[probe >= 4.0 / 3.0])).max()) == 0.0
+        transition_chi(np.array([0.0]))[0] == 1.0
+        and float(np.abs(transition_chi(probe[probe >= 4.0 / 3.0])).max()) == 0.0
     )
     ring_vals = transition_ring(np.array([0.5, 0.74, 2.7, 3.0]))
     ring_ok = float(np.abs(ring_vals).max()) == 0.0

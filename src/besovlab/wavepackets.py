@@ -23,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import B32INF, B321, BesovIndex, CutoffPair, block_lp_profile, _coeff_norm, _lp_profile
+from .besov import (
+    B32INF,
+    B321,
+    BesovIndex,
+    CutoffPair,
+    block_lp_profile,
+    _block_reach,
+    _coeff_norm,
+    _lp_profile,
+)
 from .dynamics import Model, check_decay
 from .errors import ResolutionExceeded
 from .spectral import (
@@ -217,18 +226,15 @@ def product_limits(bump: BumpProfile) -> tuple[float, float]:
 
 
 def ring_membership(cutoffs: CutoffPair, center: float, width: float):
-    """Block indices whose ring support intersects [center-width, center+width].
-
-    The ring of block j is supported in [2^j, (8/3) 2^j]; block -1 covers
-    |xi| <= 4/3.  Everything outside the returned set annihilates a field
+    """Blocks whose reach (besov._block_reach) meets [center-width,
+    center+width].  Everything outside the returned set annihilates a field
     whose spectrum sits in the given band.
     """
     lo, hi = center - width, center + width
     members = []
-    if lo <= 4.0 / 3.0:
-        members.append(-1)
-    for j in range(0, cutoffs.j_max + 1):
-        if 2.0**j <= hi and (8.0 / 3.0) * 2.0**j >= lo:
+    for j in range(-1, cutoffs.j_max + 1):
+        reach_lo, reach_hi = _block_reach(j)
+        if reach_lo <= hi and reach_hi >= lo:
             members.append(j)
     return members
 

@@ -20,7 +20,7 @@ from besovlab import (
 )
 from besovlab.besov import (
     _besov_norm,
-    _cutoff_rows,
+    _block_reach,
     _lp_profile,
     block_lp_profile,
     grid_j_max,
@@ -51,7 +51,7 @@ class TestCutoffs:
 
     def test_partition_of_unity_dense(self, box_grid, box_cutoffs):
         xis = np.linspace(-box_grid.xi_max, box_grid.xi_max, 100001)
-        total = box_cutoffs.chi(xis)
+        total = transition_chi(xis)
         for j in range(box_cutoffs.j_max + 1):
             total = total + transition_ring(xis / 2.0**j)
         assert np.abs(total - 1.0).max() <= 1e-12
@@ -68,24 +68,41 @@ class TestCutoffs:
 
 
 class TestBandedBlocks:
-    """Each block is stored on its support; multipliers equal the dense
-    (j_max + 2) x (N/2 + 1) table of _cutoff_rows to the bit, block norms
-    agree with it to 1e-14."""
+    """Each block is stored on its support; multipliers equal a dense
+    (j_max + 2) x (N/2 + 1) table to the bit, block norms agree with it to
+    1e-14, and each block's reach contains its support."""
+
+    GRIDS = [(1024, 16 * math.pi), (3 * 2**12, 32 * math.pi), (2**15, 32 * math.pi)]
 
     @pytest.mark.parametrize("ring_scale", [1.0, 1.01])
-    @pytest.mark.parametrize(
-        "num_points, half_length", [(1024, 16 * math.pi), (3 * 2**12, 32 * math.pi), (2**15, 32 * math.pi)]
-    )
+    @pytest.mark.parametrize("num_points, half_length", GRIDS)
     def test_banded_blocks_match_dense_table(self, num_points, half_length, ring_scale):
         grid = Grid(num_points, half_length)
         cutoffs = build_cutoffs(grid, ring_scale)
-        dense = np.array(list(_cutoff_rows(grid.xi, cutoffs.j_max, ring_scale)))
+        # the table shares each level chi(xi / 2^j) between the two rings
+        # next to it, an evaluation independent of besov's row evaluator
+        levels = [transition_chi(grid.xi / 2.0**j) for j in range(cutoffs.j_max + 2)]
+        dense = np.array(
+            [levels[0]] + [ring_scale * (high - low) for low, high in zip(levels, levels[1:])]
+        )
         for j in range(-1, cutoffs.j_max + 1):
             assert np.array_equal(cutoffs.block_multiplier(j), dense[j + 1])
         coeffs = _fft(grid, _random_samples(grid, rng(7), 3))
         power = _power(coeffs)[:, None, :]
         reference = np.sqrt(np.sum(dense**2 * power, axis=-1) / (2.0 * half_length))
         np.testing.assert_allclose(_lp_profile(coeffs, cutoffs), reference, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("ring_scale", [1.0, 1.01])
+    @pytest.mark.parametrize("num_points, half_length", GRIDS)
+    def test_reach_contains_stored_support(self, num_points, half_length, ring_scale):
+        grid = Grid(num_points, half_length)
+        cutoffs = build_cutoffs(grid, ring_scale)
+        for j in range(-1, cutoffs.j_max + 1):
+            start, size = cutoffs.starts[j + 1], cutoffs.values[j + 1].size
+            if size == 0:
+                continue
+            lo, hi = _block_reach(j)
+            assert lo <= grid.xi[start] and grid.xi[start + size - 1] <= hi, j
 
     def test_storage_and_norm_memory_linear_in_n(self):
         grid = Grid(2**16, 32 * math.pi)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from besovlab import Grid, Model, harness
-from besovlab.besov import _cutoff_rows, _j_max, build_cutoffs
+from besovlab.besov import _cutoff_row, _j_max, build_cutoffs
 from besovlab.cli import main as cli_main
 from besovlab.harness import (
     CSV_HEADER,
@@ -738,7 +738,7 @@ class TestValidationSuite:
             worst = 0.0
             for size in harness._chunks(harness.PARTITION_DRAWS, 2**14):
                 xis = rng.uniform(-512.0, 512.0, size=size)
-                total = sum(_cutoff_rows(xis, _j_max(512.0), ring_scale))
+                total = sum(_cutoff_row(xis, j, ring_scale) for j in range(-1, _j_max(512.0) + 1))
                 worst = harness._worse(worst, np.abs(total - 1.0))
             assert worst == value or (math.isnan(worst) and math.isnan(value)), seed
 

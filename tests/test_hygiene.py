@@ -227,6 +227,46 @@ def test_critical_norm_has_one_owner():
         "1", "2", "3", "4", "7", "7"]
 
 
+# the Littlewood-Paley blocks' support edges; besov._block_reach owns them
+BLOCK_EDGES = (4.0 / 3.0, 8.0 / 3.0)
+# (file, function) allowed to restate them: validate's probe of the spec
+EDGE_PROBES = {("harness.py", "_check_cutoffs")}
+
+
+def block_edge_copies(source: str, name: str) -> list:
+    """Places in source outside EDGE_PROBES that write a block support edge,
+    as a literal or as a quotient of two literals."""
+    faults = []
+    for stmt in ast.parse(source, filename=name).body:
+        if (name, getattr(stmt, "name", None)) in EDGE_PROBES:
+            continue
+        for node in ast.walk(stmt):
+            value = _constant_value(node)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                left, right = _constant_value(node.left), _constant_value(node.right)
+                if isinstance(left, (int, float)) and isinstance(right, (int, float)) and right:
+                    value = left / right
+            if isinstance(value, (int, float)) and value in BLOCK_EDGES:
+                faults.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    return faults
+
+
+def test_block_reach_has_one_owner():
+    # outside besov, only validate's spec probe writes the edges 4/3 and 8/3
+    sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    faults = [f for path in sources if path.name != "besov.py"
+              for f in block_edge_copies(path.read_text(), path.name)]
+    assert faults == []
+    probe = ("def reach(j):\n"
+             "    return 2.0**j, (8.0 / 3.0) * 2.0**j\n"
+             "lo = 4 / 3\n"
+             "hi = 2.6666666666666665\n"
+             "ok = 2.0 / 3.0, num * 4 // 3, 1.0 / 3.0\n"
+             "def _check_cutoffs(report):\n"
+             "    return 4.0 / 3.0\n")
+    assert [f.split(":")[1] for f in block_edge_copies(probe, "harness.py")] == ["2", "3", "4"]
+    assert [f.split(":")[1] for f in block_edge_copies(probe, "probe")] == ["2", "3", "4", "7"]
+
 
 def unpassed_defaults(functions, sources) -> list:
     """Parameters with a default of functions that no call in sources (source

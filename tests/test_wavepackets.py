@@ -288,6 +288,20 @@ class TestProducts:
         fam = make_packets(box_bump, 4)
         assert ring_membership(box_cutoffs, fam.carrier, 1.5) == [3, 4]
 
+    def test_membership_lists_every_block_in_the_band(self):
+        # on the lemma31 default grid for n = 4..8, any block with a nonzero
+        # stored multiplier inside the band is a member
+        grid = Grid(min_points_for(8, 32 * math.pi), 32 * math.pi)
+        cutoffs = build_cutoffs(grid)
+        for n in range(4, 9):
+            omega = carrier_frequency(grid, n)[0]
+            for width in (0.5, 1.0, 1.5):
+                members = ring_membership(cutoffs, omega, width)
+                band = np.abs(grid.xi - omega) <= width
+                for j in range(-1, cutoffs.j_max + 1):
+                    if np.any(band & (cutoffs.block_multiplier(j) != 0.0)):
+                        assert j in members, (n, width, j)
+
     def test_localization_outside_membership(self, box_bump, box_cutoffs):
         for n in (4, 5):
             fam = make_packets(box_bump, n)
