@@ -41,10 +41,8 @@ def _float_list(text: str) -> tuple:
 
 # Flags per subcommand.  Each flag's dest is its config-file key; a setting
 # neither flag nor file gives is left to the runner's default.
-_GRID = [
-    ("--grid-n", dict(dest="grid_points", type=int)),
-    ("--grid-l", dict(dest="half_length", type=float)),
-]
+_GRID_L = ("--grid-l", dict(dest="half_length", type=float))
+_GRID = [("--grid-n", dict(dest="grid_points", type=int)), _GRID_L]
 # validate's grid flags reach only part of the suite
 _FIXED_GRIDS = (
     "; the packet checks always run on 2^14 points and the solver smoke checks"
@@ -76,7 +74,12 @@ SUBCOMMANDS = {
         ("--t-min", dict(type=float)),
         ("--t-max", dict(type=float)),
         ("--points", dict(type=int)),
-        *_GRID,
+        ("--grid-n", dict(dest="grid_points", type=int,
+                          help="points of the grid the packet pair evolves on and both data's"
+                          " norms are taken on; the smooth datum evolves on the coarser of it"
+                          " and the coarsest power of two with xi_max >= 16 (1024 points at"
+                          " L = 32 pi)")),
+        _GRID_L,
         _OUT,
     ]),
 }

@@ -30,6 +30,7 @@ from .besov import (
     transition_chi,
     transition_ring,
     _besov_norm,
+    _block_reach,
     _coeff_norm,
     _cutoff_row,
     _j_max,
@@ -54,6 +55,7 @@ from .spectral import (
     _power,
     _real_ifft,
     _slope_sup,
+    _xi_max,
 )
 from .wavepackets import (
     build_bump,
@@ -89,12 +91,20 @@ PARTITION_DRAWS = 1_000_000
 # 2^17); smaller blocks save under 2 MB a pass and take 10-33% longer (BENCH_29.json).
 ROW_BLOCK_SAMPLES = 2**15
 
-# Fewest points of run_taylor_check's default grid.  Its remainder bound
-# reads sup and Lipschitz norms off the samples, so it moves with the sample
+# Fewest points of run_taylor_check's default grid, which the packet pair
+# evolves on and both data's norms are taken on.  The remainder bound reads
+# sup and Lipschitz norms off the samples, so it moves with the sample
 # points (8e-8 relative for the Novikov packet pair n = 6 between 2^15 and
 # 12288 points), and perfbench's taylor-novikov workload, which leaves
 # grid_points unset, compares it at 1e-10 with a reference taken on 2^15.
 TAYLOR_MIN_POINTS = 2**15
+
+# Least xi_max of the grid the Taylor check's smooth datum evolves on
+# (_smooth_grid; 1024 points at L = 32 pi).  The Gaussian's spectrum, ~
+# e^{-2 xi^2}, and its cube's, ~ e^{-2 xi^2/3}, fall below 1e-16 of their
+# peaks by xi = 4.3 and 7.4; a finer grid adds only rounding noise to the
+# high blocks, which the 2^{3j/2} weight lifts about like N^3 (README).
+SMOOTH_XI_MAX = 16.0
 
 # Calibrated constants, frozen after one-off measurement on the seed-0
 # corpus; regression-style bounds, not analytic ones.
@@ -507,16 +517,21 @@ def run_taylor_check(
 
     The ladder is points geometric times from t_min to t_max; one evolve per
     datum samples it under the solver's one step-size rule, so a rung shorter
-    than the stability bound and dt_max is a single RK4 step.  On the
-    default ladder that moves every remainder by less than 1e-13 of the
-    datum's norm from a run at dt_max = t_min/8 (packet_n = 6, both models:
-    at most 6.4e-14 on the default 2^15 points, 3.0e-14 on 12288).  Without
-    config.grid_points the grid is the smallest that resolves packet_n, but
-    no smaller than TAYLOR_MIN_POINTS.  The two data are evolved
-    on worker threads as in run_nonuniform.  Raises ValueError naming the
-    setting unless points and packet_n are integers, t_min and t_max real
-    numbers (bool counts as neither), 0 < t_min < t_max < inf and
-    points >= 2.
+    than the stability bound and dt_max is a single RK4 step: the default
+    ladder takes one step per rung for both data.  That moves every
+    remainder by less than 5e-13 of the datum's norm from a run at
+    dt_max = t_min/8 (packet_n = 6, both models: the packet pair at most
+    6.4e-14 on the default 2^15 points, 3.0e-14 on 12288; the smooth datum
+    4.4e-13 for CH, below 1e-16 for Novikov).  Without config.grid_points
+    the grid is the smallest that resolves packet_n, but no smaller than
+    TAYLOR_MIN_POINTS; the packet pair evolves on it, and both data's norms,
+    which set the remainder bounds, are taken on it.  The smooth datum
+    evolves on _smooth_grid(grid) (1024 points at L = 32 pi) from grid's
+    first coefficients; each per_n entry records its run's "grid_points".
+    The two data are evolved on worker threads as in run_nonuniform.
+    Raises ValueError naming the setting unless points and packet_n are
+    integers, t_min and t_max real numbers (bool counts as neither),
+    0 < t_min < t_max < inf and points >= 2.
     """
     integer, real = (numbers.Integral, "an integer"), (numbers.Real, "a real number")
     for name, value, (kind, what) in (
@@ -562,13 +577,14 @@ def run_taylor_check(
     )
 
     data = [
-        ("smooth", _fft(grid, smooth_profile(grid).samples)),
-        (f"packet_pair_n{packet_n}", fam.packet_hat + fam.fast_hat),
+        ("smooth", _fft(grid, smooth_profile(grid).samples), _smooth_grid(grid)),
+        (f"packet_pair_n{packet_n}", fam.packet_hat + fam.fast_hat, grid),
     ]
     results = _map_items(
-        lambda datum: _taylor_datum(config.model, grid, datum[1], solver, cutoffs, ladder), data
+        lambda datum: _taylor_datum(config.model, grid, datum[1], datum[2], solver, cutoffs, ladder),
+        data,
     )
-    for (label, _), (remainders, entry) in zip(data, results):
+    for (label, _, _), (remainders, entry) in zip(data, results):
         for t, r in zip(ladder, remainders):
             report.rows.append(
                 {
@@ -591,16 +607,33 @@ def run_taylor_check(
     return report
 
 
-def _taylor_datum(model: Model, grid: Grid, F0, solver: SolverConfig, cutoffs: CutoffPair, ladder):
+def _smooth_grid(grid: Grid) -> Grid:
+    """The grid the smooth datum evolves on: the coarsest power of two of
+    grid's box whose xi_max reaches SMOOTH_XI_MAX, or grid itself when that
+    is no coarser."""
+    num = 16
+    while num < grid.num_points and _xi_max(num, grid.half_length) < SMOOTH_XI_MAX:
+        num *= 2
+    return Grid(num, grid.half_length) if num < grid.num_points else grid
+
+
+def _taylor_datum(
+    model: Model, grid: Grid, F0, run_grid: Grid, solver: SolverConfig, cutoffs: CutoffPair, ladder
+):
     """One datum of run_taylor_check, given by its half-spectrum F0 on grid:
     its remainder (F - F0) - t R at every rung of ladder (the solver's sample
-    times), R the RHS spectrum at F0, and its report entry.  R's workspace
-    is freed before the run starts, and F0 is the run's t = 0 sample.  Each
-    rung's norms are taken as its sample F lands, so the datum holds one
-    sample at a time."""
-    R = np.add(*_rhs_hat(F0, _Workspace(grid, model)))
+    times), R the RHS spectrum at F0, and its report entry.  The datum's
+    norms, which set its remainder bound, are taken on grid; the run and its
+    remainders on run_grid, a grid of the same box no finer than grid, whose
+    coefficients are the first ones of F0.  R's workspace is freed before
+    the run starts, and F0 is the run's t = 0 sample.  Each rung's norms are
+    taken as its sample F lands, so the datum holds one sample at a time."""
     norms = _datum_norms(grid, F0, cutoffs)
     bound = _remainder_bound(model, norms)
+    if run_grid is not grid:
+        F0 = F0[: run_grid.nyquist_index + 1]
+        cutoffs = build_cutoffs(run_grid)
+    R = np.add(*_rhs_hat(F0, _Workspace(run_grid, model)))
     remainders = []
     first_order = []
 
@@ -612,7 +645,7 @@ def _taylor_datum(model: Model, grid: Grid, F0, solver: SolverConfig, cutoffs: C
         change -= t * R
         remainders.append(float(_coeff_norm(change, cutoffs)))
 
-    traj = _evolve(grid, F0, model, solver, on_sample=take_norms)
+    traj = _evolve(run_grid, F0, model, solver, on_sample=take_norms)
     slope = float(np.polyfit(np.log(ladder), np.log(remainders), 1)[0])
     implied = max(r / (t**2 * bound) for r, t in zip(remainders, ladder))
     first_size = _first_order_size(model, norms)
@@ -622,6 +655,7 @@ def _taylor_datum(model: Model, grid: Grid, F0, solver: SolverConfig, cutoffs: C
         "remainder_bound": bound,
         "implied_constant": implied,
         "first_order_ratio": first_ratio,
+        "grid_points": run_grid.num_points,
         "solver": traj.counters(),
     }
 
@@ -810,7 +844,17 @@ def _check_partition(report, ring_scale):
         xis = np.arange(start, min(start + 2**14, PARTITION_DRAWS), dtype=float)
         xis *= 2.0 * xi_band / (PARTITION_DRAWS - 1)
         xis -= xi_band
-        total = sum(_cutoff_row(xis, j, ring_scale) for j in range(-1, jm + 1))
+        # each row is added, in j order, only on the frequencies of its
+        # reach, -hi <= xi <= -lo and lo <= xi <= hi (one side holds 0 when
+        # lo = 0); rows are exactly 0 outside it, so every sum is to the bit
+        # that of whole rows
+        total = np.zeros_like(xis)
+        for j in range(-1, jm + 1):
+            lo, hi = _block_reach(j)
+            neg = slice(np.searchsorted(xis, -hi), np.searchsorted(xis, -lo, side="right"))
+            pos = slice(max(np.searchsorted(xis, lo), neg.stop), np.searchsorted(xis, hi, side="right"))
+            for side in (neg, pos):
+                total[side] += _cutoff_row(xis[side], j, ring_scale)
         worst = _worse(worst, np.abs(total - 1.0))
     report.add_bound("partition_of_unity_1e6", worst, at_most=1e-12)
 
@@ -831,7 +875,8 @@ def _check_cutoffs(report, grid, cutoffs, rng):
         coeffs = _fft(grid, f)
         total_field = np.zeros_like(f)
         for j in range(-1, cutoffs.j_max + 1):
-            total_field += _ifft(grid, cutoffs.block_multiplier(j) * coeffs)
+            if cutoffs.values[j + 1].size:  # an empty block adds exact zeros
+                total_field += _ifft(grid, cutoffs.block_multiplier(j) * coeffs)
         rec = _max_abs(total_field - f) / np.maximum(_max_abs(f), 1e-300)
         worst_rec = _worse(worst_rec, rec)
     report.add_bound("reconstruction_1000", worst_rec, at_most=1e-10)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from besovlab import Grid, Model, harness
-from besovlab.besov import _cutoff_row, _j_max, build_cutoffs
+from besovlab.besov import B321, _cutoff_row, _j_max, besov_norm, build_cutoffs
 from besovlab.cli import main as cli_main
 from besovlab.harness import (
     CSV_HEADER,
@@ -389,8 +389,47 @@ class TestTaylorCheck:
 
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         F0 = _fft(grid, harness.smooth_profile(grid).samples)
-        harness._taylor_datum(model, grid, F0, solver, cutoffs, ladder)
+        harness._taylor_datum(model, grid, F0, harness._smooth_grid(grid), solver, cutoffs, ladder)
         assert lengths.count(grid.num_points) == 1
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_smooth_remainders_free_of_grid_rounding(self, monkeypatch, model):
+        # the smooth datum evolves on the coarsest grid that holds its
+        # spectrum; twice that grid moves its remainders by no more than
+        # rounding of its norm (on 2^15 points they carried up to 7e-11)
+        cfg = ExperimentConfig(model=model, grid_points=2**12)
+        grid = cfg.make_grid()
+        datum_norm = besov_norm(harness.smooth_profile(grid), B321, build_cutoffs(grid))
+
+        def smooth_remainders():
+            report = run_taylor_check(cfg, packet_n=4)
+            rows = [row["remainder"] for row in report.rows if row["datum"] == "smooth"]
+            return report.per_n["smooth"]["grid_points"], np.array(rows)
+
+        points, coarse = smooth_remainders()
+        monkeypatch.setattr(harness, "_smooth_grid", lambda g: Grid(2 * points, g.half_length))
+        fine_points, fine = smooth_remainders()
+        assert fine_points == 2 * points == 2048
+        assert np.abs(fine - coarse).max() <= 1e-14 * datum_norm
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_default_ladder_one_step_per_rung(self, model):
+        # each datum records the grid it evolved on: the packet pair the
+        # config grid, the smooth datum its own 1024 points at L = 32 pi
+        report = run_taylor_check(ExperimentConfig(model=model))
+        steps = {label: entry["solver"]["steps"] for label, entry in report.per_n.items()}
+        assert steps == {"smooth": 8, "packet_pair_n6": 8}
+        points = {label: entry["grid_points"] for label, entry in report.per_n.items()}
+        assert points == {"smooth": 1024, "packet_pair_n6": report.grid["num_points"]}
+        assert report.grid["num_points"] == 2**15
+
+    def test_smooth_datum_never_upsampled(self):
+        # a config grid coarser than the smooth datum's rule runs it as given
+        report = run_taylor_check(ExperimentConfig(model=Model.CH, grid_points=512),
+                                  t_min=1e-3, t_max=1e-2, points=3, packet_n=1)
+        assert report.per_n["smooth"]["grid_points"] == report.grid["num_points"] == 512
+        grid = Grid(512, 32 * math.pi)
+        assert harness._smooth_grid(grid) is grid
 
     def test_grid_sized_from_packet_n(self):
         # without grid_points the grid is the smallest that resolves packet_n;
