@@ -39,10 +39,17 @@ def _float_list(text: str) -> tuple:
     return tuple(float(s) for s in text.split(","))
 
 
+def _with_help(flags, name, text):
+    """flags with the one called name given help text."""
+    return [(flag, dict(spec, help=text) if flag == name else spec) for flag, spec in flags]
+
+
 # Flags per subcommand.  Each flag's dest is its config-file key; a setting
 # neither flag nor file gives is left to the runner's default.
-_GRID_L = ("--grid-l", dict(dest="half_length", type=float))
-_GRID = [("--grid-n", dict(dest="grid_points", type=int)), _GRID_L]
+_GRID = [
+    ("--grid-n", dict(dest="grid_points", type=int)),
+    ("--grid-l", dict(dest="half_length", type=float)),
+]
 # validate's grid flags reach only part of the suite
 _FIXED_GRIDS = (
     "; the packet checks always run on 2^14 points and the solver smoke checks"
@@ -74,12 +81,7 @@ SUBCOMMANDS = {
         ("--t-min", dict(type=float)),
         ("--t-max", dict(type=float)),
         ("--points", dict(type=int)),
-        ("--grid-n", dict(dest="grid_points", type=int,
-                          help="points of the grid the packet pair evolves on and both data's"
-                          " norms are taken on; the smooth datum evolves on the coarser of it"
-                          " and the coarsest power of two with xi_max >= 16 (1024 points at"
-                          " L = 32 pi)")),
-        _GRID_L,
+        *_with_help(_GRID, "--grid-n", "the smooth datum evolves on a coarser grid (see README)"),
         _OUT,
     ]),
 }

@@ -30,7 +30,6 @@ from .besov import (
     transition_chi,
     transition_ring,
     _besov_norm,
-    _block_reach,
     _coeff_norm,
     _cutoff_row,
     _j_max,
@@ -98,13 +97,6 @@ ROW_BLOCK_SAMPLES = 2**15
 # 12288 points), and perfbench's taylor-novikov workload, which leaves
 # grid_points unset, compares it at 1e-10 with a reference taken on 2^15.
 TAYLOR_MIN_POINTS = 2**15
-
-# Least xi_max of the grid the Taylor check's smooth datum evolves on
-# (_smooth_grid; 1024 points at L = 32 pi).  The Gaussian's spectrum, ~
-# e^{-2 xi^2}, and its cube's, ~ e^{-2 xi^2/3}, fall below 1e-16 of their
-# peaks by xi = 4.3 and 7.4; a finer grid adds only rounding noise to the
-# high blocks, which the 2^{3j/2} weight lifts about like N^3 (README).
-SMOOTH_XI_MAX = 16.0
 
 # Calibrated constants, frozen after one-off measurement on the seed-0
 # corpus; regression-style bounds, not analytic ones.
@@ -496,10 +488,15 @@ def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, floor):
             report.add_bound(f"lower_bound_t{t}", min(values), at_least=floor)
 
 
+# Width w of smooth_profile's Gaussian, which also sets the grid the Taylor
+# check evolves it on (_smooth_grid).
+SMOOTH_WIDTH = 2.0
+
+
 def smooth_profile(grid: Grid) -> Field:
-    """Gaussian reference datum 0.25 * exp(-x^2/8) (width 2) for
-    solver-validity and Taylor checks."""
-    return Field(grid, 0.25 * np.exp(-(grid.x**2) / 8.0))
+    """Gaussian reference datum 0.25 * exp(-x^2 / (2 w^2)), w = SMOOTH_WIDTH,
+    for solver-validity and Taylor checks."""
+    return Field(grid, 0.25 * np.exp(-(grid.x**2) / (2.0 * SMOOTH_WIDTH**2)))
 
 
 def run_taylor_check(
@@ -609,10 +606,14 @@ def run_taylor_check(
 
 def _smooth_grid(grid: Grid) -> Grid:
     """The grid the smooth datum evolves on: the coarsest power of two of
-    grid's box whose xi_max reaches SMOOTH_XI_MAX, or grid itself when that
-    is no coarser."""
+    grid's box whose xi_max is at least twice the frequency where the
+    spectrum of smooth_profile's cube, ~ e^{-w^2 xi^2 / 6}, falls to rounding
+    (14.7 at w = 2: 1024 points at L = 32 pi), or grid itself when that is
+    no coarser.  A finer grid adds only rounding noise to the high blocks,
+    which the 2^{3j/2} weight lifts about like N^3 (README)."""
+    xi_need = 2.0 * math.sqrt(6.0 * math.log(1.0 / np.finfo(float).eps)) / SMOOTH_WIDTH
     num = 16
-    while num < grid.num_points and _xi_max(num, grid.half_length) < SMOOTH_XI_MAX:
+    while num < grid.num_points and _xi_max(num, grid.half_length) < xi_need:
         num *= 2
     return Grid(num, grid.half_length) if num < grid.num_points else grid
 
@@ -844,17 +845,7 @@ def _check_partition(report, ring_scale):
         xis = np.arange(start, min(start + 2**14, PARTITION_DRAWS), dtype=float)
         xis *= 2.0 * xi_band / (PARTITION_DRAWS - 1)
         xis -= xi_band
-        # each row is added, in j order, only on the frequencies of its
-        # reach, -hi <= xi <= -lo and lo <= xi <= hi (one side holds 0 when
-        # lo = 0); rows are exactly 0 outside it, so every sum is to the bit
-        # that of whole rows
-        total = np.zeros_like(xis)
-        for j in range(-1, jm + 1):
-            lo, hi = _block_reach(j)
-            neg = slice(np.searchsorted(xis, -hi), np.searchsorted(xis, -lo, side="right"))
-            pos = slice(max(np.searchsorted(xis, lo), neg.stop), np.searchsorted(xis, hi, side="right"))
-            for side in (neg, pos):
-                total[side] += _cutoff_row(xis[side], j, ring_scale)
+        total = sum(_cutoff_row(xis, j, ring_scale) for j in range(-1, jm + 1))
         worst = _worse(worst, np.abs(total - 1.0))
     report.add_bound("partition_of_unity_1e6", worst, at_most=1e-12)
 

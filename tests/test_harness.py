@@ -373,7 +373,8 @@ class TestTaylorCheck:
     @pytest.mark.parametrize("model", list(Model))
     def test_datum_transformed_once_before_evolve(self, monkeypatch, model):
         # the one length-N rfft is the caller's, of the Gaussian's samples;
-        # R, the datum's norms, its slope and the run read that spectrum
+        # R, the datum's norms, its slope and the run read that spectrum,
+        # whether the run is on grid (the packet pair) or a coarser one
         from besovlab import SolverConfig, build_cutoffs
         from besovlab.spectral import Grid, _fft
 
@@ -388,9 +389,12 @@ class TestTaylorCheck:
             return real_rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
-        F0 = _fft(grid, harness.smooth_profile(grid).samples)
-        harness._taylor_datum(model, grid, F0, harness._smooth_grid(grid), solver, cutoffs, ladder)
-        assert lengths.count(grid.num_points) == 1
+        for run_grid in (grid, harness._smooth_grid(grid)):
+            lengths.clear()
+            F0 = _fft(grid, harness.smooth_profile(grid).samples)
+            harness._taylor_datum(model, grid, F0, run_grid, solver, cutoffs, ladder)
+            assert lengths.count(grid.num_points) == 1
+            assert lengths.count(run_grid.num_points) == (1 if run_grid is grid else 0)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_smooth_remainders_free_of_grid_rounding(self, monkeypatch, model):
