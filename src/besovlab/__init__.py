@@ -10,7 +10,6 @@ from .besov import (
     block_lp_profile,
     build_cutoffs,
     dyadic_block,
-    grid_j_max,
     lipschitz_norm,
 )
 from .dynamics import (
@@ -43,7 +42,6 @@ from .spectral import (
     smooth_step,
 )
 from .wavepackets import (
-    BumpProfile,
     PacketFamily,
     build_bump,
     carrier_frequency,

@@ -42,11 +42,6 @@ def _j_max(xi_max: float) -> int:
     return int(math.ceil(math.log2(xi_max * 4.0 / 3.0))) + 1
 
 
-def grid_j_max(grid: Grid) -> int:
-    """Largest block index kept in sums on this grid (_j_max of its xi_max)."""
-    return _j_max(grid.xi_max)
-
-
 @dataclass(frozen=True)
 class BesovIndex:
     """Regularity/integrability/summation triple (s, p, r); s must be finite
@@ -123,7 +118,7 @@ def build_cutoffs(grid: Grid, ring_scale: float = 1.0) -> CutoffPair:
     Block j is evaluated by _cutoff_row only on the frequencies of its
     reach (_block_reach), and trimmed to its nonzero values.
     """
-    jm = grid_j_max(grid)
+    jm = _j_max(grid.xi_max)
     ring_scale = float(ring_scale)
     starts, values, squares = [], [], []
     for j in range(-1, jm + 1):

@@ -279,14 +279,9 @@ def _padded_rhs(work: _Workspace) -> tuple:
     return u3, ux3
 
 
-def _field_rhs(u: Field, model: Model) -> tuple:
-    """_rhs_hat at a Field, with a workspace of its own."""
-    return _rhs_hat(_coeffs(u), _Workspace(u.grid, model))
-
-
 def rhs(u: Field, model: Model) -> Field:
     """Full right-hand side: transport part plus nonlocal part."""
-    return _to_field(u.grid, np.add(*_field_rhs(u, model)))
+    return _to_field(u.grid, np.add(*_rhs_hat(_coeffs(u), _Workspace(u.grid, model))))
 
 
 def ch_rhs(u: Field) -> Field:

@@ -298,10 +298,16 @@ def _derivative_multiplier(grid: Grid, order: int) -> np.ndarray:
     return grid.multiplier(("deriv", order), lambda xi: (1j * xi) ** order)
 
 
+def _coeff_sup(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """max |u| over the samples on grid of each coefficient row's field u:
+    the one sup the package reads from a half-spectrum."""
+    return _max_abs(_ifft(grid, coeffs))
+
+
 def _slope_sup(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """max |u_x| over the samples of each coefficient row's field u, with
     u_x the spectral derivative."""
-    return _max_abs(_ifft(grid, _derivative_multiplier(grid, 1) * coeffs))
+    return _coeff_sup(grid, _derivative_multiplier(grid, 1) * coeffs)
 
 
 def _helmholtz_multiplier(grid: Grid) -> np.ndarray:

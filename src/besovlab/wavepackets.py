@@ -38,6 +38,7 @@ from .errors import ResolutionExceeded
 from .spectral import (
     Field,
     Grid,
+    _coeff_sup,
     _dealias,
     _derivative_multiplier,
     _fft,
@@ -61,20 +62,8 @@ def bump_hat(xi):
     return smooth_step((SUPPORT_EDGE - np.abs(xi)) / (SUPPORT_EDGE - PLATEAU_EDGE))
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """The bump phi on its grid; its transform is bump_hat."""
-
-    grid: Grid
-    phi: Field
-
-    @property
-    def peak(self) -> float:
-        return float(self.phi.samples[self.grid.num_points // 2])
-
-
-def build_bump(grid: Grid) -> BumpProfile:
-    """Tabulate the bump transform on the grid and invert it.
+def build_bump(grid: Grid) -> Field:
+    """The bump phi on the grid: its transform bump_hat, tabulated and inverted.
 
     Requires at least 32 frequencies pi k / L inside [-1/2, 1/2], counted as
     2 #{grid.xi <= 1/2} - 1 (i.e. L >= 32 pi), so the plateau and transition
@@ -89,7 +78,7 @@ def build_bump(grid: Grid) -> BumpProfile:
         )
     phi = _to_field(grid, bump_hat(grid.xi))
     check_decay(phi)
-    return BumpProfile(grid=grid, phi=phi)
+    return phi
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,7 @@ def min_points_for(n_max: int, half_length: float) -> int:
     return num
 
 
-def make_packets(bump: BumpProfile, n: int) -> PacketFamily:
+def make_packets(bump: Field, n: int) -> PacketFamily:
     """Construct family member n on the bump's grid from its exact spectra,
     without a transform.
 
@@ -211,17 +200,16 @@ def _driving_product(grid: Grid, model: Model, packet_hat, pert_hat) -> np.ndarr
     return _dealias(grid, 3, pert_hat, pert_hat, slope)
 
 
-def product_limits(bump: BumpProfile) -> tuple[float, float]:
+def product_limits(bump: Field) -> tuple[float, float]:
     """Large-n limits of the rescaled cross-product norms, by quadrature.
 
     The quadratic product tends to 2^{-1/2} ||phi^2||_{L^2} in B^{3/2}_{2,inf}
     and the cubic one to (12/17) 2^{-1/2} ||phi^3||_{L^2}; both follow from
     averaging the squared carrier over the envelope.
     """
-    phi = bump.phi
     dx = bump.grid.dx
-    norm_sq = math.sqrt(dx * float(np.sum(phi.samples**4)))
-    norm_cu = math.sqrt(dx * float(np.sum(phi.samples**6)))
+    norm_sq = math.sqrt(dx * float(np.sum(bump.samples**4)))
+    norm_cu = math.sqrt(dx * float(np.sum(bump.samples**6)))
     return norm_sq / math.sqrt(2.0), (12.0 / 17.0) * norm_cu / math.sqrt(2.0)
 
 
@@ -253,7 +241,7 @@ def localization_residual(coeffs: np.ndarray, cutoffs: CutoffPair, members) -> f
     return worst
 
 
-def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
+def scaling_report(bump: Field, n: int, cutoffs: CutoffPair) -> dict:
     """Measure every contract of family member n; returns a JSON-ready dict.
 
     Contents: rescaled sup norms of the packet and bumps, the exact low-block
@@ -279,21 +267,21 @@ def scaling_report(bump: BumpProfile, n: int, cutoffs: CutoffPair) -> dict:
     members_cub = ring_membership(cutoffs, fam.carrier, 1.5)
     members_packet = ring_membership(cutoffs, fam.carrier, 0.5)
 
-    phi_l2 = bump.phi.l2_norm()
-    low_block_l2 = block_lp_profile(bump.phi, cutoffs)[0]
+    phi_l2 = bump.l2_norm()
+    low_block_l2 = block_lp_profile(bump, cutoffs)[0]
 
     report = {
         "n": n,
         "carrier": fam.carrier,
         "snap_error": fam.snap_error,
         "snap_budget": math.pi / grid.half_length / 2.0,
-        "bump_center_value": bump.peak,
-        "bump_sup": bump.phi.max_abs(),
-        "sup_packet_scaled": fam.packet.max_abs() * two ** (1.5 * n),
+        "bump_center_value": float(bump.samples[grid.num_points // 2]),
+        "bump_sup": bump.max_abs(),
+        "sup_packet_scaled": float(_coeff_sup(grid, packet)) * two ** (1.5 * n),
         "sup_packet_slope_scaled": float(_slope_sup(grid, packet)) * two ** (0.5 * n),
-        "sup_bump_fast_scaled": fam.bump_fast.max_abs() * two**n,
+        "sup_bump_fast_scaled": float(_coeff_sup(grid, fast)) * two**n,
         "sup_bump_fast_slope_scaled": float(_slope_sup(grid, fast)) * two**n,
-        "sup_bump_slow_scaled": _to_field(grid, slow).max_abs() * two ** (0.5 * n),
+        "sup_bump_slow_scaled": float(_coeff_sup(grid, slow)) * two ** (0.5 * n),
         "sup_bump_slow_slope_scaled": float(_slope_sup(grid, slow)) * two ** (0.5 * n),
         "bump_fast_b32_norm": norm(fast),
         "bump_fast_b32_exact": (12.0 / 17.0) * two ** (-(n + 1.5)) * low_block_l2,

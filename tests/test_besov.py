@@ -23,7 +23,6 @@ from besovlab.besov import (
     _block_reach,
     _lp_profile,
     block_lp_profile,
-    grid_j_max,
     transition_chi,
     transition_ring,
 )
@@ -63,7 +62,7 @@ class TestCutoffs:
             assert np.abs(prod).max() == 0.0
 
     def test_j_max_covers_grid(self, box_grid):
-        jm = grid_j_max(box_grid)
+        jm = build_cutoffs(box_grid).j_max
         assert 2.0 ** (jm + 1) >= box_grid.xi_max
 
 
@@ -223,7 +222,7 @@ class TestBesovNorm:
         # for a field whose spectrum sits under the low cutoff the whole norm
         # is 2^{-sigma} times an explicit L^2 quadrature of the block
         g = box_bump.grid
-        low_block = dyadic_block(box_bump.phi, -1, box_cutoffs)
+        low_block = dyadic_block(box_bump, -1, box_cutoffs)
         quad = math.sqrt(g.dx * float(np.sum(low_block.samples**2)))
         for n in range(4, 6):
             fam = make_packets(box_bump, n)

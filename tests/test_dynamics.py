@@ -27,7 +27,7 @@ from besovlab import (
 from besovlab import harness
 from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import _besov_norm, _lp_profile, lipschitz_norm
-from besovlab.dynamics import RK4_IMAGINARY_LIMIT, _evolve, _field_rhs, _h1_energy
+from besovlab.dynamics import RK4_IMAGINARY_LIMIT, _Workspace, _evolve, _h1_energy, _rhs_hat
 from besovlab.spectral import _coeffs, _from_padded, _ifft, _to_field, _to_padded
 
 
@@ -38,7 +38,7 @@ def b321_hat(coeffs, cutoffs):
 
 def nonlocal_part(u, model):
     """P(u) (CH) or Q(u) (Novikov): the nonlocal part of the model's RHS."""
-    return _to_field(u.grid, _field_rhs(u, model)[1])
+    return _to_field(u.grid, _rhs_hat(_coeffs(u), _Workspace(u.grid, model))[1])
 
 
 def kernel_quadrature(xs, w_fn, signed, refine_grid):
@@ -420,7 +420,7 @@ class TestStepSize:
         cutoffs = build_cutoffs(coarse_grid)
         fam = make_packets(build_bump(coarse_grid), 4)
         u0 = fam.packet + fam.bump_fast
-        R = np.add(*_field_rhs(u0, model))
+        R = np.add(*_rhs_hat(_coeffs(u0), _Workspace(coarse_grid, model)))
         ladder = tuple(float(t) for t in np.geomspace(1e-3, 1e-1, 8))
 
         def run(**cap):
@@ -448,7 +448,7 @@ def test_small_time_remainder_above_rounding_floor():
     fam = make_packets(build_bump(grid), 7)
     cutoffs = build_cutoffs(grid)
     u0 = fam.packet + fam.bump_fast
-    R = np.add(*_field_rhs(u0, Model.NOVIKOV))
+    R = np.add(*_rhs_hat(_coeffs(u0), _Workspace(grid, Model.NOVIKOV)))
     config = SolverConfig(sample_times=(1e-3, 2e-3))
     (_, F0), *later = evolve(u0, Model.NOVIKOV, config).samples
     r1, r2 = (b321_hat((F - F0) - t * R, cutoffs) for t, F in later)

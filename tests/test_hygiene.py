@@ -227,6 +227,48 @@ def test_critical_norm_has_one_owner():
         "1", "2", "3", "4", "7", "7"]
 
 
+# views of a family member that rebuild a Field from its half-spectrum
+SPECTRUM_VIEWS = {"packet", "bump_fast"}
+
+
+def spectrum_sup_copies(source: str, name: str) -> list:
+    """Places in source that take a sup from a half-spectrum by hand:
+    _max_abs of an _ifft call, or max_abs() of a _to_field call or of a
+    family's packet or bump_fast view."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = _called_name(node)
+        if called == "_max_abs" and node.args and isinstance(node.args[0], ast.Call):
+            copy = _called_name(node.args[0]) == "_ifft"
+        elif called == "max_abs" and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            copy = (isinstance(owner, ast.Call) and _called_name(owner) == "_to_field") or (
+                isinstance(owner, ast.Attribute) and owner.attr in SPECTRUM_VIEWS
+            )
+        else:
+            copy = False
+        if copy:
+            faults.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    return faults
+
+
+def test_spectrum_sup_has_one_owner():
+    # spectral._coeff_sup is the one sup read from a half-spectrum
+    sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    faults = [f for path in sources if path.name != "spectral.py"
+              for f in spectrum_sup_copies(path.read_text(), path.name)]
+    assert faults == []
+    probe = ("a = float(_max_abs(_ifft(grid, F0)))\n"
+             "b = _to_field(grid, slow).max_abs()\n"
+             "c = fam.packet.max_abs() + fam.bump_fast.max_abs()\n"
+             "d = _max_abs(samples), _max_abs(_ifft(grid, F) - f)\n"
+             "e = bump.max_abs(), fam.slow.max_abs(), spectral._max_abs(_ifft(g, F))\n")
+    lines = sorted(int(f.split(":")[1]) for f in spectrum_sup_copies(probe, "probe"))
+    assert lines == [1, 2, 3, 3, 5]
+
+
 # the Littlewood-Paley blocks' support edges; besov._block_reach owns them
 BLOCK_EDGES = (4.0 / 3.0, 8.0 / 3.0)
 # (file, function) allowed to restate them: validate's probe of the spec

@@ -199,7 +199,7 @@ class TestDerivative:
             from besovlab import build_bump
 
             g = Grid(pts, 32 * math.pi)
-            phi = build_bump(g).phi
+            phi = build_bump(g)
             d_spec = derivative(phi, 1).samples
             s = phi.samples
             d_fd = (

@@ -8,6 +8,7 @@ import pytest
 from besovlab import (
     BesovIndex,
     DecayViolation,
+    Field,
     Grid,
     Model,
     ResolutionExceeded,
@@ -23,7 +24,7 @@ from besovlab import (
 from besovlab import wavepackets
 from besovlab.besov import _besov_norm, _coeff_norm, _lp_profile
 from besovlab.dynamics import DECAY_TOL, check_decay
-from besovlab.spectral import _xi_max
+from besovlab.spectral import _ifft, _xi_max
 from besovlab.wavepackets import (
     CARRIER_RATIO,
     MAX_GRID_POINTS,
@@ -73,30 +74,35 @@ class TestBump:
         mid = bump_hat(np.array([0.375]))[0]
         assert 0.0 < mid < 1.0
 
+    def test_build_bump_is_the_inverted_transform(self, box_grid):
+        bump = build_bump(box_grid)
+        assert isinstance(bump, Field)
+        assert np.array_equal(bump.samples, _ifft(box_grid, bump_hat(box_grid.xi)))
+
     def test_bump_even_and_positive_at_origin(self, box_bump):
-        phi = box_bump.phi.samples
-        assert box_bump.peak > 0
+        phi = box_bump.samples
+        assert phi[box_bump.grid.num_points // 2] > 0
         # discrete evenness: sample at -x equals sample at x
         assert np.abs(phi[1:] - phi[1:][::-1]).max() <= 1e-12
 
     def test_center_value_matches_transform_mean(self, box_bump):
         g = box_bump.grid
         expected = pair_sum(bump_hat(g.xi)) / (2 * g.half_length)
-        assert box_bump.peak == pytest.approx(expected, rel=1e-12)
+        assert box_bump.samples[g.num_points // 2] == pytest.approx(expected, rel=1e-12)
 
     def test_parseval(self, box_bump):
         g = box_bump.grid
         hat_l2 = math.sqrt(pair_sum(bump_hat(g.xi) ** 2) * math.pi / g.half_length)
-        assert box_bump.phi.l2_norm() == pytest.approx(
+        assert box_bump.l2_norm() == pytest.approx(
             hat_l2 / math.sqrt(2 * math.pi), rel=1e-10
         )
 
     def test_decay_contract(self, box_grid):
         bump = build_bump(box_grid)
         outer = np.abs(box_grid.x) >= box_grid.half_length / 2
-        assert np.abs(bump.phi.samples[outer]).max() < DECAY_TOL
+        assert np.abs(bump.samples[outer]).max() < DECAY_TOL
         with pytest.raises(DecayViolation):
-            check_decay(build_bump(box_grid).phi, 1e-12)
+            check_decay(build_bump(box_grid), 1e-12)
 
     def test_narrow_box_rejected(self):
         with pytest.raises(ResolutionExceeded):
@@ -113,7 +119,7 @@ class TestPacketConstruction:
     def test_explicit_formulas(self, box_bump):
         g = box_bump.grid
         fam = make_packets(box_bump, 4)
-        phi = box_bump.phi.samples
+        phi = box_bump.samples
         assert np.array_equal(fam.fast_hat, (12 / 17) * 2.0**-4 * bump_hat(g.xi))
         assert np.array_equal(fam.slow_hat, (12 / 17) * 2.0**-2 * bump_hat(g.xi))
         assert np.abs(
@@ -341,5 +347,5 @@ class TestScalingReport:
 
     def test_report_records_both_normalizations(self, box_bump, box_cutoffs):
         rep = scaling_report(box_bump, 4, box_cutoffs)
-        assert rep["bump_center_value"] == pytest.approx(box_bump.peak)
+        assert rep["bump_center_value"] == pytest.approx(box_bump.samples[box_bump.grid.num_points // 2])
         assert rep["bump_sup"] >= rep["bump_center_value"] - 1e-15
