@@ -24,6 +24,7 @@ import json
 import math
 import sys
 
+from .dynamics import Model
 from .errors import BesovLabError
 from .harness import (
     ExperimentConfig,
@@ -56,7 +57,7 @@ _FIXED_GRIDS = (
     " on 2^12, both with L = 32 pi"
 )
 _N_RANGE = [("--n-min", dict(type=int)), ("--n-max", dict(type=int))]
-_MODEL = ("--model", dict(choices=["ch", "novikov"]))
+_MODEL = ("--model", dict(choices=[m.value for m in Model]))
 _OUT = ("--out", dict(dest="output_dir"))
 
 SUBCOMMANDS = {

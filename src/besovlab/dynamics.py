@@ -1,12 +1,18 @@
 """Model right-hand sides and the RK4 time integrator.
 
-Two nonlocal transport equations are implemented on the periodic grid:
+Both models are the generalized Camassa-Holm equation of degree k,
 
-  quadratic model (CH):   u_t + u u_x     = P(u),
-      P(u) = -d/dx (1 - d2/dx2)^{-1} (u^2 + 0.5 u_x^2)
+  u_t - u_txx + (k+2) u^k u_x = (k+1) u^{k-1} u_x u_xx + u^k u_xxx,
 
-  cubic model (Novikov):  u_t + u^2 u_x   = Q(u),
-      Q(u) = -(1 - d2/dx2)^{-1} (0.5 u_x^3 + d/dx (1.5 u u_x^2 + u^3))
+at k = 1 (CH) and k = 2 (Novikov), implemented on the periodic grid in the
+nonlocal transport form
+
+  u_t + u^k u_x = -(1 - d2/dx2)^{-1} (d/dx (u^{k+1} + ((2k-1)/2) u^{k-1} u_x^2)
+                                        + ((k-1)/2) u^{k-2} u_x^3),
+
+which is P(u) = -d/dx (1 - d2/dx2)^{-1} (u^2 + 0.5 u_x^2) for CH and
+Q(u) = -(1 - d2/dx2)^{-1} (0.5 u_x^3 + d/dx (1.5 u u_x^2 + u^3)) for Novikov.
+Model.degree is k.
 
 Both right-hand sides vanish on constants, so constants are equilibria, and
 both models conserve the H^1 energy dx * sum(u^2 + u_x^2) exactly in the
@@ -15,10 +21,10 @@ classical RK4 with one step-size rule: RK4's stability bound on the transport
 term, capped at dt_max and cut short at each sample time (see SolverConfig).
 It aborts with BlowUp when the slope ||u_x||_inf passes BLOWUP_SLOPE = 1e6.
 
-One spectral right-hand side per model, _rhs_hat(F, work), maps coefficients
-to the transport and nonlocal parts' coefficients on the grid and for the
-model its workspace was built for; evolve integrates their sum, the
-harness reads the parts, and the Field-level operators (rhs, ch_rhs,
+One spectral right-hand side in the degree k, _rhs_hat(F, work), maps
+coefficients to the transport and nonlocal parts' coefficients on the grid
+and for the model its workspace was built for; evolve integrates their sum,
+the harness reads the parts, and the Field-level operators (rhs, ch_rhs,
 novikov_rhs) wrap it, so the tested operators are the ones the solver runs.
 """
 
@@ -67,6 +73,11 @@ class Model(enum.Enum):
     CH = "ch"
     NOVIKOV = "novikov"
 
+    @property
+    def degree(self) -> int:
+        """k of the generalized Camassa-Holm equation: 1 for CH, 2 for Novikov."""
+        return {"ch": 1, "novikov": 2}[self.value]
+
 
 def _times(values, name: str) -> tuple:
     """values as a tuple of floats; ValueError naming name unless values is a
@@ -94,10 +105,10 @@ class SolverConfig:
         min(dt_max, CFL * 2.8 / (speed * xi_max + ||u_x||_inf), time to the next sample)
 
     so steps land exactly on each sample time.  The denominator bounds the
-    transport term's rate: speed is ||u||_inf (CH) or ||u||_inf^2 (Novikov),
-    xi_max the grid's Nyquist frequency, and ||u_x||_inf the linearisation's
+    transport term's rate: speed is ||u||_inf^k (k = Model.degree), xi_max
+    the grid's Nyquist frequency, and ||u_x||_inf the linearisation's
     growth rate.  Both sups are read on the padded grid of the RHS
-    (3/2 N points for CH, 2N for Novikov), whose samples the first RK4
+    ((k+2)/2 N points: 3/2 N for CH, 2N for Novikov), whose samples the first RK4
     stage forms anyway; they interpolate the state between its grid
     points.  2.8 sits just inside RK4's imaginary-axis stability limit
     2*sqrt(2), and CFL = 0.3 is the fixed fraction of that limit a step may
@@ -192,29 +203,31 @@ class _Workspace:
     call site; threads share grids, so a set never lives in the grid's
     cache.
 
-    Both models hold one coarse spectrum per product of the RHS (the last
+    The workspace of degree k holds the k + 1 coarse spectra of the RHS's
+    products u^{k+1}, u^{k-1} u_x^2 and, at k >= 2, u^{k-2} u_x^3 (the last
     also phases u's and u_x's coefficients until its product is
     transformed), the products' fine spectrum fine_spec, and the fine
-    samples u and ux.  CH squares u and ux in place, as each is read once,
-    so only Novikov, whose first two products each need both factors later,
-    holds a third fine array, product; for CH it is None.
+    samples u and ux.  At k = 1 each product squares its one factor in
+    place, as u and ux are each read once, and product is None; at k >= 2
+    the first two products each need both factors later, so a third fine
+    array, product, holds each product.
     """
 
     def __init__(self, grid: Grid, model: Model):
         self.grid, self.model = grid, model
-        self.fine = fine = _padded_grid(grid, 2 if model is Model.CH else 3)
-        coarse = grid.xi.shape
-        count = 2 if model is Model.CH else 3
-        self.products = [np.empty(coarse, dtype=complex) for _ in range(count)]
+        k = model.degree
+        self.fine = fine = _padded_grid(grid, k + 1)
+        self.products = [np.empty(grid.xi.shape, dtype=complex) for _ in range(k + 1)]
         # each product's spectrum on the fine grid
         self.fine_spec = np.empty(fine.xi.shape, dtype=complex)
         self.u = np.empty(fine.num_points)
         self.ux = np.empty(fine.num_points)
-        self.product = None if model is Model.CH else np.empty(fine.num_points)
+        self.product = np.empty(fine.num_points) if k >= 2 else None
 
     def transform_product(self, out: np.ndarray, *factors) -> np.ndarray:
+        product = factors[0] if self.product is None else self.product
         return _from_padded(
-            self.grid, self.fine, *factors, product=self.product, spec=self.fine_spec, out=out
+            self.grid, self.fine, *factors, product=product, spec=self.fine_spec, out=out
         )
 
 
@@ -245,38 +258,24 @@ def _padded_rhs(work: _Workspace) -> tuple:
     The formulas are evaluated in place, each operation in the order of the
     expression in its comment, so the result does not depend on the buffers.
     """
-    grid, a, b = work.grid, work.u, work.ux
+    grid, k, a, b = work.grid, work.model.degree, work.u, work.ux
     ixi = _derivative_multiplier(grid, 1)
-    if work.model is Model.CH:
-        p_mult = grid.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
-        # transport -u u_x written as -(u^2)'/2
-        transport_mult = grid.multiplier("ch_transport", lambda _: -0.5 * ixi)
-        # u and u_x are each read once: square them in place
-        u2 = work.transform_product(work.products[0], np.multiply(a, a, out=a))
-        ux2 = work.transform_product(work.products[1], np.multiply(b, b, out=b))
-        # nonlocal: p_mult * (u2 + 0.5 * ux2)
-        ux2 *= 0.5
-        ux2 += u2
-        ux2 *= p_mult
-        # transport: (-0.5 * ixi) * u2
-        u2 *= transport_mult
-        return u2, ux2
-    neg_helm = grid.multiplier("neg_helmholtz", lambda _: -_helmholtz_multiplier(grid))
-    # transport -u^2 u_x written as -(u^3)'/3
-    transport_mult = grid.multiplier("novikov_transport", lambda _: -(1.0 / 3.0) * ixi)
-    u3 = work.transform_product(work.products[0], a, a, a)
-    uux2 = work.transform_product(work.products[1], a, b, b)
-    ux3 = work.transform_product(work.products[2], b, b, b)
-    # nonlocal: -helm * (0.5 * ux3 + ixi * (1.5 * uux2 + u3))
-    uux2 *= 1.5
-    uux2 += u3
-    uux2 *= ixi
-    ux3 *= 0.5
-    ux3 += uux2
-    ux3 *= neg_helm
-    # transport: (-(1/3) * ixi) * u3
-    u3 *= transport_mult
-    return u3, ux3
+    p_mult = grid.multiplier("p_op", lambda xi: -1j * xi / (1.0 + xi**2))
+    # transport -u^k u_x written as -(u^{k+1})'/(k+1)
+    transport_mult = grid.multiplier(("transport", k), lambda _: -(1.0 / (k + 1)) * ixi)
+    power = work.transform_product(work.products[0], *(a,) * (k + 1))
+    cross = work.transform_product(work.products[1], *(a,) * (k - 1), b, b)
+    # nonlocal: p_mult * (power + ((2k - 1)/2) * cross) - ((k - 1)/2 * helm) * cube
+    cross *= (2 * k - 1) / 2
+    cross += power
+    cross *= p_mult
+    if k >= 2:
+        cube = work.transform_product(work.products[2], *(a,) * (k - 2), b, b, b)
+        cube *= grid.multiplier(("cube", k), lambda _: (k - 1) / 2 * _helmholtz_multiplier(grid))
+        cross -= cube
+    # transport: (-(1/(k+1)) * ixi) * power
+    power *= transport_mult
+    return power, cross
 
 
 def rhs(u: Field, model: Model) -> Field:
@@ -384,9 +383,8 @@ def _evolve(grid: Grid, F0, model: Model, config: SolverConfig, on_sample=None) 
             slope = _sup(work.ux)
             if slope > BLOWUP_SLOPE:
                 raise BlowUp(t, slope)
-            if model is Model.NOVIKOV:
-                speed *= speed
-            rate = speed * grid.xi_max + slope
+            # speed^k by repeated multiplication: pow need not round like x * x
+            rate = math.prod((speed,) * model.degree) * grid.xi_max + slope
             dt = min(config.dt_max, target - t)
             if rate > 0.0:
                 dt = min(dt, CFL * RK4_IMAGINARY_LIMIT / rate)

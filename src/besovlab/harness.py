@@ -293,8 +293,7 @@ def run_nonuniform(config: ExperimentConfig) -> ExperimentReport:
     grid = config.make_grid()
     cutoffs = build_cutoffs(grid)
     bump = build_bump(grid)
-    limit_quad, limit_cub = product_limits(bump)
-    limit = limit_quad if config.model is Model.CH else limit_cub
+    limit = product_limits(bump)[config.model.degree - 1]
     floor = LOWER_BOUND_FRACTION * limit  # of every D_n(t) / t, t > 0
     solver = SolverConfig(sample_times=config.t_values)
     report = ExperimentReport(
@@ -411,11 +410,11 @@ def _nonuniform_members(config, bump, cutoffs, solver) -> list:
 
 def _member_pieces(model: Model, fam, cutoffs: CutoffPair) -> tuple:
     """A member's decomposition pieces, the norms of the first-order
-    decomposition of its solution-map gap (the driving product and the
-    corrections, which sum to correction_total), and its perturbation's
-    B^{3/2}_{2,1} norm, from the family's spectra.  Each piece is formed on
-    coefficients and reduced to its norm before the next is built; the RHS
-    workspace comes last."""
+    decomposition of its solution-map gap (the driving product g^k packet',
+    g the perturbation and k = model.degree, and the corrections, which sum
+    to correction_total), and its perturbation's B^{3/2}_{2,1} norm, from the
+    family's spectra.  Each piece is formed on coefficients and reduced to
+    its norm before the next is built; the RHS workspace comes last."""
     grid, packet, g = fam.grid, fam.packet_hat, fam.perturbation_hat(model)
     u = packet + g
     ixi = _derivative_multiplier(grid, 1)
@@ -424,14 +423,14 @@ def _member_pieces(model: Model, fam, cutoffs: CutoffPair) -> tuple:
         "product_b321": float(_besov_norm(profile, B321)),
         "product_b32inf": float(_besov_norm(profile, B32INF)),
     }
+    k = model.degree
     corrections = {}
-    if model is Model.CH:
-        cross = float(_coeff_norm(_dealias(grid, 2, u, ixi * g), cutoffs))
-    else:
-        mixed = float(_coeff_norm(_dealias(grid, 3, packet, g, ixi * packet), cutoffs))
-        corrections["mixed_cross"] = 2.0 * mixed
-        cross = float(_coeff_norm(_dealias(grid, 3, u, u, ixi * g), cutoffs))
-    corrections["transport_cross"] = cross
+    for j in range(1, k):  # the binomial middle terms of (packet + g)^k packet'
+        mixed = _dealias(grid, k + 1, *(packet,) * (k - j), *(g,) * j, ixi * packet)
+        term = math.comb(k, j) * float(_coeff_norm(mixed, cutoffs))
+        corrections["mixed_cross"] = corrections.get("mixed_cross", 0.0) + term
+    cross = _dealias(grid, k + 1, *(u,) * k, ixi * g)
+    corrections["transport_cross"] = float(_coeff_norm(cross, cutoffs))
     work = _Workspace(grid, model)
     # the nonlocal parts at u0 and at the packet: P(u0) - P(packet) or Q(...)
     nonlocal_diff = _rhs_hat(u, work)[1].copy()
@@ -473,7 +472,7 @@ def _member_entry(n: int, fam, traj_pert, traj_base, pieces_and_norm, drift: flo
 
 def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, floor):
     ns = sorted(pert_norms)
-    expected = 0.5 if config.model is Model.CH else 2.0**-0.5
+    expected = 2.0 ** (-1.0 / config.model.degree)
     if len(ns) >= 2:
         worst = 0.0
         for a, b in zip(ns, ns[1:]):
@@ -679,28 +678,31 @@ def _datum_norms(grid: Grid, F0: np.ndarray, cutoffs: CutoffPair) -> dict:
 
 def _remainder_bound(model: Model, norms: dict) -> float:
     """Norm functional bounding the second-order Taylor remainder, from the
-    datum's norms (_datum_norms).
+    datum's norms (_datum_norms), keyed by model.degree: the paper's
+    estimate for each equation, not one formula in k.
 
-    Quadratic model:
+    k = 1 (CH):
         1 + ||u||_C01^2 ||u||_{B^{5/2}} +
         ||u||_inf (||u||_{B^{5/2}} + (||u||_inf + ||u||_C01^2) ||u||_{B^{7/2}})
-    Cubic model:
+    k = 2 (Novikov):
         1 + ||u||_C01^2 ||u||_{B^{5/2}} + ||u||_C01^4 ||u||_{B^{7/2}}
     """
     lip, sup, b52, b72 = norms["lip"], norms["sup"], norms["b52"], norms["b72"]
-    if model is Model.CH:
-        return 1.0 + lip**2 * b52 + sup * (b52 + (sup + lip**2) * b72)
-    return 1.0 + lip**2 * b52 + lip**4 * b72
+    return {
+        1: lambda: 1.0 + lip**2 * b52 + sup * (b52 + (sup + lip**2) * b72),
+        2: lambda: 1.0 + lip**2 * b52 + lip**4 * b72,
+    }[model.degree]()
 
 
 def _first_order_size(model: Model, norms: dict) -> float:
     """t-linear bound on ||S_t(u0) - u0|| in B^{3/2}_{2,1} from the datum's
     norms (shape only; the frozen FIRST_ORDER_CONSTANT absorbs the implied
-    constant)."""
+    constant), keyed by model.degree like _remainder_bound."""
     b32, b52, lip, sup = norms["b32"], norms["b52"], norms["lip"], norms["sup"]
-    if model is Model.CH:
-        return b32**2 + (sup + lip**2) * b52
-    return b32**3 + lip**2 * b52
+    return {
+        1: lambda: b32**2 + (sup + lip**2) * b52,
+        2: lambda: b32**3 + lip**2 * b52,
+    }[model.degree]()
 
 
 # --- validation suite -------------------------------------------------------

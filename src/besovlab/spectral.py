@@ -338,11 +338,10 @@ def helmholtz_inverse(f: Field) -> Field:
 
 
 def _padded_grid(grid: Grid, total_degree: int) -> Grid:
-    # 3/2-rule padding for quadratic terms, factor 2 for cubic terms; both
-    # keep the retained band |xi| < xi_max alias-free even at full bandwidth.
-    if total_degree == 2:
-        return grid.padded(3, 2)
-    return grid.padded(2, 1)
+    # (d+1)/2 N points keep a degree-d product alias-free on the retained
+    # band |xi| < xi_max even at full bandwidth: the 3/2 rule for quadratic
+    # terms, factor 2 for cubic ones.
+    return grid.padded(total_degree + 1, 2)
 
 
 def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid, work=None, out=None) -> np.ndarray:

@@ -89,8 +89,8 @@ class PacketFamily:
     n: int
     grid: Grid
     packet_hat: np.ndarray
-    fast_hat: np.ndarray  # (12/17) 2^{-n} bump_hat; perturbs the quadratic model
-    slow_hat: np.ndarray  # (12/17) 2^{-n/2} bump_hat; perturbs the cubic model
+    fast_hat: np.ndarray  # (12/17) 2^{-n} bump_hat; perturbs CH (k = 1)
+    slow_hat: np.ndarray  # (12/17) 2^{-n/2} bump_hat; perturbs Novikov (k = 2)
     carrier: float  # snapped modulation frequency
     snap_error: float
 
@@ -103,7 +103,9 @@ class PacketFamily:
         return _to_field(self.grid, self.fast_hat)
 
     def perturbation_hat(self, model: Model) -> np.ndarray:
-        return self.fast_hat if model is Model.CH else self.slow_hat
+        """(12/17) 2^{-n/k} bump_hat, k = model.degree: fast_hat for CH,
+        slow_hat for Novikov."""
+        return (self.fast_hat, self.slow_hat)[model.degree - 1]
 
 
 def carrier_frequency(grid: Grid, n: int) -> tuple[float, float]:
@@ -175,8 +177,7 @@ def make_packets(bump: Field, n: int) -> PacketFamily:
     xi = grid.xi
     packet_hat = 2.0 ** (-1.5 * n) * (bump_hat(xi - omega) - bump_hat(xi + omega)) / 2j
     hat = bump_hat(xi)
-    fast_hat = (12.0 / 17.0) * 2.0 ** (-float(n)) * hat
-    slow_hat = (12.0 / 17.0) * 2.0 ** (-0.5 * n) * hat
+    fast_hat, slow_hat = ((12.0 / 17.0) * 2.0 ** (-n / k) * hat for k in (1, 2))
     for arr in (packet_hat, fast_hat, slow_hat):
         arr.flags.writeable = False
     return PacketFamily(
@@ -191,26 +192,26 @@ def make_packets(bump: Field, n: int) -> PacketFamily:
 
 
 def _driving_product(grid: Grid, model: Model, packet_hat, pert_hat) -> np.ndarray:
-    """Coefficients of the dealiased term driving the model's gap, from the
-    packet's and the model's perturbation's coefficients: bump_fast * packet'
-    for the quadratic model, bump_slow^2 * packet' for the cubic one."""
-    slope = _derivative_multiplier(grid, 1) * packet_hat
-    if model is Model.CH:
-        return _dealias(grid, 2, pert_hat, slope)
-    return _dealias(grid, 3, pert_hat, pert_hat, slope)
+    """Coefficients of the dealiased term g^k packet', k = model.degree,
+    driving the model's gap, from the packet's and its perturbation g's
+    coefficients: bump_fast * packet' for CH, bump_slow^2 * packet' for Novikov."""
+    k = model.degree
+    return _dealias(grid, k + 1, *(pert_hat,) * k, _derivative_multiplier(grid, 1) * packet_hat)
 
 
 def product_limits(bump: Field) -> tuple[float, float]:
-    """Large-n limits of the rescaled cross-product norms, by quadrature.
+    """Large-n limits of the rescaled cross-product norms, by quadrature, at
+    k = 1 (CH) and 2 (Novikov).
 
-    The quadratic product tends to 2^{-1/2} ||phi^2||_{L^2} in B^{3/2}_{2,inf}
-    and the cubic one to (12/17) 2^{-1/2} ||phi^3||_{L^2}; both follow from
-    averaging the squared carrier over the envelope.
+    The product of degree k tends to (12/17)^{k-1} 2^{-1/2} ||phi^{k+1}||_{L^2}
+    in B^{3/2}_{2,inf}, by averaging the squared carrier over the envelope.
     """
-    dx = bump.grid.dx
-    norm_sq = math.sqrt(dx * float(np.sum(bump.samples**4)))
-    norm_cu = math.sqrt(dx * float(np.sum(bump.samples**6)))
-    return norm_sq / math.sqrt(2.0), (12.0 / 17.0) * norm_cu / math.sqrt(2.0)
+
+    def limit(k):
+        norm = math.sqrt(bump.grid.dx * float(np.sum(bump.samples ** (2 * k + 2))))
+        return (12.0 / 17.0) ** (k - 1) * norm / math.sqrt(2.0)
+
+    return limit(1), limit(2)
 
 
 def ring_membership(cutoffs: CutoffPair, center: float, width: float):
@@ -254,17 +255,11 @@ def scaling_report(bump: Field, n: int, cutoffs: CutoffPair) -> dict:
     fam = make_packets(bump, n)
     grid = bump.grid
     two = 2.0
-    packet, fast, slow = fam.packet_hat, fam.fast_hat, fam.slow_hat
+    packet = fam.packet_hat
 
     def norm(coeffs, idx=B321):
         return float(_coeff_norm(coeffs, cutoffs, idx))
 
-    quad = _driving_product(grid, Model.CH, packet, fast)
-    cub = _driving_product(grid, Model.NOVIKOV, packet, slow)
-    lim_quad, lim_cub = product_limits(bump)
-
-    members_quad = ring_membership(cutoffs, fam.carrier, 1.0)
-    members_cub = ring_membership(cutoffs, fam.carrier, 1.5)
     members_packet = ring_membership(cutoffs, fam.carrier, 0.5)
 
     phi_l2 = bump.l2_norm()
@@ -279,44 +274,40 @@ def scaling_report(bump: Field, n: int, cutoffs: CutoffPair) -> dict:
         "bump_sup": bump.max_abs(),
         "sup_packet_scaled": float(_coeff_sup(grid, packet)) * two ** (1.5 * n),
         "sup_packet_slope_scaled": float(_slope_sup(grid, packet)) * two ** (0.5 * n),
-        "sup_bump_fast_scaled": float(_coeff_sup(grid, fast)) * two**n,
-        "sup_bump_fast_slope_scaled": float(_slope_sup(grid, fast)) * two**n,
-        "sup_bump_slow_scaled": float(_coeff_sup(grid, slow)) * two ** (0.5 * n),
-        "sup_bump_slow_slope_scaled": float(_slope_sup(grid, slow)) * two ** (0.5 * n),
-        "bump_fast_b32_norm": norm(fast),
-        "bump_fast_b32_exact": (12.0 / 17.0) * two ** (-(n + 1.5)) * low_block_l2,
-        "bump_slow_b32_norm": norm(slow),
-        "bump_slow_b32_exact": (12.0 / 17.0) * two ** (-(0.5 * n + 1.5)) * low_block_l2,
         "phi_l2": phi_l2,
         "packet_besov_scaled": {
             str(s): norm(packet, BesovIndex(s, 2, 1)) * two ** ((1.5 - s) * n)
             for s in (1.5, 2.5, 3.5)
         },
-        "quad_product_b32inf": norm(quad, B32INF),
-        "quad_product_b321": norm(quad),
-        "quad_product_limit": lim_quad,
-        "cubic_product_b32inf": norm(cub, B32INF),
-        "cubic_product_b321": norm(cub),
-        "cubic_product_limit": lim_cub,
         "ring_membership_packet": members_packet,
-        "ring_membership_quad": members_quad,
-        "ring_membership_cubic": members_cub,
         "localization_residual_packet": localization_residual(packet, cutoffs, members_packet),
-        "localization_residual_quad": localization_residual(quad, cutoffs, members_quad),
-        "localization_residual_cubic": localization_residual(cub, cutoffs, members_cub),
     }
-    report["checks"] = {
+    checks = {
         "snap_within_budget": bool(report["snap_error"] < report["snap_budget"]),
-        "bump_fast_b32_matches": _close(
-            report["bump_fast_b32_norm"], report["bump_fast_b32_exact"], 1e-10
-        ),
-        "bump_slow_b32_matches": _close(
-            report["bump_slow_b32_norm"], report["bump_slow_b32_exact"], 1e-10
-        ),
-        "localization_quad": bool(report["localization_residual_quad"] < 1e-12),
-        "localization_cubic": bool(report["localization_residual_cubic"] < 1e-12),
         "localization_packet": bool(report["localization_residual_packet"] < 1e-12),
     }
+    limits = product_limits(bump)
+    labels = {Model.CH: ("fast", "quad"), Model.NOVIKOV: ("slow", "cubic")}
+    for model, (bump_label, label) in labels.items():
+        # the perturbation g = (12/17) 2^{-n/k} phi of degree k, and its product
+        k, g = model.degree, fam.perturbation_hat(model)
+        b32, exact = norm(g), (12.0 / 17.0) * two ** (-(n / k + 1.5)) * low_block_l2
+        report[f"sup_bump_{bump_label}_scaled"] = float(_coeff_sup(grid, g)) * two ** (n / k)
+        report[f"sup_bump_{bump_label}_slope_scaled"] = float(_slope_sup(grid, g)) * two ** (n / k)
+        report[f"bump_{bump_label}_b32_norm"] = b32
+        report[f"bump_{bump_label}_b32_exact"] = exact
+        checks[f"bump_{bump_label}_b32_matches"] = _close(b32, exact, 1e-10)
+        product = _driving_product(grid, model, packet, g)
+        # g^k packet' spreads the carrier's band by (k + 1)/2
+        members = ring_membership(cutoffs, fam.carrier, 0.5 * (k + 1))
+        residual = localization_residual(product, cutoffs, members)
+        report[f"{label}_product_b32inf"] = norm(product, B32INF)
+        report[f"{label}_product_b321"] = norm(product)
+        report[f"{label}_product_limit"] = limits[k - 1]
+        report[f"ring_membership_{label}"] = members
+        report[f"localization_residual_{label}"] = residual
+        checks[f"localization_{label}"] = bool(residual < 1e-12)
+    report["checks"] = checks
     return report
 
 

@@ -28,7 +28,15 @@ from besovlab import harness
 from besovlab.harness import B321, SMALL_TIME_CONSTANT, smooth_profile
 from besovlab.besov import _besov_norm, _lp_profile, lipschitz_norm
 from besovlab.dynamics import RK4_IMAGINARY_LIMIT, _Workspace, _evolve, _h1_energy, _rhs_hat
-from besovlab.spectral import _coeffs, _from_padded, _ifft, _to_field, _to_padded
+from besovlab.spectral import (
+    _coeffs,
+    _derivative_multiplier,
+    _fft,
+    _from_padded,
+    _ifft,
+    _to_field,
+    _to_padded,
+)
 
 
 def b321_hat(coeffs, cutoffs):
@@ -144,6 +152,19 @@ class TestModelRhs:
         u = Field(trig_grid, np.sin(trig_grid.x))
         assert np.array_equal(rhs(u, Model.CH).samples, ch_rhs(u).samples)
         assert np.array_equal(rhs(u, Model.NOVIKOV).samples, novikov_rhs(u).samples)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_rhs_is_the_generalized_camassa_holm_equation(self, model):
+        # (1 - d2/dx2) u_t = -(k+2) u^k u_x + (k+1) u^{k-1} u_x u_xx + u^k u_xxx
+        # at k = model.degree, the equation's local form: derivatives taken
+        # spectrally, products pointwise
+        g = Grid(2**12, 32 * math.pi)
+        u = smooth_profile(g)
+        k, v, F = model.degree, u.samples, _coeffs(u)
+        ux, uxx, uxxx = (_ifft(g, _derivative_multiplier(g, m) * F) for m in (1, 2, 3))
+        local = _fft(g, -(k + 2) * v**k * ux + (k + 1) * v ** (k - 1) * ux * uxx + v**k * uxxx)
+        helmholtz_of_rhs = (1.0 + g.xi**2) * _coeffs(rhs(u, model))
+        assert np.abs(helmholtz_of_rhs - local).max() <= 1e-10 * np.abs(local).max()
 
 
 def remainder_bound(u, model, cutoffs):

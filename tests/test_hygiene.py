@@ -310,6 +310,45 @@ def test_block_reach_has_one_owner():
     assert [f.split(":")[1] for f in block_edge_copies(probe, "probe")] == ["2", "3", "4", "7"]
 
 
+MODEL_MEMBERS = {"CH", "NOVIKOV"}
+
+
+def _is_model_member(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr in MODEL_MEMBERS
+            and isinstance(node.value, ast.Name) and node.value.id == "Model")
+
+
+def model_identity_tests(source: str, name: str) -> list:
+    """Places in source that compare with Model.CH or Model.NOVIKOV (is,
+    is not, ==, !=, ...), on either side, or test membership in a literal
+    tuple, list or set holding one."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        operands += [e for o in operands if isinstance(o, (ast.Tuple, ast.List, ast.Set))
+                     for e in o.elts]
+        if any(_is_model_member(operand) for operand in operands):
+            faults.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    return faults
+
+
+def test_model_identity_has_one_owner():
+    # both models are the generalized CH equation: code reads Model.degree,
+    # and only the enum says which degree each member has
+    sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    faults = [f for path in sources for f in model_identity_tests(path.read_text(), path.name)]
+    assert faults == []
+    probe = ("a = 2 if model is Model.CH else 3\n"
+             "if Model.NOVIKOV == config.model:\n"
+             "    b = model in (Model.CH, None)\n"
+             "c = model is not Model.NOVIKOV\n"
+             "d = rhs(u, Model.CH), model.degree == 1, Other.CH is model, x in [y]\n")
+    lines = sorted(int(f.split(":")[1]) for f in model_identity_tests(probe, "probe"))
+    assert lines == [1, 2, 3, 4]
+
+
 def unpassed_defaults(functions, sources) -> list:
     """Parameters with a default of functions that no call in sources (source
     texts) passes, by keyword or positionally at the parameter's index; a
