@@ -82,7 +82,9 @@ SUBCOMMANDS = {
         ("--t-min", dict(type=float)),
         ("--t-max", dict(type=float)),
         ("--points", dict(type=int)),
-        *_with_help(_GRID, "--grid-n", "the smooth datum evolves on a coarser grid (see README)"),
+        *_with_help(_GRID, "--grid-n", "points of the grid the norms are taken on; each datum"
+                    " evolves on the coarsest grid that holds its third harmonic, never a finer"
+                    " one (see README)"),
         _OUT,
     ]),
 }

@@ -55,7 +55,6 @@ from .spectral import (
     _power,
     _real_ifft,
     _slope_sup,
-    _xi_max,
 )
 from .wavepackets import (
     build_bump,
@@ -65,6 +64,8 @@ from .wavepackets import (
     modulation_identity_residual,
     product_limits,
     scaling_report,
+    _band_top,
+    _coarsest_points,
     _driving_product,
 )
 
@@ -91,12 +92,13 @@ PARTITION_DRAWS = 1_000_000
 # 2^17); smaller blocks save under 2 MB a pass and take 10-33% longer (BENCH_29.json).
 ROW_BLOCK_SAMPLES = 2**15
 
-# Fewest points of run_taylor_check's default grid, which the packet pair
-# evolves on and both data's norms are taken on.  The remainder bound reads
-# sup and Lipschitz norms off the samples, so it moves with the sample
-# points (8e-8 relative for the Novikov packet pair n = 6 between 2^15 and
-# 12288 points), and perfbench's taylor-novikov workload, which leaves
-# grid_points unset, compares it at 1e-10 with a reference taken on 2^15.
+# Fewest points of run_taylor_check's default grid, the grid both data's
+# norms are taken on; each datum evolves on its own _run_grid.  The
+# remainder bound reads sup and Lipschitz norms off the samples, so it moves
+# with the sample points (8e-8 relative for the Novikov packet pair n = 6
+# between 2^15 and 12288 points), and perfbench's taylor-novikov workload,
+# which leaves grid_points unset, compares it at 1e-10 with a reference
+# taken on 2^15.
 TAYLOR_MIN_POINTS = 2**15
 
 # Calibrated constants, frozen after one-off measurement on the seed-0
@@ -488,9 +490,11 @@ def _aggregate_nonuniform_checks(report, config, gaps, pert_norms, floor):
             report.add_bound(f"lower_bound_t{t}", min(values), at_least=floor)
 
 
-# Width w of smooth_profile's Gaussian, which also sets the grid the Taylor
-# check evolves it on (_smooth_grid).
+# Width w of smooth_profile's Gaussian, and the frequency where its
+# spectrum ~ e^{-w^2 xi^2 / 2} falls to rounding (4.245 at w = 2), which
+# sizes the grid the Taylor check evolves it on (_run_grid).
 SMOOTH_WIDTH = 2.0
+SMOOTH_TOP = math.sqrt(2.0 * math.log(1.0 / np.finfo(float).eps)) / SMOOTH_WIDTH
 
 
 def smooth_profile(grid: Grid) -> Field:
@@ -518,13 +522,16 @@ def run_taylor_check(
     ladder takes one step per rung for both data.  That moves every
     remainder by less than 5e-13 of the datum's norm from a run at
     dt_max = t_min/8 (packet_n = 6, both models: the packet pair at most
-    6.4e-14 on the default 2^15 points, 3.0e-14 on 12288; the smooth datum
-    4.4e-13 for CH, below 1e-16 for Novikov).  Without config.grid_points
-    the grid is the smallest that resolves packet_n, but no smaller than
-    TAYLOR_MIN_POINTS; the packet pair evolves on it, and both data's norms,
-    which set the remainder bounds, are taken on it.  The smooth datum
-    evolves on _smooth_grid(grid) (1024 points at L = 32 pi) from grid's
-    first coefficients; each per_n entry records its run's "grid_points".
+    2.8e-15 on its 24576 points; the smooth datum 4.4e-13 for CH, below
+    1e-16 for Novikov).  Without config.grid_points the grid is the
+    smallest that resolves packet_n, but no smaller than TAYLOR_MIN_POINTS;
+    both data's norms, which set the remainder bounds, are taken on it.
+    Each datum evolves from grid's first coefficients on _run_grid(grid,
+    top), the coarsest grid of the box that holds its third harmonic, top
+    its highest frequency; at L = 32 pi and the default grid the packet
+    pair runs on 12288 points for n = 5, 24576 for n = 6 and grid itself
+    for n >= 7, the smooth datum on 1024.  Each per_n entry records its
+    run's "grid_points".
     The two data are evolved on worker threads as in run_nonuniform.
     Raises ValueError naming the setting unless points and packet_n are
     integers, t_min and t_max real numbers (bool counts as neither),
@@ -573,9 +580,10 @@ def run_taylor_check(
         extras={"model": config.model.value, "ladder": [float(t) for t in ladder]},
     )
 
+    pair = fam.packet_hat + fam.fast_hat
     data = [
-        ("smooth", _fft(grid, smooth_profile(grid).samples), _smooth_grid(grid)),
-        (f"packet_pair_n{packet_n}", fam.packet_hat + fam.fast_hat, grid),
+        ("smooth", _fft(grid, smooth_profile(grid).samples), _run_grid(grid, SMOOTH_TOP)),
+        (f"packet_pair_n{packet_n}", pair, _run_grid(grid, _band_top(packet_n))),
     ]
     results = _map_items(
         lambda datum: _taylor_datum(config.model, grid, datum[1], datum[2], solver, cutoffs, ladder),
@@ -604,18 +612,18 @@ def run_taylor_check(
     return report
 
 
-def _smooth_grid(grid: Grid) -> Grid:
-    """The grid the smooth datum evolves on: the coarsest power of two of
-    grid's box whose xi_max is at least twice the frequency where the
-    spectrum of smooth_profile's cube, ~ e^{-w^2 xi^2 / 6}, falls to rounding
-    (14.7 at w = 2: 1024 points at L = 32 pi), or grid itself when that is
-    no coarser.  A finer grid adds only rounding noise to the high blocks,
-    which the 2^{3j/2} weight lifts about like N^3 (README)."""
-    xi_need = 2.0 * math.sqrt(6.0 * math.log(1.0 / np.finfo(float).eps)) / SMOOTH_WIDTH
-    num = 16
-    while num < grid.num_points and _xi_max(num, grid.half_length) < xi_need:
-        num *= 2
-    return Grid(num, grid.half_length) if num < grid.num_points else grid
+def _run_grid(grid: Grid, top: float) -> Grid:
+    """The grid a Taylor datum evolves on: the coarsest of grid's box, of
+    2^a or 3*2^a points, whose xi_max is at least 3 top, top the highest
+    frequency of the datum's spectrum; or grid itself when that is no
+    coarser.  The grid holds the harmonics that rhs feeds (up to 2 top for
+    CH, 3 top for Novikov) and CH's second-order ones (3 top); Novikov's
+    second order reaches 5 top, which it drops at 5e-16 of the datum's norm
+    for the packet pair n = 6 and 1.2e-14 for n = 5 (README).  A finer grid
+    adds only rounding noise to the high blocks, which the 2^{3j/2} weight
+    lifts about like N^3."""
+    num = _coarsest_points(grid.half_length, lambda xi_max: xi_max >= 3.0 * top)
+    return Grid(num, grid.half_length) if num is not None and num < grid.num_points else grid
 
 
 def _taylor_datum(
@@ -625,10 +633,11 @@ def _taylor_datum(
     its remainder (F - F0) - t R at every rung of ladder (the solver's sample
     times), R the RHS spectrum at F0, and its report entry.  The datum's
     norms, which set its remainder bound, are taken on grid; the run and its
-    remainders on run_grid, a grid of the same box no finer than grid, whose
-    coefficients are the first ones of F0.  R's workspace is freed before
-    the run starts, and F0 is the run's t = 0 sample.  Each rung's norms are
-    taken as its sample F lands, so the datum holds one sample at a time."""
+    remainders on run_grid (_run_grid), a grid of the same box no finer than
+    grid, whose coefficients are the first ones of F0.  R's workspace is
+    freed before the run starts, and F0 is the run's t = 0 sample.  Each
+    rung's norms are taken as its sample F lands, so the datum holds one
+    sample at a time."""
     norms = _datum_norms(grid, F0, cutoffs)
     bound = _remainder_bound(model, norms)
     if run_grid is not grid:

@@ -143,16 +143,26 @@ def min_points_for(n_max: int, half_length: float) -> int:
         raise ValueError(f"half_length must be positive, got {half_length}")
     if not math.isfinite(half_length):
         raise ValueError(f"half_length must be finite, got {half_length}")
+    num = _coarsest_points(half_length, lambda xi_max: _resolves(n_max, xi_max))
+    if num is None:
+        need = 3.0 * half_length * _band_top(n_max) / math.pi
+        raise ValueError(
+            f"family member n={n_max} in a box of half length L={half_length!r} "
+            f"needs N >= {need:.4g} points, above the limit {MAX_GRID_POINTS}"
+        )
+    return num
+
+
+def _coarsest_points(half_length: float, fits) -> int | None:
+    """Smallest N in {2^a, 3*2^a} (N >= 16) for which fits(xi_max) holds,
+    xi_max the Nyquist frequency of Grid(N, half_length); None when that N
+    exceeds MAX_GRID_POINTS.  The one loop that sizes grids."""
     num = 16
-    while not _resolves(n_max, _xi_max(num, half_length)):
+    while not fits(_xi_max(num, half_length)):
         # 2^a -> 3*2^(a-1) -> 2^(a+1)
         num = num * 3 // 2 if num & (num - 1) == 0 else num * 4 // 3
         if num > MAX_GRID_POINTS:
-            need = 3.0 * half_length * _band_top(n_max) / math.pi
-            raise ValueError(
-                f"family member n={n_max} in a box of half length L={half_length!r} "
-                f"needs N >= {need:.4g} points, above the limit {MAX_GRID_POINTS}"
-            )
+            return None
     return num
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from besovlab import Grid, Model, harness
-from besovlab.besov import B321, _cutoff_row, _j_max, besov_norm, build_cutoffs
+from besovlab.besov import B321, _coeff_norm, _cutoff_row, _j_max, besov_norm, build_cutoffs
 from besovlab.cli import main as cli_main
 from besovlab.harness import (
     CSV_HEADER,
@@ -25,6 +25,7 @@ from besovlab.harness import (
     run_validation_suite,
     _map_items,
 )
+from besovlab.wavepackets import _band_top
 
 # small but honest experiment: n = 4, 5 on the 2^13 grid finish in seconds
 SMALL = dict(n_values=(4, 5), grid_points=2**13)
@@ -389,7 +390,7 @@ class TestTaylorCheck:
             return real_rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
-        for run_grid in (grid, harness._smooth_grid(grid)):
+        for run_grid in (grid, harness._run_grid(grid, harness.SMOOTH_TOP)):
             lengths.clear()
             F0 = _fft(grid, harness.smooth_profile(grid).samples)
             harness._taylor_datum(model, grid, F0, run_grid, solver, cutoffs, ladder)
@@ -411,29 +412,72 @@ class TestTaylorCheck:
             return report.per_n["smooth"]["grid_points"], np.array(rows)
 
         points, coarse = smooth_remainders()
-        monkeypatch.setattr(harness, "_smooth_grid", lambda g: Grid(2 * points, g.half_length))
+        real_run_grid = harness._run_grid
+        monkeypatch.setattr(harness, "_run_grid", lambda g, top: Grid(2 * points, g.half_length)
+                            if top == harness.SMOOTH_TOP else real_run_grid(g, top))
         fine_points, fine = smooth_remainders()
         assert fine_points == 2 * points == 2048
         assert np.abs(fine - coarse).max() <= 1e-14 * datum_norm
 
     @pytest.mark.parametrize("model", list(Model))
     def test_default_ladder_one_step_per_rung(self, model):
-        # each datum records the grid it evolved on: the packet pair the
-        # config grid, the smooth datum its own 1024 points at L = 32 pi
+        # each datum records the grid it evolved on, the coarsest that holds
+        # its third harmonic at L = 32 pi; the norms stay on the config grid
         report = run_taylor_check(ExperimentConfig(model=model))
         steps = {label: entry["solver"]["steps"] for label, entry in report.per_n.items()}
         assert steps == {"smooth": 8, "packet_pair_n6": 8}
         points = {label: entry["grid_points"] for label, entry in report.per_n.items()}
-        assert points == {"smooth": 1024, "packet_pair_n6": report.grid["num_points"]}
+        assert points == {"smooth": 1024, "packet_pair_n6": 24576}
         assert report.grid["num_points"] == 2**15
 
     def test_smooth_datum_never_upsampled(self):
-        # a config grid coarser than the smooth datum's rule runs it as given
+        # a config grid coarser than a datum's rule grid runs it as given
+        # (the packet pair n = 1 needs 768 points)
         report = run_taylor_check(ExperimentConfig(model=Model.CH, grid_points=512),
                                   t_min=1e-3, t_max=1e-2, points=3, packet_n=1)
         assert report.per_n["smooth"]["grid_points"] == report.grid["num_points"] == 512
+        assert report.per_n["packet_pair_n1"]["grid_points"] == 512
         grid = Grid(512, 32 * math.pi)
-        assert harness._smooth_grid(grid) is grid
+        assert harness._run_grid(grid, harness.SMOOTH_TOP) is grid
+        assert harness._run_grid(Grid(2**15, 32 * math.pi), _band_top(1)).num_points == 768
+
+    def test_run_grid_holds_third_harmonic(self):
+        # the coarsest 2^a or 3 * 2^a points whose xi_max = N / 64 is at least
+        # 3 top at L = 32 pi, or the config grid when that is no coarser
+        grid = Grid(2**15, 32 * math.pi)
+        picks = {label: harness._run_grid(grid, top).num_points for label, top in (
+            ("smooth", harness.SMOOTH_TOP), *((n, _band_top(n)) for n in (5, 6)))}
+        assert picks == {"smooth": 1024, 5: 12288, 6: 24576}
+        assert harness.SMOOTH_TOP == pytest.approx(4.245, abs=1e-3)
+        assert harness._run_grid(grid, _band_top(7)) is grid
+        assert harness._run_grid(Grid(2**16, 32 * math.pi), _band_top(7)).num_points == 49152
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("packet_n, tol", [(6, 1e-14), (5, 2e-14)])
+    def test_packet_pair_run_grid_matches_finer_grid(self, model, packet_n, tol):
+        # the pair on its run grid against a run on 2^16 points, norms on
+        # 2^15: n = 6 agrees to 5.1e-16 (Novikov) and 1.6e-15 (CH) of the
+        # datum's norm; n = 5 Novikov misses by 1.2e-14, its remainder's
+        # fifth harmonic (232) lying above 12288's xi_max = 192
+        from besovlab import SolverConfig, build_bump, make_packets
+
+        ladder = np.geomspace(1e-3, 1e-1, 8)
+        solver = SolverConfig(sample_times=tuple(ladder))
+
+        def pair_remainders(grid, run_grid):
+            fam = make_packets(build_bump(grid), packet_n)
+            F0 = fam.packet_hat + fam.fast_hat
+            cutoffs = build_cutoffs(grid)
+            r, _ = harness._taylor_datum(model, grid, F0, run_grid, solver, cutoffs, ladder)
+            return np.array(r), float(_coeff_norm(F0, cutoffs))
+
+        grid = Grid(2**15, 32 * math.pi)
+        run_grid = harness._run_grid(grid, _band_top(packet_n))
+        assert run_grid.num_points == {5: 12288, 6: 24576}[packet_n]
+        coarse, datum_norm = pair_remainders(grid, run_grid)
+        fine_grid = Grid(2**16, 32 * math.pi)
+        fine, _ = pair_remainders(fine_grid, fine_grid)
+        assert np.abs(coarse - fine).max() <= tol * datum_norm
 
     def test_grid_sized_from_packet_n(self):
         # without grid_points the grid is the smallest that resolves packet_n;

@@ -310,6 +310,48 @@ def test_block_reach_has_one_owner():
     assert [f.split(":")[1] for f in block_edge_copies(probe, "probe")] == ["2", "3", "4", "7"]
 
 
+# (file, function) allowed to call spectral._xi_max: the Grid it describes
+# and the one loop that sizes grids
+XI_MAX_OWNERS = {("spectral.py", "Grid.__init__"), ("wavepackets.py", "_coarsest_points")}
+
+
+def xi_max_calls(source: str, name: str) -> list:
+    """Calls of _xi_max in source outside XI_MAX_OWNERS, a function named
+    by its dotted path through the classes and functions that enclose it."""
+    faults = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call) and _called_name(child) == "_xi_max"
+                    and (name, scope) not in XI_MAX_OWNERS):
+                faults.append(f"{name}:{child.lineno}: {ast.unparse(child)}")
+            visit(child, scope)
+
+    visit(ast.parse(source, filename=name), "")
+    return faults
+
+
+def test_grid_sizing_has_one_owner():
+    # wavepackets._coarsest_points is the one loop that sizes a grid from
+    # its xi_max; everything else reads Grid.xi_max
+    sources = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    faults = [f for path in sources for f in xi_max_calls(path.read_text(), path.name)]
+    assert faults == []
+    probe = ("class Grid:\n"
+             "    def __init__(self, n, L):\n"
+             "        self.xi_max = _xi_max(n, L)\n"
+             "def _smooth_grid(grid):\n"
+             "    return spectral._xi_max(16, grid.half_length)\n"
+             "def _coarsest_points(L, fits):\n"
+             "    return fits(_xi_max(16, L)) or (lambda: _xi_max(24, L))()\n"
+             "x = _xi_max(8, 1.0), grid.xi_max\n")
+    assert [f.split(":")[1] for f in xi_max_calls(probe, "spectral.py")] == ["5", "7", "7", "8"]
+    assert [f.split(":")[1] for f in xi_max_calls(probe, "wavepackets.py")] == ["3", "5", "8"]
+
+
 MODEL_MEMBERS = {"CH", "NOVIKOV"}
 
 
