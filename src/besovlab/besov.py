@@ -38,8 +38,9 @@ def transition_ring(xi):
 
 def _j_max(xi_max: float) -> int:
     """Largest block index kept in sums over frequencies |xi| <= xi_max;
-    rings beyond it are entirely above xi_max and vanish identically."""
-    return int(math.ceil(math.log2(xi_max * 4.0 / 3.0))) + 1
+    rings beyond it are entirely above xi_max and vanish identically.  Never
+    below -1: the chi block holds xi = 0 on every grid."""
+    return max(-1, int(math.ceil(math.log2(xi_max * 4.0 / 3.0))) + 1)
 
 
 @dataclass(frozen=True)

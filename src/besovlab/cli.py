@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .dynamics import Model
@@ -38,11 +39,6 @@ from .harness import (
 
 def _float_list(text: str) -> tuple:
     return tuple(float(s) for s in text.split(","))
-
-
-def _with_help(flags, name, text):
-    """flags with the one called name given help text."""
-    return [(flag, dict(spec, help=text) if flag == name else spec) for flag, spec in flags]
 
 
 # Flags per subcommand.  Each flag's dest is its config-file key; a setting
@@ -82,14 +78,26 @@ SUBCOMMANDS = {
         ("--t-min", dict(type=float)),
         ("--t-max", dict(type=float)),
         ("--points", dict(type=int)),
-        *_with_help(_GRID, "--grid-n", "points of the grid the norms are taken on; each datum"
-                    " evolves on the coarsest grid that holds its third harmonic, never a finer"
-                    " one (see README)"),
+        ("--grid-n", dict(dest="grid_points", type=int,
+                          help="points of the grid the norms are taken on; each datum evolves on"
+                          " the coarsest grid that holds its third harmonic, never a finer one"
+                          " (see README)")),
+        ("--grid-l", dict(dest="half_length", type=float)),
         _OUT,
     ]),
 }
 EXTRA_KEYS = {"nonuniform": {"n_values"}}  # config-file keys without a flag
 REQUIRED = {"validate": ("seed",), "lemma31": ("n_min", "n_max", "output_dir")}
+
+
+def _check_output_dir(out: str) -> None:
+    """ValueError unless emit_outputs can write to out, read off its nearest
+    existing ancestor so that a rejected run creates nothing."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ValueError(f"--out {out}: {path} is not a writable directory")
 
 
 def _load_config(parser, path: str | None) -> dict:
@@ -163,6 +171,8 @@ def main(argv=None) -> int:
     output_dir = settings.pop("output_dir", None)
 
     try:
+        if output_dir:
+            _check_output_dir(output_dir)
         if command == "validate":
             report = run_validation_suite(**settings)
         elif command == "lemma31":
@@ -173,7 +183,7 @@ def main(argv=None) -> int:
             report = run(ExperimentConfig(**settings), **ladder)
     except (TypeError, ValueError) as err:
         # raised by the package's own argument checks (Grid, SolverConfig, the
-        # Taylor ladder) and by config values of the wrong type
+        # Taylor ladder), by an unusable --out and by config values of the wrong type
         parser.error(str(err))
     except BesovLabError as err:
         print(f"besovlab: error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -145,7 +145,7 @@ class Trajectory:
     SolverConfig."""
 
     grid: Grid
-    samples: list  # [(time, F)] (see evolve); empty when _evolve passed them to on_sample
+    samples: list  # [(time, F)] (see evolve); none kept for on_sample, emptied by run_nonuniform
     steps_taken: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
@@ -206,11 +206,11 @@ class _Workspace:
     The workspace of degree k holds the k + 1 coarse spectra of the RHS's
     products u^{k+1}, u^{k-1} u_x^2 and, at k >= 2, u^{k-2} u_x^3 (the last
     also phases u's and u_x's coefficients until its product is
-    transformed), the products' fine spectrum fine_spec, and the fine
-    samples u and ux.  At k = 1 each product squares its one factor in
-    place, as u and ux are each read once, and product is None; at k >= 2
-    the first two products each need both factors later, so a third fine
-    array, product, holds each product.
+    transformed), the products' fine spectrum fine_spec, the fine samples
+    u and ux, and product, the fine array each product is formed in.  At
+    k = 1 product is u itself, as u is read once, by the first product; at
+    k >= 2 the first two products each need both factors later, so product
+    is a third fine array.
     """
 
     def __init__(self, grid: Grid, model: Model):
@@ -222,12 +222,11 @@ class _Workspace:
         self.fine_spec = np.empty(fine.xi.shape, dtype=complex)
         self.u = np.empty(fine.num_points)
         self.ux = np.empty(fine.num_points)
-        self.product = np.empty(fine.num_points) if k >= 2 else None
+        self.product = np.empty(fine.num_points) if k >= 2 else self.u
 
     def transform_product(self, out: np.ndarray, *factors) -> np.ndarray:
-        product = factors[0] if self.product is None else self.product
         return _from_padded(
-            self.grid, self.fine, *factors, product=product, spec=self.fine_spec, out=out
+            self.grid, self.fine, *factors, product=self.product, spec=self.fine_spec, out=out
         )
 
 

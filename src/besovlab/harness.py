@@ -555,8 +555,7 @@ def run_taylor_check(
         raise ValueError(f"t_max must be finite, got {t_max}")
     if points < 2:
         raise ValueError(f"points must be at least 2 to fit a slope, got {points}")
-    ladder = np.geomspace(t_min, t_max, points)
-    solver = SolverConfig(sample_times=tuple(float(t) for t in ladder))
+    solver = SolverConfig(sample_times=np.geomspace(t_min, t_max, points))
     num_points = config.grid_points
     if num_points is None:
         num_points = max(TAYLOR_MIN_POINTS, min_points_for(packet_n, config.half_length))
@@ -577,7 +576,7 @@ def run_taylor_check(
             "packet_n": packet_n,
         },
         grid=_grid_dict(grid),
-        extras={"model": config.model.value, "ladder": [float(t) for t in ladder]},
+        extras={"model": config.model.value, "ladder": list(solver.sample_times)},
     )
 
     pair = fam.packet_hat + fam.fast_hat
@@ -586,16 +585,16 @@ def run_taylor_check(
         (f"packet_pair_n{packet_n}", pair, _run_grid(grid, _band_top(packet_n))),
     ]
     results = _map_items(
-        lambda datum: _taylor_datum(config.model, grid, datum[1], datum[2], solver, cutoffs, ladder),
+        lambda datum: _taylor_datum(config.model, grid, datum[1], datum[2], solver, cutoffs),
         data,
     )
     for (label, _, _), (remainders, entry) in zip(data, results):
-        for t, r in zip(ladder, remainders):
+        for t, r in zip(solver.sample_times, remainders):
             report.rows.append(
                 {
                     "model": config.model.value,
                     "datum": label,
-                    "t": float(t),
+                    "t": t,
                     "remainder": r,
                     "verdict": "pass",
                 }
@@ -627,17 +626,17 @@ def _run_grid(grid: Grid, top: float) -> Grid:
 
 
 def _taylor_datum(
-    model: Model, grid: Grid, F0, run_grid: Grid, solver: SolverConfig, cutoffs: CutoffPair, ladder
+    model: Model, grid: Grid, F0, run_grid: Grid, solver: SolverConfig, cutoffs: CutoffPair
 ):
     """One datum of run_taylor_check, given by its half-spectrum F0 on grid:
-    its remainder (F - F0) - t R at every rung of ladder (the solver's sample
-    times), R the RHS spectrum at F0, and its report entry.  The datum's
-    norms, which set its remainder bound, are taken on grid; the run and its
-    remainders on run_grid (_run_grid), a grid of the same box no finer than
-    grid, whose coefficients are the first ones of F0.  R's workspace is
-    freed before the run starts, and F0 is the run's t = 0 sample.  Each
-    rung's norms are taken as its sample F lands, so the datum holds one
-    sample at a time."""
+    its remainder (F - F0) - t R at every rung t of the ladder, the
+    solver's sample times (all positive), R the RHS spectrum at F0, and its
+    report entry.  The datum's norms, which set its remainder bound, are
+    taken on grid; the run and its remainders on run_grid (_run_grid), a
+    grid of the same box no finer than grid, whose coefficients are the
+    first ones of F0.  R's workspace is freed before the run starts, and F0
+    is the run's t = 0 sample.  Each rung's norms are taken as its sample F
+    lands, so the datum holds one sample at a time."""
     norms = _datum_norms(grid, F0, cutoffs)
     bound = _remainder_bound(model, norms)
     if run_grid is not grid:
@@ -656,8 +655,8 @@ def _taylor_datum(
         remainders.append(float(_coeff_norm(change, cutoffs)))
 
     traj = _evolve(run_grid, F0, model, solver, on_sample=take_norms)
-    slope = float(np.polyfit(np.log(ladder), np.log(remainders), 1)[0])
-    implied = max(r / (t**2 * bound) for r, t in zip(remainders, ladder))
+    slope = float(np.polyfit(np.log(solver.sample_times), np.log(remainders), 1)[0])
+    implied = max(r / (t**2 * bound) for r, t in zip(remainders, solver.sample_times))
     first_size = _first_order_size(model, norms)
     first_ratio = max(first_order) / first_size if first_size > 0 else 0.0
     return remainders, {
@@ -780,16 +779,12 @@ def run_validation_suite(
     return report
 
 
-def _chunks(total: int, size: int):
-    """Sizes of consecutive chunks of at most size covering total items."""
+def _row_blocks(total: int, grid: Grid):
+    """Sizes of consecutive row blocks covering total fields on grid: about
+    ROW_BLOCK_SAMPLES samples a block, and at least one row."""
+    size = max(1, ROW_BLOCK_SAMPLES // grid.num_points)
     for start in range(0, total, size):
         yield min(size, total - start)
-
-
-def _row_blocks(total: int, grid: Grid):
-    """Row-block sizes for total fields on grid: about ROW_BLOCK_SAMPLES
-    samples a block, and at least one row."""
-    return _chunks(total, max(1, ROW_BLOCK_SAMPLES // grid.num_points))
 
 
 def _worse(worst: float, *blocks: np.ndarray) -> float:
@@ -1076,9 +1071,6 @@ def run_scaling_batch(
     if not reps:
         return report
 
-    def variation(values):
-        return max(values) / min(values)
-
     quantities = {
         "sup_packet_scaled": [r["sup_packet_scaled"] for r in reps.values()],
         "sup_packet_slope_scaled": [r["sup_packet_slope_scaled"] for r in reps.values()],
@@ -1091,7 +1083,7 @@ def run_scaling_batch(
             r["packet_besov_scaled"][s] for r in reps.values()
         ]
     for name, values in quantities.items():
-        v = variation(values)
+        v = max(values) / min(values)
         report.add_check(f"variation_{name}", v < 1.5, v, "< 1.5")
 
     member_ok = all(all(r["checks"].values()) for r in reps.values())

@@ -116,17 +116,6 @@ class Grid:
     def __repr__(self):
         return f"Grid(num_points={self.num_points}, half_length={self.half_length!r})"
 
-    def padded(self, factor_num: int, factor_den: int = 1) -> "Grid":
-        """Finer grid with the same half_length and N*factor points (cached)."""
-        m = self.num_points * factor_num // factor_den
-        if m % 2:
-            m += 1
-        key = ("pad", m)
-        if key not in self._cache:
-            # setdefault: threads that race here all get the first grid stored
-            self._cache.setdefault(key, Grid(m, self.half_length))
-        return self._cache[key]
-
     def multiplier(self, key, builder) -> np.ndarray:
         """Memoised read-only multiplier builder(xi) on the half-spectrum.
 
@@ -338,10 +327,16 @@ def helmholtz_inverse(f: Field) -> Field:
 
 
 def _padded_grid(grid: Grid, total_degree: int) -> Grid:
-    # (d+1)/2 N points keep a degree-d product alias-free on the retained
-    # band |xi| < xi_max even at full bandwidth: the 3/2 rule for quadratic
-    # terms, factor 2 for cubic ones.
-    return grid.padded(total_degree + 1, 2)
+    # (d+1)/2 N points, rounded up to even, keep a degree-d product alias-free
+    # on the retained band |xi| < xi_max even at full bandwidth: the 3/2 rule
+    # for quadratic terms, factor 2 for cubic ones.  Cached in grid.
+    m = grid.num_points * (total_degree + 1) // 2
+    m += m % 2
+    key = ("pad", m)
+    if key not in grid._cache:
+        # setdefault: threads that race here all get the first grid stored
+        grid._cache.setdefault(key, Grid(m, grid.half_length))
+    return grid._cache[key]
 
 
 def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid, work=None, out=None) -> np.ndarray:
@@ -364,15 +359,12 @@ def _to_padded(grid: Grid, coeffs: np.ndarray, fine: Grid, work=None, out=None) 
 def _from_padded(
     grid: Grid, fine: Grid, *factors: np.ndarray, product=None, spec=None, out=None
 ) -> np.ndarray:
-    """Coefficients of the product of finer-grid samples, truncated to the
-    band of grid; the coarse Nyquist mode is zeroed.  The product is formed
-    in product (fine samples), its transform in spec (fine half-spectrum)
-    and the coefficients go to out."""
+    """Coefficients of the product of two or more finer-grid factors, truncated
+    to the band of grid; the coarse Nyquist mode is zeroed.  The product is
+    formed in product (fine samples, or a factor nothing reads later), its
+    transform in spec (fine half-spectrum) and the coefficients go to out."""
     h = grid.nyquist_index
-    if len(factors) > 1:
-        product = np.multiply(factors[0], factors[1], out=product)
-    else:
-        product = factors[0]
+    product = np.multiply(factors[0], factors[1], out=product)
     for f in factors[2:]:
         product *= f
     spec = np.fft.rfft(product, out=spec)

@@ -230,6 +230,17 @@ class TestBesovNorm:
             expected = (12.0 / 17.0) * 2.0 ** (-(n + 1.5)) * quad
             assert measured == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("half_length", [200.0, 400.0, 1000.0])
+    def test_constant_keeps_the_chi_block_on_a_coarse_grid(self, half_length):
+        # at L = 400 and 1000, xi_max = 8 pi / L <= 3/32 put every block,
+        # chi included, above the grid's j_max, and the norm read 0
+        grid = Grid(16, half_length)
+        cutoffs = build_cutoffs(grid)
+        assert cutoffs.j_max == -1
+        one = Field.constant(grid, 1.0)
+        measured = besov_norm(one, BesovIndex(1.5, 2, 1), cutoffs)
+        assert measured == pytest.approx(2.0**-1.5 * one.l2_norm(), rel=1e-14)
+
     def test_r_monotonicity(self, box_grid, box_cutoffs):
         for seed in range(25):
             f = random_field(box_grid, rng(seed))

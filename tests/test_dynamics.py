@@ -34,6 +34,7 @@ from besovlab.spectral import (
     _fft,
     _from_padded,
     _ifft,
+    _padded_grid,
     _to_field,
     _to_padded,
 )
@@ -118,9 +119,29 @@ class TestModelRhs:
         fine = Grid(4 * g.num_points, g.half_length)
         uf = Field(fine, _to_padded(g, _coeffs(u), fine))
         rhs_fine = ch_rhs(uf)
-        ref = _to_field(g, _from_padded(g, fine, rhs_fine.samples))
+        # a product needs two factors; multiplying by 1.0 is exact
+        ref = _to_field(g, _from_padded(g, fine, rhs_fine.samples, np.ones(fine.num_points)))
         scale = ref.max_abs()
         assert np.abs(coarse.samples - ref.samples).max() <= 1e-9 * scale
+
+    def test_ch_full_band_matches_fine_grid_on_even_rounded_padding(self):
+        # N = 258: the 3/2 rule's 387 points are rounded up to 388.  u fills
+        # the band but its Nyquist mode, whose derivative the two grids
+        # read differently
+        g = Grid(258, math.pi)
+        assert _padded_grid(g, 2).num_points == 388
+        draws = np.random.default_rng(20)
+        F = (1.0 + g.xi) ** -1.5 * (draws.standard_normal(g.xi.size)
+                                    + 1j * draws.standard_normal(g.xi.size))
+        F[-1] = 0.0
+        u = Field(g, _ifft(g, F))
+        coarse = ch_rhs(u)
+
+        fine = Grid(4 * g.num_points, g.half_length)
+        uf = Field(fine, _to_padded(g, _coeffs(u), fine))
+        ref = _to_field(g, _from_padded(g, fine, ch_rhs(uf).samples, np.ones(fine.num_points)))
+        # 7.6e-15 here; a padded grid of 384 points would miss by 1.2e-11
+        assert np.abs(coarse.samples - ref.samples).max() <= 1e-12 * ref.max_abs()
 
     def test_novikov_constant_equilibrium(self, trig_grid):
         assert novikov_rhs(Field.constant(trig_grid, 0.9)).max_abs() <= 1e-13
@@ -252,7 +273,7 @@ class TestEvolve:
         # built on first access, read-only like the grid's other arrays
         grid = Grid(2**12, 32 * math.pi)
         evolve(smooth_profile(grid), Model.NOVIKOV, SolverConfig(sample_times=(0.01,)))
-        fine = grid.padded(2, 1)
+        fine = _padded_grid(grid, 3)
         assert "x" not in vars(fine)
         assert np.array_equal(fine.x, -fine.half_length + fine.dx * np.arange(fine.num_points))
         assert not fine.x.flags.writeable

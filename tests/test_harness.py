@@ -380,8 +380,7 @@ class TestTaylorCheck:
         from besovlab.spectral import Grid, _fft
 
         grid = Grid(2**12, 32 * math.pi)
-        ladder = np.geomspace(1e-3, 1e-2, 3)
-        solver = SolverConfig(sample_times=tuple(ladder))
+        solver = SolverConfig(sample_times=tuple(np.geomspace(1e-3, 1e-2, 3)))
         cutoffs = build_cutoffs(grid)
         real_rfft, lengths = np.fft.rfft, []
 
@@ -393,7 +392,7 @@ class TestTaylorCheck:
         for run_grid in (grid, harness._run_grid(grid, harness.SMOOTH_TOP)):
             lengths.clear()
             F0 = _fft(grid, harness.smooth_profile(grid).samples)
-            harness._taylor_datum(model, grid, F0, run_grid, solver, cutoffs, ladder)
+            harness._taylor_datum(model, grid, F0, run_grid, solver, cutoffs)
             assert lengths.count(grid.num_points) == 1
             assert lengths.count(run_grid.num_points) == (1 if run_grid is grid else 0)
 
@@ -461,14 +460,13 @@ class TestTaylorCheck:
         # fifth harmonic (232) lying above 12288's xi_max = 192
         from besovlab import SolverConfig, build_bump, make_packets
 
-        ladder = np.geomspace(1e-3, 1e-1, 8)
-        solver = SolverConfig(sample_times=tuple(ladder))
+        solver = SolverConfig(sample_times=tuple(np.geomspace(1e-3, 1e-1, 8)))
 
         def pair_remainders(grid, run_grid):
             fam = make_packets(build_bump(grid), packet_n)
             F0 = fam.packet_hat + fam.fast_hat
             cutoffs = build_cutoffs(grid)
-            r, _ = harness._taylor_datum(model, grid, F0, run_grid, solver, cutoffs, ladder)
+            r, _ = harness._taylor_datum(model, grid, F0, run_grid, solver, cutoffs)
             return np.array(r), float(_coeff_norm(F0, cutoffs))
 
         grid = Grid(2**15, 32 * math.pi)
@@ -823,8 +821,8 @@ class TestValidationSuite:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             worst = 0.0
-            for size in harness._chunks(harness.PARTITION_DRAWS, 2**14):
-                xis = rng.uniform(-512.0, 512.0, size=size)
+            for start in range(0, harness.PARTITION_DRAWS, 2**14):
+                xis = rng.uniform(-512.0, 512.0, size=min(2**14, harness.PARTITION_DRAWS - start))
                 total = sum(_cutoff_row(xis, j, ring_scale) for j in range(-1, _j_max(512.0) + 1))
                 worst = harness._worse(worst, np.abs(total - 1.0))
             assert worst == value or (math.isnan(worst) and math.isnan(value)), seed
@@ -1080,6 +1078,20 @@ class TestCli:
         code = cli_main(["lemma31", "--config", str(cfg_file)])
         assert code == 0
         assert (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("out", ["report.json/x", "report.json"])
+    def test_unusable_output_dir_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, out):
+        # a file where the output directory should go used to surface as a
+        # NotADirectoryError traceback (exit 1) after the whole run
+        (tmp_path / "report.json").write_text("")
+        monkeypatch.setattr("besovlab.cli.run_scaling_batch", lambda **_: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as err:
+            cli_main(["lemma31", "--n-min", "4", "--n-max", "5", "--out", str(tmp_path / out)])
+        assert err.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        blocker = tmp_path / "report.json"
+        assert last.endswith(f"--out {tmp_path / out}: {blocker} is not a writable directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     @pytest.mark.parametrize("command, key", [
         ("validate", "output_dir"),

@@ -33,10 +33,10 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def referenced_names(path: pathlib.Path) -> set:
-    """Names path reads (as a name, an attribute or a module it imports from),
-    leaving out a function's or class's references to its own name."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def referenced_names(source: str) -> set:
+    """Names source reads (as a name, an attribute or a module it imports
+    from), leaving out a function's or class's references to its own name."""
+    tree = ast.parse(source)
     names = set()
     for stmt in tree.body:
         own = getattr(stmt, "name", None)
@@ -50,19 +50,65 @@ def referenced_names(path: pathlib.Path) -> set:
     return names
 
 
+def defined_names(source: str, name: str) -> list:
+    """(place, name) of every top-level function and class in source and of
+    every method of its top-level classes, dunders excluded."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for stmt in ast.parse(source, filename=name).body:
+        if not isinstance(stmt, (*functions, ast.ClassDef)):
+            continue
+        body = stmt.body if isinstance(stmt, ast.ClassDef) else []
+        for node in [stmt, *(m for m in body if isinstance(m, functions))]:
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                found.append((f"{name}:{node.lineno}", node.name))
+    return found
+
+
 # toolkit functions the README documents for users; the package itself does
 # not call them
-TOOLKIT_ONLY = {"dyadic_block", "helmholtz_inverse"}
+TOOLKIT_ONLY = {"dyadic_block", "helmholtz_inverse", "random_field"}
+
+
+def unreferenced_definitions(defining: dict, reading: list) -> list:
+    """Functions, classes and methods defined in the sources of defining
+    ({file name: text}) that neither those sources nor the texts in reading
+    reference, TOOLKIT_ONLY excepted; names are matched, not bindings."""
+    used = set().union(*(referenced_names(text) for text in [*defining.values(), *reading]))
+    return [f"{place}: {name}" for file, text in defining.items()
+            for place, name in defined_names(text, file)
+            if name not in used | TOOLKIT_ONLY]
 
 
 def test_every_exported_name_is_used():
-    # an exported name must serve the package or the benchmark, not only tests
+    # an exported name, and every function, class and method of the
+    # package, must serve the package or the benchmark, not only tests
     import besovlab
 
-    sources = [p for p in (ROOT / "src" / "besovlab").glob("*.py") if p.name != "__init__.py"]
-    sources += (ROOT / "perfbench").glob("*.py")
-    used = set().union(*(referenced_names(path) for path in sources))
+    package = {p.name: p.read_text() for p in sorted((ROOT / "src" / "besovlab").glob("*.py"))
+               if p.name != "__init__.py"}
+    benchmark = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    used = set().union(*(referenced_names(text) for text in [*package.values(), *benchmark]))
     assert sorted(set(besovlab.__all__) - used - TOOLKIT_ONLY) == []
+    assert unreferenced_definitions(package, benchmark) == []
+    probe = ("class Grid:\n"
+             "    def padded(self, m):\n"
+             "        return Grid(m)\n"
+             "    def __repr__(self):\n"
+             "        return self.multiplier()\n"
+             "    def multiplier(self):\n"
+             "        return 0\n"
+             "def _chunks(total):\n"
+             "    return _chunks(total - 1)\n"
+             "def random_field(grid):\n"
+             "    def nested():\n"
+             "        return grid\n"
+             "    return nested\n"
+             "_helper = lambda: Grid(16).padded(32)\n")
+    assert unreferenced_definitions({"probe": probe}, []) == ["probe:8: _chunks"]
+    assert unreferenced_definitions({"probe": probe}, ["x = _chunks"]) == []
+    assert [f.split(": ")[1] for f in unreferenced_definitions(
+        {"probe": probe.replace(".padded(32)", "")}, [])] == ["padded", "_chunks"]
 
 
 def test_dynamics_imports_nothing_from_besov():

@@ -275,19 +275,20 @@ class TestDealiasProduct:
         assert np.abs(out.samples - f.samples).max() <= 1e-12 * f.max_abs()
 
     def test_full_band_matches_fine_grid(self, trig_grid):
-        # reference: same product on a 4x finer grid, truncated to this band
-        g = trig_grid
-        f = _full_band_field(g, rng(14))
-        h = _full_band_field(g, rng(15))
-        out = dealias_product(f, h, 2)
-
-        fine = Grid(4 * g.num_points, g.half_length)
+        # reference: same product on a 4x finer grid, truncated to this band;
+        # on 258 points the 3/2 rule's 387 is rounded up to 388
         from besovlab.spectral import _coeffs, _from_padded, _to_field, _to_padded
 
-        ff = _to_padded(g, _coeffs(f), fine)
-        hf = _to_padded(g, _coeffs(h), fine)
-        ref = _to_field(g, _from_padded(g, fine, ff, hf))
-        assert np.abs(out.samples - ref.samples).max() <= 1e-10 * max(ref.max_abs(), 1.0)
+        for g in (trig_grid, Grid(258, math.pi)):
+            f = _full_band_field(g, rng(14))
+            h = _full_band_field(g, rng(15))
+            out = dealias_product(f, h, 2)
+
+            fine = Grid(4 * g.num_points, g.half_length)
+            ff = _to_padded(g, _coeffs(f), fine)
+            hf = _to_padded(g, _coeffs(h), fine)
+            ref = _to_field(g, _from_padded(g, fine, ff, hf))
+            assert np.abs(out.samples - ref.samples).max() <= 1e-10 * max(ref.max_abs(), 1.0)
 
     def test_triple_product_band_limited_exact(self, trig_grid):
         g = trig_grid
@@ -354,6 +355,15 @@ class TestNyquistMode:
         assert derivative(mode, 1).max_abs() <= 1e-13 * g.xi_max
         d2 = derivative(mode, 2)
         assert np.abs(d2.samples + g.xi_max**2 * mode.samples).max() <= 1e-13 * g.xi_max**2
+
+
+def test_padded_grid_rounds_up_to_even_and_is_cached():
+    from besovlab.spectral import _padded_grid
+
+    g = Grid(258, math.pi)  # N = 2 (mod 4): 3N/2 is odd
+    fine = _padded_grid(g, 2)
+    assert (fine.num_points, fine.half_length) == (3 * 258 // 2 + 1, g.half_length)
+    assert _padded_grid(g, 2) is fine
 
 
 def test_grid_invariants():
